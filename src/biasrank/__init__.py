@@ -20,9 +20,7 @@ from .model import (
     BiasModel,
     DiscountDiagnostics,
     DiscountVector,
-    GroupLayout,
     Instance,
-    Item,
     Ranking,
     instance_from_json,
     instance_to_json,
@@ -59,7 +57,6 @@ from .stats import (
     expected_Pl,
     pmf_Nkb,
     pmf_Pl,
-    sample,
     tail_bound_Nkb,
     utility_with_constraints_formula,
     utility_without_constraints_formula,
@@ -88,10 +85,8 @@ __all__ = [
     "DiscountVector",
     "Distribution",
     "Empirical",
-    "GroupLayout",
     "InfeasibleConstraintsError",
     "Instance",
-    "Item",
     "LogNormal",
     "NonDisjointGroupsError",
     "Normal",
@@ -125,7 +120,6 @@ __all__ = [
     "ranking_utility",
     "run_sweep",
     "run_trial",
-    "sample",
     "satisfies",
     "simple_constraints",
     "supernumerary_compare",

@@ -17,8 +17,8 @@ Subcommands::
 
 Common flags: ``--seed`` (default 0, echoed into every randomized output
 so reported numbers are reproducible), ``--trials``, ``--threads``
-(trial-level parallelism; results are independent of the thread count),
-and ``--out`` (default stdout).
+(accepted for compatibility; trials run sequentially and output never
+depends on it), and ``--out`` (default stdout).
 
 Exit codes: 0 success, 1 usage error, 2 infeasible constraints,
 3 I/O or parse error.
@@ -151,9 +151,9 @@ def _cmd_solve(args) -> int:
     observed = observed_utilities(inst, bias)
     if args.constraints:
         L = ConstraintMatrix.from_json_dict(_load_json(args.constraints))
-        if inst.groups.disjoint:
+        try:
             ranking = rank_constrained_greedy(inst, observed, L)
-        else:
+        except NonDisjointGroupsError:
             if inst.m > BRUTEFORCE_MAX_ITEMS or inst.n > BRUTEFORCE_MAX_POSITIONS:
                 raise ValueError("overlapping groups require the brute-force solver (small instances only)")
             ranking = rank_constrained_bruteforce(inst, observed, L)
@@ -203,9 +203,11 @@ def _cmd_sweep(args) -> int:
         betas = [float(b) for b in d["betas"]]
     except KeyError as exc:
         raise ValueError(f"sweep config missing key {exc}") from exc
+    if not alphas or not betas:
+        raise ValueError('sweep config needs nonempty "alphas" and "betas" lists')
     base = _trial_config_from_json({**d, "alpha": alphas[0], "beta": betas[0]})
     trials = args.trials if args.trials is not None else int(d.get("trials", 1000))
-    report = run_sweep(base, alphas, betas, trials, SeedSpec(args.seed), threads=args.threads)
+    report = run_sweep(base, alphas, betas, trials, SeedSpec(args.seed))
     _write_output(report.to_csv(), args.out)
     return EXIT_OK
 
@@ -216,7 +218,7 @@ def _cmd_orderstats(args) -> int:
     )
     trials = args.trials if args.trials is not None else 10000
     seed = SeedSpec(args.seed)
-    est = estimate_order_stats(args.k, args.l, args.ma, args.mb, dist, trials, seed, threads=args.threads)
+    est = estimate_order_stats(args.k, args.l, args.ma, args.mb, dist, trials, seed)
     _dump_json(
         {
             "seed": seed.master_seed,
@@ -251,8 +253,7 @@ def _cmd_supernumerary(args) -> int:
     trials = args.trials if args.trials is not None else int(d.get("trials", 1000))
     seed = SeedSpec(args.seed)
     reports = [
-        supernumerary_compare(_supernumerary_config_from_json(d, a), trials, seed, threads=args.threads)
-        for a in alphas
+        supernumerary_compare(_supernumerary_config_from_json(d, a), trials, seed) for a in alphas
     ]
     _write_output(supernumerary_csv(reports), args.out)
     return EXIT_OK
@@ -324,7 +325,12 @@ def _build_parser() -> _Parser:
     common = _Parser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="64-bit master seed (default 0)")
     common.add_argument("--trials", type=int, default=None, help="number of Monte Carlo trials")
-    common.add_argument("--threads", type=int, default=1, help="trial-level worker threads")
+    common.add_argument(
+        "--threads",
+        type=int,
+        default=1,
+        help="accepted for compatibility; trials run sequentially and output never depends on it",
+    )
     common.add_argument("--out", type=str, default=None, help="output path (default stdout)")
 
     parser = _Parser(prog="biasrank", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import GroupLayout, Instance, Ranking, prefix_group_counts
+from .model import Instance, Ranking, prefix_group_counts
 
 __all__ = [
     "ConstraintMatrix",
@@ -24,7 +24,6 @@ __all__ = [
     "NonDisjointGroupsError",
     "check_feasibility",
     "derived_constraints",
-    "feasible_for_sizes",
     "satisfies",
     "simple_constraints",
 ]
@@ -39,7 +38,7 @@ class InfeasibleConstraintsError(ValueError):
 
 
 class NonDisjointGroupsError(ValueError):
-    """Operation requires disjoint groups but the layout overlaps."""
+    """Operation requires disjoint groups but some item is in two or more."""
 
 
 class ConstraintMatrix:
@@ -93,6 +92,8 @@ class ConstraintMatrix:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "ConstraintMatrix":
+        if not isinstance(d, dict):
+            raise ValueError("constraint JSON must be an object")
         try:
             n, p, rows = int(d["n"]), int(d["p"]), d["L"]
         except KeyError as exc:
@@ -139,45 +140,38 @@ def derived_constraints(instance: Instance) -> ConstraintMatrix:
     return ConstraintMatrix(counts)
 
 
-def satisfies(ranking: Ranking, L: ConstraintMatrix, groups: GroupLayout) -> bool:
-    """True iff every prefix of the ranking meets every group lower bound."""
+def satisfies(ranking: Ranking, L: ConstraintMatrix, membership) -> bool:
+    """True iff every prefix of the ranking meets every group lower bound,
+    given the (m, p) boolean membership matrix."""
     if len(ranking.positions) != L.n:
         raise ValueError(f"ranking length {len(ranking.positions)} != constraint rows {L.n}")
-    if groups.p != L.p:
-        raise ValueError(f"layout has {groups.p} groups but constraints have {L.p} columns")
-    counts = prefix_group_counts(ranking, groups)
+    p = np.shape(membership)[1]
+    if p != L.p:
+        raise ValueError(f"membership has {p} groups but constraints have {L.p} columns")
+    counts = prefix_group_counts(ranking, membership)
     return bool(np.all(counts >= L.matrix))
 
 
-def feasible_for_sizes(mat: np.ndarray, sizes: np.ndarray, n: int) -> bool:
-    """Feasibility core for disjoint groups given only the group sizes.
-
-    Exact for nondecreasing columns: the final demand of each column must
-    fit inside its group and the total demand at each prefix must fit
-    inside the prefix.
-    """
-    if mat.size == 0:
-        return True
-    if np.any(mat[-1] > sizes):
-        return False
-    if np.any(mat.sum(axis=1) > np.arange(1, n + 1)):
-        return False
-    return True
-
-
-def check_feasibility(L: ConstraintMatrix, groups: GroupLayout, n: int) -> bool:
-    """Decide whether any ranking satisfies L, for disjoint groups.
+def check_feasibility(L: ConstraintMatrix, membership) -> bool:
+    """Decide whether any ranking of L.n items satisfies L, for disjoint groups.
 
     For disjoint groups the exact conditions are: nondecreasing columns
-    (guaranteed by construction), final demand within each group's size,
-    and total demand at each prefix within the prefix length.  Overlapping
-    layouts are rejected; use the brute-force solver for those.
+    (guaranteed by construction), at least L.n items, final demand within
+    each group's size, and total demand at each prefix within the prefix
+    length.  Raises NonDisjointGroupsError when some item is in two or more
+    groups; use the brute-force solver for those.
     """
-    if not groups.disjoint:
-        raise NonDisjointGroupsError("feasibility test requires disjoint groups")
-    if L.n != n:
-        raise ValueError(f"constraint matrix has {L.n} rows, expected n={n}")
-    if groups.p != L.p:
-        raise ValueError(f"layout has {groups.p} groups but constraints have {L.p} columns")
-    sizes = np.array([len(g) for g in groups.members], dtype=np.int64)
-    return feasible_for_sizes(L.matrix, sizes, n)
+    mem = np.asarray(membership, dtype=bool)
+    m, p = mem.shape
+    if p != L.p:
+        raise ValueError(f"membership has {p} groups but constraints have {L.p} columns")
+    # Row and column counts as integer matmuls: on a tall (m, p) bool matrix
+    # they run several times faster than sum(axis=...).
+    if np.any(mem @ np.ones(p, dtype=np.int64) > 1):
+        raise NonDisjointGroupsError("groups overlap; use the brute-force solver")
+    mat = L.matrix
+    return bool(
+        L.n <= m
+        and np.all(mat[-1] <= np.ones(m, dtype=np.int64) @ mem)
+        and np.all(mat.sum(axis=1) <= np.arange(1, L.n + 1))
+    )

@@ -10,19 +10,18 @@ factor beta, and compares three rankings evaluated by latent utility:
   prefix bounds.
 
 Trials are independent: trial i derives its own stream from
-(master_seed, i), so results are bit-identical regardless of thread count
-and any grid cell can be recomputed in isolation.  The seat-expansion
-comparison pits the prefix-bound intervention against reserving added
-seats for the target group when the target group's scores understate its
-true utility by an affine shift.
+(master_seed, i), so any grid cell can be recomputed in isolation; trials
+run sequentially in index order.  The seat-expansion comparison pits the
+prefix-bound intervention against reserving added seats for the target
+group when the target group's scores understate its true utility by an
+affine shift.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -59,17 +58,6 @@ SUPERNUMERARY_CSV_COLUMNS = "alpha,scheme,seats,mean_utility_per_seat,se"
 
 def _fmt(x: float) -> str:
     return format(float(x), ".12g")
-
-
-def _run_indexed(trials: int, threads: int, worker: Callable[[int], None]) -> None:
-    """Run worker(0..trials-1); workers write into index-addressed slots, so
-    the result does not depend on the thread count."""
-    if threads <= 1:
-        for i in range(trials):
-            worker(i)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            list(ex.map(worker, range(trials)))
 
 
 def _mean_se(values: np.ndarray) -> tuple[float, float]:
@@ -212,7 +200,6 @@ def run_sweep(
     betas: Sequence[float],
     trials: int,
     seed: SeedSpec,
-    threads: int = 1,
 ) -> SweepReport:
     """Grid of trial means over (beta, alpha) cells.
 
@@ -229,14 +216,11 @@ def run_sweep(
             u_cons = np.empty(trials)
             u_uncons = np.empty(trials)
             u_opt = np.empty(trials)
-
-            def worker(i: int, cfg=cfg, a=u_cons, b=u_uncons, c=u_opt) -> None:
+            for i in range(trials):
                 rep = run_trial(cfg, i, seed)
-                a[i] = rep.u_cons
-                b[i] = rep.u_uncons
-                c[i] = rep.u_opt
-
-            _run_indexed(trials, threads, worker)
+                u_cons[i] = rep.u_cons
+                u_uncons[i] = rep.u_uncons
+                u_opt[i] = rep.u_opt
             mc, sc = _mean_se(u_cons)
             mu, su = _mean_se(u_uncons)
             mo, so = _mean_se(u_opt)
@@ -291,7 +275,6 @@ def estimate_order_stats(
     dist: Distribution,
     trials: int,
     seed: SeedSpec,
-    threads: int = 1,
 ) -> OrderStatsReport:
     """Sample the top-k target count and the position of the l-th target
     item in the utility-sorted ranking of m_a + m_b i.i.d. utilities."""
@@ -304,16 +287,13 @@ def estimate_order_stats(
     m = m_a + m_b
     nkb = np.empty(trials, dtype=np.int64)
     pl = np.empty(trials, dtype=np.int64)
-
-    def worker(i: int) -> None:
+    for i in range(trials):
         rng = seed.rng_for_trial(i)
         w = dist.draw(rng, m)
         order = np.argsort(-w, kind="stable")
         is_b = order >= m_a
         nkb[i] = int(is_b[:k].sum())
         pl[i] = int(np.nonzero(is_b)[0][l - 1]) + 1
-
-    _run_indexed(trials, threads, worker)
     mean_n, se_n = _mean_se(nkb.astype(float))
     mean_p, se_p = _mean_se(pl.astype(float))
     return OrderStatsReport(
@@ -430,7 +410,6 @@ def supernumerary_compare(
     config: SupernumeraryConfig,
     trials: int,
     seed: SeedSpec,
-    threads: int = 1,
 ) -> SupernumeraryReport:
     """Mean latent utility per seat for five admission schemes.
 
@@ -468,7 +447,7 @@ def supernumerary_compare(
         v = discount_for(ids.size)
         return float((latent[ids] @ v) / ids.size)
 
-    def worker(i: int) -> None:
+    for i in range(trials):
         rng = seed.rng_for_trial(i)
         s_a = config.dist_a.draw(rng, m_a)
         s_b = config.dist_b.draw(rng, m_b)
@@ -519,8 +498,6 @@ def supernumerary_compare(
         ):
             per_seat[name][i] = per_seat_utility(latent, ids)
             seats[name][i] = len(ids)
-
-    _run_indexed(trials, threads, worker)
     stats = []
     for name in SUPERNUMERARY_SCHEMES:
         mean_u, se = _mean_se(per_seat[name])

@@ -1,7 +1,8 @@
 """Core domain types for ranking under multiplicative group bias.
 
-Items carry a latent (true) utility and a set of group memberships, which
-may be empty, singleton, or overlapping.  An evaluator does not see the
+Each item carries a latent (true) utility and a set of group memberships,
+which may be empty, singleton, or overlapping; an instance stores the
+memberships as one boolean (m, p) matrix.  An evaluator does not see the
 latent utilities: each group contributes a multiplicative factor in
 ``[0, 1]``, and an item belonging to several groups is shaded by the
 product of its groups' factors.  Rankings place ``n`` of the ``m`` items
@@ -10,15 +11,14 @@ nonnegative position-discount vector; a constant vector reduces ranking
 to plain subset selection.
 
 All types are immutable after construction and all operations are pure
-functions, so values can be shared freely across threads.
+functions.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -26,9 +26,7 @@ __all__ = [
     "BiasModel",
     "DiscountDiagnostics",
     "DiscountVector",
-    "GroupLayout",
     "Instance",
-    "Item",
     "Ranking",
     "instance_from_json",
     "instance_to_json",
@@ -42,86 +40,6 @@ __all__ = [
 def _readonly(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
-
-
-@dataclass(frozen=True)
-class Item:
-    """One rankable item: dense integer id, latent utility, group ids."""
-
-    id: int
-    latent_utility: float
-    groups: frozenset[int] = frozenset()
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "groups", frozenset(int(s) for s in self.groups))
-        if self.id < 0:
-            raise ValueError("item id must be nonnegative")
-        if any(s < 0 for s in self.groups):
-            raise ValueError("group indices must be nonnegative")
-        if not math.isfinite(self.latent_utility):
-            raise ValueError("latent utility must be finite")
-
-
-class GroupLayout:
-    """Membership sets for groups ``0..p-1``.
-
-    Groups may overlap; ``disjoint`` reports whether they do not.
-    """
-
-    __slots__ = ("_members",)
-
-    def __init__(self, members: Iterable[Iterable[int]]):
-        self._members = tuple(frozenset(int(i) for i in g) for g in members)
-        for g in self._members:
-            if any(i < 0 for i in g):
-                raise ValueError("group members must be nonnegative item ids")
-
-    @property
-    def p(self) -> int:
-        return len(self._members)
-
-    @property
-    def members(self) -> tuple[frozenset[int], ...]:
-        return self._members
-
-    @property
-    def disjoint(self) -> bool:
-        total = sum(len(g) for g in self._members)
-        union: set[int] = set()
-        for g in self._members:
-            union.update(g)
-        return total == len(union)
-
-    def membership_matrix(self, m: int) -> np.ndarray:
-        """Boolean (m, p) matrix; entry (i, s) is True iff item i is in group s."""
-        mat = np.zeros((m, self.p), dtype=bool)
-        for s, g in enumerate(self._members):
-            for i in g:
-                if i >= m:
-                    raise ValueError(f"group {s} references item {i} >= m={m}")
-                mat[i, s] = True
-        return _readonly(mat)
-
-    def labels(self, m: int) -> np.ndarray:
-        """Per-item group label (-1 for ungrouped items); disjoint groups only."""
-        if not self.disjoint:
-            raise ValueError("labels are only defined for disjoint groups")
-        lab = np.full(m, -1, dtype=np.int64)
-        for s, g in enumerate(self._members):
-            for i in g:
-                if i >= m:
-                    raise ValueError(f"group {s} references item {i} >= m={m}")
-                lab[i] = s
-        return lab
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, GroupLayout) and self._members == other._members
-
-    def __hash__(self) -> int:
-        return hash(self._members)
-
-    def __repr__(self) -> str:
-        return f"GroupLayout({[sorted(g) for g in self._members]})"
 
 
 class BiasModel:
@@ -261,44 +179,30 @@ class Instance:
     """A ranking problem: m items with latent utilities and group memberships,
     n ranked positions, and a position-discount vector of length n.
 
-    Item ids are dense 0-based integers and every per-item vector is
-    id-indexed.  Internally the instance stores a float utility vector and a
-    boolean membership matrix; :class:`Item` objects are materialized lazily.
+    Every item has a dense 0-based integer id, and every per-item vector is
+    id-indexed.  Group membership is a boolean (m, p) matrix whose entry
+    (i, s) is True iff item i belongs to group s; rows may hold any number
+    of True entries, so groups may overlap and items may be ungrouped.
     """
 
-    def __init__(self, items: Iterable[Item], n: int, v: DiscountVector, p: int | None = None):
-        items = sorted(items, key=lambda it: it.id)
-        m = len(items)
-        if [it.id for it in items] != list(range(m)):
-            raise ValueError("item ids must be exactly 0..m-1 with no duplicates")
-        max_group = max((max(it.groups, default=-1) for it in items), default=-1)
-        if p is None:
-            p = max_group + 1
-        elif max_group >= p:
-            raise ValueError(f"item references group {max_group} >= p={p}")
-        w = np.array([it.latent_utility for it in items], dtype=float)
-        mem = np.zeros((m, p), dtype=bool)
-        for it in items:
-            for s in it.groups:
-                mem[it.id, s] = True
-        self._init_arrays(w, mem, n, v)
-
-    def _init_arrays(self, w: np.ndarray, mem: np.ndarray, n: int, v: DiscountVector) -> None:
+    def __init__(self, latent_utilities: Sequence[float], membership, n: int, v: DiscountVector):
+        w = np.asarray(latent_utilities, dtype=float)
+        mem = np.asarray(membership, dtype=bool)
         if w.ndim != 1:
             raise ValueError("latent utilities must be 1-D")
         if not np.all(np.isfinite(w)):
             raise ValueError("latent utilities must be finite")
         m = int(w.size)
-        if mem.shape[0] != m:
-            raise ValueError("membership rows must match the number of items")
+        if mem.ndim != 2 or mem.shape[0] != m:
+            raise ValueError("membership must be an (m, p) matrix with one row per item")
         if not (1 <= n <= m):
             raise ValueError(f"need 1 <= n <= m, got n={n}, m={m}")
         if not isinstance(v, DiscountVector):
             v = DiscountVector(v)
         if len(v) != n:
             raise ValueError(f"discount vector has length {len(v)}, expected n={n}")
-        self._w = _readonly(w.astype(float, copy=True))
-        self._mem = _readonly(mem.astype(bool, copy=True))
+        self._w = _readonly(w.copy())
+        self._mem = _readonly(mem.copy())
         self._n = int(n)
         self._v = v
 
@@ -311,7 +215,7 @@ class Instance:
         v: DiscountVector,
         p: int | None = None,
     ) -> "Instance":
-        """Build an instance without materializing Item objects.
+        """Build an instance from any of three membership encodings.
 
         ``groups`` may be a (m, p) boolean membership matrix, a length-m
         integer label vector (-1 marks ungrouped items), or a length-m
@@ -323,20 +227,16 @@ class Instance:
             isinstance(g, (set, frozenset, list, tuple)) for g in groups
         )
         if per_item_sets:
-            sets = [frozenset(int(s) for s in gi) for gi in groups]
-            if len(sets) != m:
+            if len(groups) != m:
                 raise ValueError("per-item group list length must equal number of items")
-            width = p if p is not None else max((max(s, default=-1) for s in sets), default=-1) + 1
+            width = p if p is not None else max((max(map(int, gi), default=-1) for gi in groups), default=-1) + 1
+            cols, rows = _flatten_ids(groups, width, "group id")
             mem = np.zeros((m, width), dtype=bool)
-            for i, gi in enumerate(sets):
-                for s in gi:
-                    if s >= width:
-                        raise ValueError(f"item {i} references group {s} >= p={width}")
-                    mem[i, s] = True
+            mem[rows, cols] = True
         else:
             g = np.asarray(groups)
             if g.ndim == 2:
-                mem = g.astype(bool)
+                mem = g
                 if p is not None and p != mem.shape[1]:
                     raise ValueError("explicit p contradicts membership matrix width")
             elif g.ndim == 1:
@@ -351,9 +251,7 @@ class Instance:
                 mem[np.nonzero(sel)[0], lab[sel]] = True
             else:
                 raise ValueError("groups must be a membership matrix, label vector, or per-item sets")
-        obj = cls.__new__(cls)
-        obj._init_arrays(w, mem, n, v)
-        return obj
+        return cls(w, mem, n, v)
 
     @property
     def m(self) -> int:
@@ -378,19 +276,6 @@ class Instance:
     @property
     def membership_matrix(self) -> np.ndarray:
         return self._mem
-
-    @cached_property
-    def groups(self) -> GroupLayout:
-        return GroupLayout(
-            tuple(frozenset(np.nonzero(self._mem[:, s])[0].tolist()) for s in range(self.p))
-        )
-
-    @cached_property
-    def items(self) -> tuple[Item, ...]:
-        return tuple(
-            Item(i, float(self._w[i]), frozenset(np.nonzero(self._mem[i])[0].tolist()))
-            for i in range(self.m)
-        )
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -487,17 +372,14 @@ def validate_discount(v) -> DiscountDiagnostics:
     return DiscountDiagnostics(nonincreasing, convex, ratio)
 
 
-def prefix_group_counts(ranking: Ranking, groups: GroupLayout) -> np.ndarray:
+def prefix_group_counts(ranking: Ranking, membership) -> np.ndarray:
     """(n, p) integer matrix; entry (k-1, s) counts group-s items among
-    positions 1..k."""
-    p = groups.p
-    members = groups.members
-    rows = np.zeros((len(ranking.positions), p), dtype=np.int64)
-    for j, item in enumerate(ranking.positions):
-        for s in range(p):
-            if item in members[s]:
-                rows[j, s] = 1
-    return np.cumsum(rows, axis=0)
+    positions 1..k, given the (m, p) boolean membership matrix."""
+    mem = np.asarray(membership, dtype=bool)
+    pos = np.asarray(ranking.positions, dtype=np.intp)
+    if pos.size and int(pos.max()) >= mem.shape[0]:
+        raise ValueError("ranking references an item id outside the membership matrix")
+    return np.cumsum(mem[pos], axis=0, dtype=np.int64)
 
 
 def instance_to_json(instance: Instance) -> dict:
@@ -507,35 +389,60 @@ def instance_to_json(instance: Instance) -> dict:
     return {
         "n": instance.n,
         "v": instance.v.to_json_dict(),
-        "groups": [sorted(int(i) for i in g) for g in instance.groups.members],
+        "groups": [np.nonzero(col)[0].tolist() for col in mem.T],
         "items": [
-            {
-                "id": i,
-                "w": float(instance.latent_utilities[i]),
-                "groups": sorted(int(s) for s in np.nonzero(mem[i])[0]),
-            }
+            {"id": i, "w": float(instance.latent_utilities[i]), "groups": np.nonzero(mem[i])[0].tolist()}
             for i in range(instance.m)
         ],
     }
 
 
+def _flatten_ids(lists, bound: int, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """Flatten a list of integer lists into (values, owner) arrays, where
+    owner[k] is the index of the list that values[k] came from; every value
+    must lie in [0, bound)."""
+    lists = [[int(x) for x in xs] for xs in lists]
+    values = np.fromiter((x for xs in lists for x in xs), dtype=np.int64)
+    owner = np.repeat(np.arange(len(lists)), [len(xs) for xs in lists])
+    bad = (values < 0) | (values >= bound)
+    if bad.any():
+        raise ValueError(f"{what} {int(values[bad][0])} outside [0, {bound})")
+    return values, owner
+
+
 def instance_from_json(d: dict) -> Instance:
-    """Parse the instance JSON schema, validating that top-level group
-    membership lists agree with per-item group lists."""
+    """Parse the instance JSON schema straight into utility and membership
+    arrays.
+
+    The item ids must be exactly 0..m-1 in any order, the utilities finite,
+    and the group ids in [0, p), where p is the number of top-level group
+    lists; those lists must agree with the per-item group lists.
+    """
+    if not isinstance(d, dict):
+        raise ValueError("instance JSON must be an object")
     try:
         n = int(d["n"])
         group_lists = d["groups"]
         item_dicts = d["items"]
         v = DiscountVector.from_json_dict(d["v"], n)
+        ids = np.array([int(it["id"]) for it in item_dicts], dtype=np.int64)
+        w_listed = np.array([it["w"] for it in item_dicts], dtype=float)
+        p = len(group_lists)
+        m = ids.size
+        item_groups, rows = _flatten_ids([it.get("groups", ()) for it in item_dicts], p, "group id")
+        declared_items, declared_groups = _flatten_ids(group_lists, m, "group member")
     except KeyError as exc:
         raise ValueError(f"instance JSON missing key {exc}") from exc
-    items = [
-        Item(int(it["id"]), float(it["w"]), frozenset(int(s) for s in it.get("groups", ())))
-        for it in item_dicts
-    ]
-    p = len(group_lists)
-    inst = Instance(items, n, v, p=p)
-    declared = GroupLayout(group_lists)
-    if declared != inst.groups:
+    except (TypeError, OverflowError) as exc:
+        raise ValueError(f"malformed instance JSON: {exc}") from exc
+    if not np.array_equal(np.sort(ids), np.arange(m)):
+        raise ValueError("item ids must be exactly 0..m-1 with no duplicates")
+    w = np.empty(m)
+    w[ids] = w_listed
+    mem = np.zeros((m, p), dtype=bool)
+    mem[ids[rows], item_groups] = True
+    declared = np.zeros((m, p), dtype=bool)
+    declared[declared_items, declared_groups] = True
+    if not np.array_equal(declared, mem):
         raise ValueError("top-level group lists disagree with per-item group lists")
-    return inst
+    return Instance(w, mem, n, v)

@@ -14,12 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .constraints import (
-    ConstraintMatrix,
-    InfeasibleConstraintsError,
-    NonDisjointGroupsError,
-    feasible_for_sizes,
-)
+from .constraints import ConstraintMatrix, InfeasibleConstraintsError, check_feasibility
 from .model import Instance, Ranking
 
 __all__ = [
@@ -99,22 +94,19 @@ def rank_constrained_greedy(instance: Instance, weights, L: ConstraintMatrix) ->
 
     Fills positions 1..n in order; at each position places the heaviest item
     (ties by ascending id) whose placement leaves every later prefix bound
-    satisfiable.  Raises for overlapping groups or infeasible bounds.
+    satisfiable.  Raises NonDisjointGroupsError for overlapping groups and
+    InfeasibleConstraintsError for infeasible bounds.
     """
     n, p = instance.n, instance.p
     if L.n != n or L.p != p:
         raise ValueError(f"constraints are {L.n}x{L.p}, instance needs {n}x{p}")
     mem = instance.membership_matrix
-    row_counts = mem.sum(axis=1)
-    if np.any(row_counts > 1):
-        raise NonDisjointGroupsError("greedy solver requires disjoint groups; use the brute-force solver")
-    sizes = mem.sum(axis=0).astype(np.int64)
-    if not feasible_for_sizes(L.matrix, sizes, n):
+    if not check_feasibility(L, mem):
         raise InfeasibleConstraintsError("no ranking satisfies the constraint matrix")
     w = _check_weights(instance, weights)
     Lmat = L.matrix
 
-    labels = np.where(row_counts > 0, mem.argmax(axis=1), -1) if p else np.full(instance.m, -1)
+    labels = mem @ np.arange(1, p + 1) - 1  # rows hold at most one group: its id, or -1
     order = np.argsort(-w, kind="stable")
     order_list = order.tolist()
     ordered_labels = labels[order]

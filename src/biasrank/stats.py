@@ -39,7 +39,6 @@ __all__ = [
     "log_binom",
     "pmf_Nkb",
     "pmf_Pl",
-    "sample",
     "tail_bound_Nkb",
     "utility_with_constraints_formula",
     "utility_without_constraints_formula",
@@ -126,7 +125,7 @@ class Normal:
 class Empirical:
     """Uniform resampling (with replacement) from a stored sample."""
 
-    __slots__ = ("_sample",)
+    __slots__ = ("sample",)
     kind = "empirical"
 
     def __init__(self, sample: Sequence[float]):
@@ -136,24 +135,20 @@ class Empirical:
         if not np.all(np.isfinite(arr)):
             raise ValueError("empirical sample must be finite")
         arr.setflags(write=False)
-        self._sample = arr
-
-    @property
-    def sample(self) -> np.ndarray:
-        return self._sample
+        self.sample = arr
 
     def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        idx = rng.integers(0, self._sample.size, size)
-        return self._sample[idx]
+        idx = rng.integers(0, self.sample.size, size)
+        return self.sample[idx]
 
     def to_json_dict(self) -> dict:
-        return {"kind": self.kind, "sample": self._sample.tolist()}
+        return {"kind": self.kind, "sample": self.sample.tolist()}
 
     def __eq__(self, other):
-        return isinstance(other, Empirical) and np.array_equal(self._sample, other._sample)
+        return isinstance(other, Empirical) and np.array_equal(self.sample, other.sample)
 
     def __repr__(self):
-        return f"Empirical(size={self._sample.size})"
+        return f"Empirical(size={self.sample.size})"
 
 
 class ShiftedScaled:
@@ -209,13 +204,6 @@ def distribution_from_json(d: dict) -> Distribution:
             raise ValueError('shifted_scaled distribution requires a "base" distribution')
         return ShiftedScaled(distribution_from_json(d["base"]), d.get("scale", 1.0), d.get("shift", 0.0))
     raise ValueError(f"unknown distribution kind {kind!r}")
-
-
-def sample(dist: Distribution, count: int, rng: np.random.Generator) -> np.ndarray:
-    """i.i.d. draws from ``dist`` using the supplied generator."""
-    if count < 0:
-        raise ValueError("count must be nonnegative")
-    return dist.draw(rng, count)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,14 @@ import numpy as np
 from biasrank import ConstraintMatrix, DiscountVector, Instance
 
 
+def membership(m, groups) -> np.ndarray:
+    """(m, p) boolean matrix whose column s marks the item ids in groups[s]."""
+    mem = np.zeros((m, len(groups)), dtype=bool)
+    for s, g in enumerate(groups):
+        mem[list(g), s] = True
+    return mem
+
+
 def two_group_instance(w_a, w_b, n, v=None) -> Instance:
     """Group 0 holds the w_a items, group 1 the w_b items."""
     w = np.concatenate([np.asarray(w_a, float), np.asarray(w_b, float)])

@@ -59,7 +59,7 @@ def test_c01_greedy_matches_bruteforce_oracle():
         w = rng.uniform(0.0, 1.0, inst.m)
         g = rank_constrained_greedy(inst, w, L)
         b = rank_constrained_bruteforce(inst, w, L)
-        assert satisfies(g, L, inst.groups)
+        assert satisfies(g, L, inst.membership_matrix)
         gap = abs(ranking_utility(g, inst.v, w) - ranking_utility(b, inst.v, w))
         worst = max(worst, gap)
     elapsed = time.time() - t0

@@ -25,6 +25,8 @@ FACT_INSTANCE_W_PRIME = {
     ],
 }
 
+ITEM_WITHOUT_W = {**FACT_INSTANCE_W, "items": [{"id": 0, "w": 2.0, "groups": [0]}, {"id": 1, "groups": [1]}]}
+
 TRIAL_CONFIG = {
     "m_a": 12,
     "m_b": 12,
@@ -226,3 +228,23 @@ class TestExitCodes:
     def test_bad_betas_count(self, tmp_path):
         inst = write_json(tmp_path, "inst.json", FACT_INSTANCE_W)
         assert main(["solve", inst, "--betas", "0.5"]) == 3
+
+    @pytest.mark.parametrize(
+        "argv, files",
+        [
+            (["solve", "inst"], {"inst": ITEM_WITHOUT_W}),
+            (["derive-constraints", "inst"], {"inst": ITEM_WITHOUT_W}),
+            (["solve", "inst"], {"inst": {**FACT_INSTANCE_W, "n": None}}),
+            (["solve", "inst"], {"inst": [FACT_INSTANCE_W]}),
+            (["solve", "inst", "--constraints", "L"], {"inst": FACT_INSTANCE_W, "L": [[1, 0], [1, 1]]}),
+            (["sweep", "cfg"], {"cfg": {**TRIAL_CONFIG, "alphas": [], "betas": [0.5]}}),
+        ],
+        ids=["solve-item-without-w", "derive-item-without-w", "null-n", "list-instance", "list-constraints", "no-alphas"],
+    )
+    def test_malformed_json_is_one_line_parse_error(self, tmp_path, capsys, argv, files):
+        paths = {name: write_json(tmp_path, f"{name}.json", doc) for name, doc in files.items()}
+        code = main([paths.get(arg, arg) for arg in argv])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert "Traceback" not in err

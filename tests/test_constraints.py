@@ -5,16 +5,21 @@ from hypothesis import given, settings, strategies as st
 from biasrank import (
     ConstraintMatrix,
     DiscountVector,
-    GroupLayout,
     Instance,
     NonDisjointGroupsError,
     Ranking,
     check_feasibility,
     derived_constraints,
+    prefix_group_counts,
     satisfies,
     simple_constraints,
 )
-from conftest import random_disjoint_instance, random_feasible_constraints
+from conftest import (
+    membership,
+    random_disjoint_instance,
+    random_feasible_constraints,
+    random_intersectional_instance,
+)
 
 
 class TestSimpleConstraints:
@@ -87,28 +92,55 @@ class TestDerivedConstraints:
             inst = random_disjoint_instance(rng)
             L = derived_constraints(inst)
             order = np.argsort(-inst.latent_utilities, kind="stable")[: inst.n]
-            assert satisfies(Ranking(tuple(int(i) for i in order)), L, inst.groups)
+            assert satisfies(Ranking(tuple(int(i) for i in order)), L, inst.membership_matrix)
 
 
 class TestSatisfies:
     def test_zero_constraints_always_true(self):
-        groups = GroupLayout([{0}, {1}])
+        groups = membership(2, [{0}, {1}])
         L = ConstraintMatrix.zeros(2, 2)
         assert satisfies(Ranking((0, 1)), L, groups)
         assert satisfies(Ranking((1, 0)), L, groups)
 
     def test_unmet_first_position(self):
-        groups = GroupLayout([{0}, {1}])
+        groups = membership(2, [{0}, {1}])
         L = ConstraintMatrix([[0, 1], [0, 1]])
         assert not satisfies(Ranking((0, 1)), L, groups)
         assert satisfies(Ranking((1, 0)), L, groups)
 
     def test_dimension_mismatch(self):
-        groups = GroupLayout([{0}, {1}])
+        groups = membership(2, [{0}, {1}])
         with pytest.raises(ValueError):
             satisfies(Ranking((0,)), ConstraintMatrix.zeros(2, 2), groups)
         with pytest.raises(ValueError):
             satisfies(Ranking((0, 1)), ConstraintMatrix.zeros(2, 1), groups)
+
+    def test_matrix_counts_match_per_item_loop(self):
+        # overlapping groups and ungrouped items, checked against plain loops
+        # over per-item group sets
+        rng = np.random.default_rng(5150)
+        outcomes = set()
+        for _ in range(200):
+            inst = random_intersectional_instance(rng)
+            item_groups = [{s for s, flag in enumerate(row) if flag} for row in inst.membership_matrix.tolist()]
+
+            def loop_counts(positions):
+                counts, rows = [0] * inst.p, []
+                for item in positions:
+                    for s in item_groups[item]:
+                        counts[s] += 1
+                    rows.append(list(counts))
+                return rows
+
+            ranking = Ranking(tuple(int(i) for i in rng.permutation(inst.m)[: inst.n]))
+            expected = loop_counts(ranking.positions)
+            assert prefix_group_counts(ranking, inst.membership_matrix).tolist() == expected
+            assert satisfies(ranking, ConstraintMatrix(expected), inst.membership_matrix)
+            other = loop_counts(rng.permutation(inst.m)[: inst.n])
+            meets = all(e >= o for erow, orow in zip(expected, other) for e, o in zip(erow, orow))
+            assert satisfies(ranking, ConstraintMatrix(other), inst.membership_matrix) == meets
+            outcomes.add(meets)
+        assert outcomes == {True, False}
 
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
@@ -121,39 +153,40 @@ class TestSatisfies:
         L2 = ConstraintMatrix(np.maximum.accumulate(np.maximum(L1.matrix - drop, 0), axis=0))
         order = np.argsort(-inst.latent_utilities, kind="stable")[: inst.n]
         ranking = Ranking(tuple(int(i) for i in order))
-        if satisfies(ranking, L1, inst.groups):
+        if satisfies(ranking, L1, inst.membership_matrix):
             assert np.all(L2.matrix <= L1.matrix)
-            assert satisfies(ranking, L2, inst.groups)
+            assert satisfies(ranking, L2, inst.membership_matrix)
 
 
 class TestCheckFeasibility:
     def test_two_items_cannot_share_first_position(self):
-        groups = GroupLayout([{0}, {1}])
+        groups = membership(2, [{0}, {1}])
         L = ConstraintMatrix([[1, 1], [1, 1]])
-        assert not check_feasibility(L, groups, 2)
+        assert not check_feasibility(L, groups)
 
     def test_exact_packing(self):
-        groups = GroupLayout([{0, 1}, {2}])
+        groups = membership(3, [{0, 1}, {2}])
         L = ConstraintMatrix([[0, 0], [1, 0], [2, 1]])
-        assert check_feasibility(L, groups, 3)
+        assert check_feasibility(L, groups)
 
     def test_demand_beyond_group_size(self):
-        groups = GroupLayout([{0}, {1, 2}])
+        groups = membership(3, [{0}, {1, 2}])
         L = ConstraintMatrix([[0, 0], [1, 0], [2, 0]])
-        assert not check_feasibility(L, groups, 3)  # group 0 has one member
+        assert not check_feasibility(L, groups)  # group 0 has one member
+        assert not check_feasibility(ConstraintMatrix.zeros(4, 2), groups)  # 4 positions, 3 items
 
     def test_non_disjoint_rejected(self):
-        groups = GroupLayout([{0, 1}, {1}])
+        groups = membership(2, [{0, 1}, {1}])
         with pytest.raises(NonDisjointGroupsError):
-            check_feasibility(ConstraintMatrix.zeros(2, 2), groups, 2)
+            check_feasibility(ConstraintMatrix.zeros(2, 2), groups)
 
     def test_simple_constraints_feasible_and_satisfiable(self):
         # alpha at most the group share: build the witness ranking by hand,
         # target items at even positions
         n, m_b = 6, 3
-        groups = GroupLayout([{0, 1, 2}, {3, 4, 5}])
+        groups = membership(6, [{0, 1, 2}, {3, 4, 5}])
         L = simple_constraints(0.5, 1, n, 2)
-        assert check_feasibility(L, groups, n)
+        assert check_feasibility(L, groups)
         witness = Ranking((0, 3, 1, 4, 2, 5))
         assert satisfies(witness, L, groups)
 
@@ -168,10 +201,10 @@ class TestCheckFeasibility:
         import math
 
         n = min(n_cap, m_a + m_b)
-        groups = GroupLayout([set(range(m_a)), set(range(m_a, m_a + m_b))])
+        groups = membership(m_a + m_b, [set(range(m_a)), set(range(m_a, m_a + m_b))])
         L = simple_constraints(alpha, 1, n, 2)
         if math.floor(alpha * n + 1e-9) <= m_b:
-            assert check_feasibility(L, groups, n)
+            assert check_feasibility(L, groups)
 
 
 class TestConstraintMatrixType:

@@ -125,10 +125,10 @@ class TestRunSweep:
         assert [r.alpha for r in rep.rows] == alphas * 2
         assert [r.beta for r in rep.rows] == [0.25] * 3 + [1.0] * 3
 
-    def test_deterministic_and_thread_invariant(self):
+    def test_deterministic(self):
         args = (config(), [0.0, 0.3], [0.5], 40, SeedSpec(42))
-        a = run_sweep(*args, threads=1)
-        b = run_sweep(*args, threads=4)
+        a = run_sweep(*args)
+        b = run_sweep(*args)
         assert a == b
         assert a.to_csv() == b.to_csv()
 
@@ -167,9 +167,9 @@ class TestEstimateOrderStats:
         assert est.tail_frequency(-1) == 0.0
         assert est.tail_frequency(5) == 1.0
 
-    def test_thread_invariance(self):
-        a = estimate_order_stats(5, 1, 10, 10, Uniform(0, 1), 300, SeedSpec(4), threads=1)
-        b = estimate_order_stats(5, 1, 10, 10, Uniform(0, 1), 300, SeedSpec(4), threads=3)
+    def test_deterministic(self):
+        a = estimate_order_stats(5, 1, 10, 10, Uniform(0, 1), 300, SeedSpec(4))
+        b = estimate_order_stats(5, 1, 10, 10, Uniform(0, 1), 300, SeedSpec(4))
         assert a.mean_Nkb == b.mean_Nkb and a.mean_Pl == b.mean_Pl
         assert np.array_equal(a.nkb_counts, b.nkb_counts)
 

@@ -7,11 +7,12 @@ from numpy.testing import assert_allclose
 
 from biasrank import (
     BiasModel,
+    ConstraintMatrix,
     DiscountVector,
-    GroupLayout,
     Instance,
-    Item,
+    NonDisjointGroupsError,
     Ranking,
+    check_feasibility,
     instance_from_json,
     instance_to_json,
     observed_utilities,
@@ -19,6 +20,7 @@ from biasrank import (
     ranking_utility,
     validate_discount,
 )
+from conftest import membership
 
 TOL = 1e-9
 
@@ -107,23 +109,23 @@ class TestValidateDiscount:
 
 class TestPrefixGroupCounts:
     def test_counting(self):
-        groups = GroupLayout([{1}, {0, 2}])  # group 1 holds items 0 and 2
+        groups = membership(3, [{1}, {0, 2}])  # group 1 holds items 0 and 2
         counts = prefix_group_counts(Ranking((0, 1, 2)), groups)
         assert counts[:, 1].tolist() == [1, 1, 2]
         assert counts[:, 0].tolist() == [0, 1, 1]
 
     def test_empty_group(self):
-        groups = GroupLayout([set(), {0, 1}])
+        groups = membership(2, [set(), {0, 1}])
         counts = prefix_group_counts(Ranking((0, 1)), groups)
         assert counts[:, 0].tolist() == [0, 0]
 
     def test_intersectional_counts_in_both_columns(self):
-        groups = GroupLayout([set(), {0}, {0}])
+        groups = membership(1, [set(), {0}, {0}])
         counts = prefix_group_counts(Ranking((0,)), groups)
         assert counts[0].tolist() == [0, 1, 1]
 
     def test_disjoint_steps_at_most_one(self):
-        groups = GroupLayout([{0, 3}, {1, 2}])
+        groups = membership(4, [{0, 3}, {1, 2}])
         counts = prefix_group_counts(Ranking((3, 2, 0, 1)), groups)
         steps = np.diff(counts, axis=0, prepend=0)
         assert np.all((steps == 0) | (steps == 1))
@@ -192,12 +194,24 @@ class TestModelInvariants:
         assert u2 == c * u1
 
 
+def edited_json(edit) -> dict:
+    """JSON of a valid overlapping-group instance after ``edit`` mutates it."""
+    inst = Instance.from_arrays([3.0, 1.0, 2.0], [[0], [0, 1], []], 2, DiscountVector.zipf(2), p=2)
+    doc = instance_to_json(inst)
+    assert instance_from_json(doc) == inst
+    if edit is not None:
+        edit(doc)
+    return doc
+
+
 class TestTypesAndJson:
     def test_item_validation(self):
+        # a negative id, and non-finite utilities both from JSON and from arrays
+        for edit in (lambda d: d["items"][0].update(id=-1), lambda d: d["items"][1].update(w=float("inf"))):
+            with pytest.raises(ValueError):
+                instance_from_json(edited_json(edit))
         with pytest.raises(ValueError):
-            Item(-1, 0.0)
-        with pytest.raises(ValueError):
-            Item(0, float("nan"))
+            Instance([0.0, float("nan")], np.zeros((2, 0)), 1, DiscountVector.constant(1))
 
     def test_ranking_validation(self):
         with pytest.raises(ValueError):
@@ -223,8 +237,12 @@ class TestTypesAndJson:
         assert_allclose(DiscountVector.zipf(3).values, [1.0, 0.5, 1 / 3], atol=TOL)
 
     def test_instance_requires_dense_ids(self):
-        with pytest.raises(ValueError):
-            Instance([Item(0, 1.0), Item(2, 1.0)], 1, DiscountVector.constant(1))
+        shuffled = edited_json(lambda d: d["items"].reverse())
+        assert instance_from_json(shuffled) == instance_from_json(edited_json(None))
+        # a duplicate id, then a gap
+        for edit in (lambda d: d["items"][1].update(id=0), lambda d: d["items"][1].update(id=3)):
+            with pytest.raises(ValueError, match="0..m-1"):
+                instance_from_json(edited_json(edit))
 
     def test_instance_n_bounds(self):
         with pytest.raises(ValueError):
@@ -235,20 +253,23 @@ class TestTypesAndJson:
             make_instance([1.0, 2.0], [[], []], n=2, v=DiscountVector.constant(1), p=0)
 
     def test_groups_layout_from_items(self):
-        inst = Instance(
-            [Item(0, 1.0, frozenset({0})), Item(1, 2.0, frozenset({0, 1}))],
-            1,
-            DiscountVector.constant(1),
-        )
-        assert inst.groups.members == (frozenset({0, 1}), frozenset({1}))
-        assert not inst.groups.disjoint
+        v = DiscountVector.constant(1)
+        inst = Instance.from_arrays([1.0, 2.0], [[0], [0, 1]], 1, v)
+        assert inst.membership_matrix.tolist() == [[True, False], [True, True]]
+        assert inst == Instance([1.0, 2.0], [[1, 0], [1, 1]], 1, v)
+        assert inst == Instance.from_arrays([1.0, 2.0], np.array([[True, False], [True, True]]), 1, v)
+        with pytest.raises(NonDisjointGroupsError):
+            check_feasibility(ConstraintMatrix.zeros(1, 2), inst.membership_matrix)
+        with pytest.raises(ValueError):
+            Instance([1.0, 2.0], [[True, False]], 1, v)
+        with pytest.raises(ValueError):
+            Instance.from_arrays([1.0, 2.0], [[0], [-1]], 1, v)
 
     def test_items_materialize_from_arrays(self):
         inst = Instance.from_arrays([2.5, 1.5], [[1], []], 1, DiscountVector.constant(1), p=2)
-        assert inst.items == (
-            Item(0, 2.5, frozenset({1})),
-            Item(1, 1.5, frozenset()),
-        )
+        doc = instance_to_json(inst)
+        assert doc["items"] == [{"id": 0, "w": 2.5, "groups": [1]}, {"id": 1, "w": 1.5, "groups": []}]
+        assert doc["groups"] == [[], [0]]
 
     def test_json_round_trip_idempotent(self):
         doc = {
@@ -274,6 +295,14 @@ class TestTypesAndJson:
         }
         with pytest.raises(ValueError):
             instance_from_json(doc)
+        for edit, match in (
+            (lambda d: d["groups"][0].append(2), "disagree"),
+            (lambda d: d["groups"].pop(), "outside"),
+            (lambda d: d["items"][2].update(groups=[-1]), "outside"),
+            (lambda d: d["groups"][1].append(5), "outside"),
+        ):
+            with pytest.raises(ValueError, match=match):
+                instance_from_json(edited_json(edit))
 
     def test_json_discount_kinds(self):
         for kind in ({"kind": "constant"}, {"kind": "zipf"}, {"kind": "dcg"}, {"kind": "dcg", "log_base": 2.0}):

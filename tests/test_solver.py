@@ -84,7 +84,7 @@ class TestGreedy:
         inst = two_group_instance([0.9, 0.8, 0.7], [0.3, 0.2, 0.1], 3)
         L = ConstraintMatrix([[0, 1], [0, 2], [0, 2]])
         r = rank_constrained_greedy(inst, inst.latent_utilities, L)
-        assert satisfies(r, L, inst.groups)
+        assert satisfies(r, L, inst.membership_matrix)
         assert r.positions == (3, 4, 0)
         oracle_util, _ = enumerate_best_feasible(inst, inst.latent_utilities, L)
         assert_allclose(ranking_utility(r, inst.v, inst.latent_utilities), oracle_util, atol=TOL)
@@ -95,7 +95,7 @@ class TestGreedy:
         inst = two_group_instance([1.0, 0.9], [0.5, 0.4], 3)
         L = ConstraintMatrix([[0, 0], [0, 2], [0, 2]])
         r = rank_constrained_greedy(inst, inst.latent_utilities, L)
-        assert satisfies(r, L, inst.groups)
+        assert satisfies(r, L, inst.membership_matrix)
         assert r.positions == (2, 3, 0)
         oracle_util, _ = enumerate_best_feasible(inst, inst.latent_utilities, L)
         assert_allclose(ranking_utility(r, inst.v, inst.latent_utilities), oracle_util, atol=TOL)
@@ -111,7 +111,7 @@ class TestGreedy:
         )
         L = ConstraintMatrix([[0, 0], [0, 0], [1, 1]])
         r = rank_constrained_greedy(inst, inst.latent_utilities, L)
-        assert satisfies(r, L, inst.groups)
+        assert satisfies(r, L, inst.membership_matrix)
         oracle_util, _ = enumerate_best_feasible(inst, inst.latent_utilities, L)
         assert_allclose(ranking_utility(r, inst.v, inst.latent_utilities), oracle_util, atol=TOL)
 
@@ -134,7 +134,7 @@ class TestGreedy:
             w = rng.uniform(0, 1, inst.m)
             r = rank_constrained_greedy(inst, w, L)
             assert len(set(r.positions)) == inst.n
-            assert satisfies(r, L, inst.groups)
+            assert satisfies(r, L, inst.membership_matrix)
 
     def test_constraints_never_raise_observed_optimum(self):
         rng = np.random.default_rng(41)
@@ -195,7 +195,7 @@ class TestBruteForce:
         )
         L = ConstraintMatrix([[0, 1], [1, 1]])
         r = rank_constrained_bruteforce(inst, inst.latent_utilities, L)
-        assert satisfies(r, L, inst.groups)
+        assert satisfies(r, L, inst.membership_matrix)
         util, seq = enumerate_best_feasible(inst, inst.latent_utilities, L)
         assert r.positions == seq
 

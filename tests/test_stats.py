@@ -19,7 +19,6 @@ from biasrank import (
     expected_Pl,
     pmf_Nkb,
     pmf_Pl,
-    sample,
     tail_bound_Nkb,
     utility_with_constraints_formula,
     utility_without_constraints_formula,
@@ -201,38 +200,39 @@ class TestUtilityFormulas:
 class TestDistributions:
     def test_uniform_support(self):
         rng = np.random.default_rng(0)
-        xs = sample(Uniform(0, 1), 1000, rng)
+        xs = Uniform(0, 1).draw(rng, 1000)
         assert np.all((xs >= 0) & (xs <= 1))
 
     def test_uniform_mean_large_sample(self):
         rng = np.random.default_rng(123)
-        xs = sample(Uniform(0, 1), 10**6, rng)
+        xs = Uniform(0, 1).draw(rng, 10**6)
         # 3 sigma for the mean of a million uniforms
         assert abs(xs.mean() - 0.5) < 0.005
 
     def test_empirical_constant(self):
         rng = np.random.default_rng(0)
-        xs = sample(Empirical([5.0]), 100, rng)
+        xs = Empirical([5.0]).draw(rng, 100)
         assert np.all(xs == 5.0)
 
     def test_empirical_resamples_stored_values(self):
         rng = np.random.default_rng(0)
-        xs = sample(Empirical([1.0, 3.0]), 500, rng)
+        xs = Empirical([1.0, 3.0]).draw(rng, 500)
         assert set(np.unique(xs)) == {1.0, 3.0}
 
     def test_lognormal_positive(self):
         rng = np.random.default_rng(0)
-        assert np.all(sample(LogNormal(0, 1), 1000, rng) > 0)
+        assert np.all(LogNormal(0, 1).draw(rng, 1000) > 0)
 
     def test_shifted_scaled_is_affine_in_base(self):
         base = Uniform(0, 1)
-        a = sample(base, 50, np.random.default_rng(11))
-        b = sample(ShiftedScaled(base, scale=2.0, shift=3.0), 50, np.random.default_rng(11))
+        a = base.draw(np.random.default_rng(11), 50)
+        b = ShiftedScaled(base, scale=2.0, shift=3.0).draw(np.random.default_rng(11), 50)
         assert_allclose(b, a * 2.0 + 3.0, atol=TOL)
 
     def test_negative_count_rejected(self):
-        with pytest.raises(ValueError):
-            sample(Uniform(0, 1), -1, np.random.default_rng(0))
+        for dist in (Uniform(0, 1), Empirical([1.0, 3.0])):
+            with pytest.raises(ValueError):
+                dist.draw(np.random.default_rng(0), -1)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
