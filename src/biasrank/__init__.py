@@ -72,6 +72,7 @@ from .experiments import (
     estimate_order_stats,
     run_sweep,
     run_trial,
+    run_trials,
     supernumerary_compare,
     supernumerary_seats,
 )
@@ -120,6 +121,7 @@ __all__ = [
     "ranking_utility",
     "run_sweep",
     "run_trial",
+    "run_trials",
     "satisfies",
     "simple_constraints",
     "supernumerary_compare",

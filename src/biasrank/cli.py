@@ -60,7 +60,7 @@ from .experiments import (
     TrialConfig,
     estimate_order_stats,
     run_sweep,
-    run_trial,
+    run_trials,
     supernumerary_compare,
     supernumerary_csv,
 )
@@ -83,6 +83,13 @@ class _Parser(argparse.ArgumentParser):
 def _load_json(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
+
+
+def _load_object(path: str, what: str) -> dict:
+    d = _load_json(path)
+    if not isinstance(d, dict):
+        raise ValueError(f"{what} JSON must be an object")
+    return d
 
 
 def _write_output(text: str, out: str | None) -> None:
@@ -124,6 +131,8 @@ def _trial_config_from_json(d: dict) -> TrialConfig:
 
 def _supernumerary_config_from_json(d: dict, alpha: float) -> SupernumeraryConfig:
     discount = d.get("discount", {"kind": "constant"})
+    if not isinstance(discount, dict):
+        raise ValueError("discount must be a JSON object")
     try:
         return SupernumeraryConfig(
             n=int(d["n"]),
@@ -178,10 +187,10 @@ def _cmd_derive_constraints(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    cfg = _trial_config_from_json(_load_json(args.config))
+    cfg = _trial_config_from_json(_load_object(args.config, "trial config"))
     seed = SeedSpec(args.seed)
     trials = args.trials if args.trials is not None else 1
-    reports = [run_trial(cfg, i, seed) for i in range(trials)]
+    reports = run_trials(cfg, trials, seed)
     body = {
         "seed": seed.master_seed,
         "trials": trials,
@@ -197,7 +206,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    d = _load_json(args.config)
+    d = _load_object(args.config, "sweep config")
     try:
         alphas = [float(a) for a in d["alphas"]]
         betas = [float(b) for b in d["betas"]]
@@ -244,7 +253,7 @@ def _cmd_orderstats(args) -> int:
 
 
 def _cmd_supernumerary(args) -> int:
-    d = _load_json(args.config)
+    d = _load_object(args.config, "supernumerary config")
     alphas = d.get("alphas")
     if alphas is None:
         alphas = [d["alpha"]] if "alpha" in d else None

@@ -11,7 +11,6 @@ latent optimum.
 
 from __future__ import annotations
 
-import math
 from typing import Sequence
 
 import numpy as np
@@ -122,8 +121,7 @@ def simple_constraints(alpha: float, target_group: int, n: int, p: int) -> Const
     if not (0 <= target_group < p):
         raise ValueError(f"target group {target_group} outside [0, {p})")
     L = np.zeros((n, p), dtype=np.int64)
-    for k in range(1, n + 1):
-        L[k - 1, target_group] = int(math.floor(alpha * k + FLOOR_EPSILON))
+    L[:, target_group] = np.floor(alpha * np.arange(1, n + 1) + FLOOR_EPSILON)
     return ConstraintMatrix(L)
 
 

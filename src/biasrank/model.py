@@ -158,6 +158,8 @@ class DiscountVector:
 
     @classmethod
     def from_json_dict(cls, d: dict, n: int) -> "DiscountVector":
+        if not isinstance(d, dict):
+            raise ValueError("discount must be a JSON object")
         kind = d.get("kind")
         if kind == "constant":
             return cls.constant(n)

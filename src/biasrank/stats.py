@@ -188,6 +188,8 @@ Distribution = Uniform | LogNormal | Normal | Empirical | ShiftedScaled
 
 
 def distribution_from_json(d: dict) -> Distribution:
+    if not isinstance(d, dict):
+        raise ValueError("distribution JSON must be an object")
     kind = d.get("kind")
     if kind == "uniform":
         return Uniform(d.get("a", 0.0), d.get("b", 1.0))

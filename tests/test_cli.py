@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import biasrank
 from biasrank.cli import ingest_scores, main
 
 FACT_INSTANCE_W = {
@@ -36,6 +41,18 @@ TRIAL_CONFIG = {
     "dist_a": {"kind": "uniform", "a": 0.0, "b": 1.0},
     "dist_b": {"kind": "uniform", "a": 0.0, "b": 1.0},
     "discount": {"kind": "dcg"},
+}
+
+SUPERNUMERARY_CONFIG = {
+    "n": 10,
+    "m_a": 30,
+    "m_b": 10,
+    "alphas": [0.1, 0.2],
+    "gamma": 1.076,
+    "score_offset": 105.0,
+    "dist_a": {"kind": "normal", "mu": 30.79, "sigma": 51.80},
+    "dist_b": {"kind": "normal", "mu": 21.24, "sigma": 39.27},
+    "trials": 10,
 }
 
 
@@ -145,21 +162,7 @@ class TestOrderstats:
 
 class TestSupernumerary:
     def test_csv_output(self, tmp_path):
-        cfg = write_json(
-            tmp_path,
-            "sup.json",
-            {
-                "n": 10,
-                "m_a": 30,
-                "m_b": 10,
-                "alphas": [0.1, 0.2],
-                "gamma": 1.076,
-                "score_offset": 105.0,
-                "dist_a": {"kind": "normal", "mu": 30.79, "sigma": 51.80},
-                "dist_b": {"kind": "normal", "mu": 21.24, "sigma": 39.27},
-                "trials": 10,
-            },
-        )
+        cfg = write_json(tmp_path, "sup.json", SUPERNUMERARY_CONFIG)
         out = tmp_path / "sup.csv"
         assert main(["supernumerary", cfg, "--seed", "2", "--out", str(out)]) == 0
         lines = out.read_text().splitlines()
@@ -225,6 +228,14 @@ class TestExitCodes:
         lpath = write_json(tmp_path, "L.json", {"n": 2, "p": 2, "L": [[0, 1], [0, 2]]})
         assert main(["solve", inst, "--constraints", lpath]) == 2
 
+    @pytest.mark.parametrize("command", ["sweep", "simulate"])
+    def test_infeasible_alpha(self, tmp_path, capsys, command):
+        # floor(0.5 * 8) = 4 target items are needed but only 3 exist
+        doc = {**TRIAL_CONFIG, "m_b": 3, "alphas": [0.0, 0.5], "betas": [0.5], "alpha": 0.5}
+        code = main([command, write_json(tmp_path, "cfg.json", doc)])
+        assert code == 2
+        assert capsys.readouterr().err == "infeasible: no ranking satisfies the constraint matrix\n"
+
     def test_bad_betas_count(self, tmp_path):
         inst = write_json(tmp_path, "inst.json", FACT_INSTANCE_W)
         assert main(["solve", inst, "--betas", "0.5"]) == 3
@@ -238,8 +249,29 @@ class TestExitCodes:
             (["solve", "inst"], {"inst": [FACT_INSTANCE_W]}),
             (["solve", "inst", "--constraints", "L"], {"inst": FACT_INSTANCE_W, "L": [[1, 0], [1, 1]]}),
             (["sweep", "cfg"], {"cfg": {**TRIAL_CONFIG, "alphas": [], "betas": [0.5]}}),
+            (["sweep", "cfg"], {"cfg": [{**TRIAL_CONFIG, "alphas": [0.0], "betas": [0.5]}]}),
+            (["simulate", "cfg"], {"cfg": [TRIAL_CONFIG]}),
+            (["supernumerary", "cfg"], {"cfg": [SUPERNUMERARY_CONFIG]}),
+            (["orderstats", "--k", "2", "--l", "1", "--ma", "5", "--mb", "5", "--dist", "d"], {"d": [{"kind": "uniform"}]}),
+            (["solve", "inst"], {"inst": {**FACT_INSTANCE_W, "v": [2.0, 1.0]}}),
+            (["supernumerary", "cfg"], {"cfg": {**SUPERNUMERARY_CONFIG, "discount": ["dcg"]}}),
+            (["simulate", "cfg", "--trials", "0"], {"cfg": TRIAL_CONFIG}),
         ],
-        ids=["solve-item-without-w", "derive-item-without-w", "null-n", "list-instance", "list-constraints", "no-alphas"],
+        ids=[
+            "solve-item-without-w",
+            "derive-item-without-w",
+            "null-n",
+            "list-instance",
+            "list-constraints",
+            "no-alphas",
+            "list-sweep-config",
+            "list-simulate-config",
+            "list-supernumerary-config",
+            "list-orderstats-dist",
+            "list-discount",
+            "list-supernumerary-discount",
+            "simulate-zero-trials",
+        ],
     )
     def test_malformed_json_is_one_line_parse_error(self, tmp_path, capsys, argv, files):
         paths = {name: write_json(tmp_path, f"{name}.json", doc) for name, doc in files.items()}
@@ -248,3 +280,21 @@ class TestExitCodes:
         assert code == 3
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
         assert "Traceback" not in err
+
+
+class TestModuleEntry:
+    """``python -m biasrank`` runs the CLI in a fresh interpreter."""
+
+    def run(self, *argv):
+        env = dict(os.environ, PYTHONPATH=str(Path(biasrank.__file__).resolve().parent.parent))
+        return subprocess.run([sys.executable, "-m", "biasrank", *argv], capture_output=True, text=True, env=env)
+
+    def test_no_subcommand_is_usage_error(self):
+        assert self.run().returncode == 1
+
+    def test_tiny_sweep(self, tmp_path):
+        doc = {**TRIAL_CONFIG, "alphas": [0.0, 0.25], "betas": [0.5], "trials": 3}
+        proc = self.run("sweep", write_json(tmp_path, "sweep.json", doc), "--seed", "1")
+        assert proc.returncode == 0
+        lines = proc.stdout.splitlines()
+        assert lines[0] == "# seed=1" and len(lines) == 4

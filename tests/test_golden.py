@@ -1,0 +1,240 @@
+"""Golden bytes: sha256 of sweep CSVs, simulate JSON and seat-expansion CSVs
+for fixed seeds.
+
+The digests were taken from the per-trial implementation (one ``run_trial``
+per grid cell and trial), so any faster engine must reproduce its output
+byte for byte.  The cases cover the benchmark-shaped grid, the C11 config,
+beta = 0, alpha = 1 with a target group at least n strong, target group 0,
+empirical samples full of ties, negative utilities, constant, zipf and
+custom discounts, and a single trial.  The digests were taken with numpy
+2.4 and its bundled OpenBLAS on x86-64; another BLAS build may round the
+discounted sums differently.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+
+import pytest
+
+from biasrank import (
+    DiscountVector,
+    Empirical,
+    LogNormal,
+    Normal,
+    SeedSpec,
+    ShiftedScaled,
+    SupernumeraryConfig,
+    TrialConfig,
+    Uniform,
+    run_sweep,
+    supernumerary_compare,
+)
+from biasrank.cli import main
+from biasrank.experiments import supernumerary_csv
+
+TIES_A = Empirical([0.0, 1.0, 1.0, 2.0, 2.0, 2.0, 3.0])
+TIES_B = Empirical([1.0, 1.0, 2.0, 3.0, 3.0])
+BENCH_ALPHAS = [round(0.05 * i, 2) for i in range(11)]
+
+
+def trial_config(m_a, m_b, n, discount=None, dist_a=None, dist_b=None, target_group=1):
+    return TrialConfig(
+        m_a=m_a,
+        m_b=m_b,
+        n=n,
+        beta=1.0,
+        alpha=0.0,
+        dist_a=dist_a or Uniform(0, 1),
+        dist_b=dist_b or Uniform(0, 1),
+        discount=discount or DiscountVector.dcg(n),
+        target_group=target_group,
+    )
+
+
+# name -> (base config, alphas, betas, trials, master seed)
+SWEEPS = {
+    "bench-mb250": (trial_config(750, 250, 100), BENCH_ALPHAS, [0.25, 0.5], 30, 7),
+    "bench-mb500": (trial_config(500, 500, 100), BENCH_ALPHAS, [0.25, 0.5], 30, 7),
+    "beta0": (trial_config(30, 30, 20, DiscountVector.constant(20)), [0.0, 0.3, 0.5], [0.0, 1.0], 40, 11),
+    "alpha1": (trial_config(10, 40, 25, DiscountVector.zipf(25)), [0.5, 1.0], [0.3], 25, 12),
+    "target0": (
+        trial_config(20, 60, 15, DiscountVector.dcg(15, log_base=2.0), target_group=0),
+        [0.0, 0.2, 0.6],
+        [0.4, 0.9],
+        30,
+        13,
+    ),
+    "empirical-ties": (
+        trial_config(25, 25, 20, DiscountVector.constant(20), TIES_A, TIES_B),
+        [0.0, 0.25, 0.5, 0.75],
+        [0.5, 1.0],
+        50,
+        14,
+    ),
+    "normal-zipf": (
+        trial_config(40, 20, 30, DiscountVector.zipf(30), Normal(0, 1), Normal(0.2, 1.5)),
+        [0.1, 0.33, 0.5],
+        [0.0, 0.7],
+        20,
+        15,
+    ),
+    "custom-discount": (
+        trial_config(
+            5, 5, 6, DiscountVector.custom([3.0, 2.0, 2.0, 1.0, 0.0, 0.0]),
+            LogNormal(0, 0.5), ShiftedScaled(LogNormal(0, 0.5), 0.5, 0.1),
+        ),
+        [0.0, 0.5, 0.8],
+        [0.2, 0.8],
+        10,
+        16,
+    ),
+    "one-trial": (trial_config(15, 15, 10, DiscountVector.constant(10)), [0.0, 0.5, 1.0], [0.5], 1, 17),
+}
+
+SWEEP_DIGESTS = {
+    "bench-mb250": "e30750adeaa212a18f18a326ce6f8855caa748774a93facfed19aca3a079dfa0",
+    "bench-mb500": "5d52a8cdd3a8c6c70bddd4b4259414fe7bbfd6206240c5a72ceae7b4dca6944d",
+    "beta0": "d8df43e34c7ff31e232a7478b13dd65606f9dd1aa6a7710a48b61f70de0393e3",
+    "alpha1": "f875b3c84e7f8dfa05b5d3cecbde7379ef3abcb51b193e6d252110f7aa1415a1",
+    "target0": "c7b25374850a8b35b8ff079146e83c80d161f89e0b8ba6e6a52fdfc9e6a87c01",
+    "empirical-ties": "25f8c416a142a464597bd6b4b92ecfa0d63b99fc209df5e944bbb22b1f8ddceb",
+    "normal-zipf": "42010d4c02eaab183e9b2e40e018289606500bfe58b1f6308f2e17e454449d49",
+    "custom-discount": "b0c6348a3660a8a7065bef51e17b13f7a4c82d6ea3c9b962db1cebde344257a3",
+    "one-trial": "a34caab0b9d705223d7347f7d6c20ce6d355591f6e885c6301cd240d2f1d3a88",
+}
+
+C11_CONFIG = {
+    "m_a": 150,
+    "m_b": 50,
+    "n": 20,
+    "beta": 0.5,
+    "alpha": 0.0,
+    "alphas": [0.0, 0.1, 0.25],
+    "betas": [0.5],
+    "trials": 100,
+    "dist_a": {"kind": "uniform"},
+    "dist_b": {"kind": "uniform"},
+    "discount": {"kind": "dcg"},
+}
+TIES_JSON = {"kind": "empirical", "sample": [0.0, 1.0, 1.0, 2.0, 3.0, 3.0]}
+
+# name -> (subcommand, config JSON, extra argv)
+CLI_RUNS = {
+    "sweep-c11": ("sweep", C11_CONFIG, ["--seed", "42"]),
+    "simulate-dcg": (
+        "simulate",
+        {
+            "m_a": 12, "m_b": 12, "n": 8, "beta": 0.5, "alpha": 0.25,
+            "dist_a": {"kind": "uniform"}, "dist_b": {"kind": "uniform"}, "discount": {"kind": "dcg"},
+        },
+        ["--seed", "3", "--trials", "20"],
+    ),
+    "simulate-target0-ties": (
+        "simulate",
+        {
+            "m_a": 20, "m_b": 10, "n": 12, "beta": 0.0, "alpha": 0.5, "target_group": 0,
+            "dist_a": TIES_JSON, "dist_b": TIES_JSON, "discount": {"kind": "constant"},
+        },
+        ["--seed", "4", "--trials", "15"],
+    ),
+    "simulate-alpha1": (
+        "simulate",
+        {
+            "m_a": 5, "m_b": 30, "n": 20, "beta": 0.2, "alpha": 1.0,
+            "dist_a": {"kind": "lognormal"}, "dist_b": {"kind": "normal"}, "discount": {"kind": "zipf"},
+        },
+        ["--seed", "5", "--trials", "5"],
+    ),
+    "simulate-default-trials": (
+        "simulate",
+        {
+            "m_a": 30, "m_b": 10, "n": 10, "beta": 0.6, "alpha": 0.3,
+            "dist_a": {"kind": "uniform"}, "dist_b": {"kind": "uniform"},
+        },
+        ["--seed", "6"],
+    ),
+}
+
+CLI_DIGESTS = {
+    "sweep-c11": "cccd62154fa9c796098beb7b21351be73af8ff491266d94dae0b216da6472dcf",
+    "simulate-dcg": "a56eb6e740c6acceaefacb439f80f84a326da6e1ff2d62291d8291a7b970458e",
+    "simulate-target0-ties": "d7398a321227c0262324c1f48fac8d95992874b75040a095f8b249f2f1810f66",
+    "simulate-alpha1": "82f6ba24abef66eac84154ffe78a1c8a066fead3629cdadf8a9298909a669b65",
+    "simulate-default-trials": "35e25f7aef30c90fd1ff67a504edf88d12b8e619cce07abd0aef7e624b5bda2c",
+}
+
+
+def sup_config(**kw):
+    base = dict(
+        n=10, m_a=20, m_b=8, alpha=0.2, gamma=1.05,
+        dist_a=Uniform(0, 100), dist_b=Uniform(0, 100), score_offset=10.0,
+    )
+    base.update(kw)
+    return SupernumeraryConfig(**base)
+
+
+# name -> (configs, one per alpha, trials, master seed)
+SUPERNUMERARY = {
+    "constant": ([sup_config(alpha=a) for a in (0.0, 0.2, 0.4)], 40, 21),
+    "dcg-shifted": (
+        [
+            sup_config(
+                n=20, m_a=60, m_b=60, alpha=a, gamma=3.0, dist_a=Uniform(0, 100), dist_b=Uniform(0, 40),
+                score_offset=0.0, discount_kind="dcg",
+            )
+            for a in (0.35, 0.5)
+        ],
+        30,
+        22,
+    ),
+    "zipf-ties": (
+        [sup_config(n=12, m_a=20, m_b=20, alpha=0.45, gamma=1.6, dist_a=TIES_A, dist_b=TIES_B, discount_kind="zipf")],
+        25,
+        23,
+    ),
+}
+
+SUPERNUMERARY_DIGESTS = {
+    "constant": "04fd3b64e3ebd241627ba5e9a0cdb1c63c4d6e64d4846d55572662024f3685b9",
+    "dcg-shifted": "78d16621677fda0b8d658844efdc3e7178670716bab8b9ad17eb0e72f83c1d1a",
+    "zipf-ties": "429183954fba1ba1048417a89a164707b92fda1875cf5e7faaa569e05166a7a4",
+}
+
+
+def sha256(data: str | bytes) -> str:
+    return hashlib.sha256(data.encode() if isinstance(data, str) else data).hexdigest()
+
+
+def sweep_csv(name: str) -> str:
+    base, alphas, betas, trials, seed = SWEEPS[name]
+    return run_sweep(base, alphas, betas, trials, SeedSpec(seed)).to_csv()
+
+
+def cli_output(name: str, tmp_path) -> bytes:
+    command, config, extra = CLI_RUNS[name]
+    cfg, out = tmp_path / "config.json", tmp_path / "out"
+    cfg.write_text(json.dumps(config), encoding="utf-8")
+    assert main([command, str(cfg), "--out", str(out), *extra]) == 0
+    return out.read_bytes()
+
+
+def supernumerary_output(name: str) -> str:
+    configs, trials, seed = SUPERNUMERARY[name]
+    return supernumerary_csv([supernumerary_compare(c, trials, SeedSpec(seed)) for c in configs])
+
+
+@pytest.mark.parametrize("name", sorted(SWEEPS))
+def test_sweep_csv_bytes(name):
+    assert sha256(sweep_csv(name)) == SWEEP_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(CLI_RUNS))
+def test_cli_output_bytes(name, tmp_path):
+    assert sha256(cli_output(name, tmp_path)) == CLI_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(SUPERNUMERARY))
+def test_supernumerary_csv_bytes(name):
+    assert sha256(supernumerary_output(name)) == SUPERNUMERARY_DIGESTS[name]
