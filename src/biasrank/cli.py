@@ -111,6 +111,12 @@ def _parse_betas(text: str, p: int) -> BiasModel:
     return BiasModel(betas)
 
 
+def _config_error(what: str, exc: Exception) -> ValueError:
+    """A missing key, or a JSON value of the wrong type, as a parse error."""
+    problem = "missing key" if isinstance(exc, KeyError) else "has a value of the wrong type:"
+    return ValueError(f"{what} {problem} {exc}")
+
+
 def _trial_config_from_json(d: dict) -> TrialConfig:
     try:
         n = int(d["n"])
@@ -125,8 +131,8 @@ def _trial_config_from_json(d: dict) -> TrialConfig:
             discount=DiscountVector.from_json_dict(d.get("discount", {"kind": "constant"}), n),
             target_group=int(d.get("target_group", 1)),
         )
-    except KeyError as exc:
-        raise ValueError(f"trial config missing key {exc}") from exc
+    except (KeyError, TypeError) as exc:
+        raise _config_error("trial config", exc) from exc
 
 
 def _supernumerary_config_from_json(d: dict, alpha: float) -> SupernumeraryConfig:
@@ -146,8 +152,8 @@ def _supernumerary_config_from_json(d: dict, alpha: float) -> SupernumeraryConfi
             discount_kind=discount.get("kind", "constant"),
             log_base=discount.get("log_base"),
         )
-    except KeyError as exc:
-        raise ValueError(f"supernumerary config missing key {exc}") from exc
+    except (KeyError, TypeError) as exc:
+        raise _config_error("supernumerary config", exc) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -207,15 +213,15 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_sweep(args) -> int:
     d = _load_object(args.config, "sweep config")
+    if not all(isinstance(d.get(key), list) and d[key] for key in ("alphas", "betas")):
+        raise ValueError('sweep config needs nonempty "alphas" and "betas" lists')
     try:
         alphas = [float(a) for a in d["alphas"]]
         betas = [float(b) for b in d["betas"]]
-    except KeyError as exc:
-        raise ValueError(f"sweep config missing key {exc}") from exc
-    if not alphas or not betas:
-        raise ValueError('sweep config needs nonempty "alphas" and "betas" lists')
+        trials = args.trials if args.trials is not None else int(d.get("trials", 1000))
+    except TypeError as exc:
+        raise _config_error("sweep config", exc) from exc
     base = _trial_config_from_json({**d, "alpha": alphas[0], "beta": betas[0]})
-    trials = args.trials if args.trials is not None else int(d.get("trials", 1000))
     report = run_sweep(base, alphas, betas, trials, SeedSpec(args.seed))
     _write_output(report.to_csv(), args.out)
     return EXIT_OK
@@ -257,9 +263,12 @@ def _cmd_supernumerary(args) -> int:
     alphas = d.get("alphas")
     if alphas is None:
         alphas = [d["alpha"]] if "alpha" in d else None
-    if not alphas:
+    if not alphas or not isinstance(alphas, list):
         raise ValueError('supernumerary config needs "alpha" or a nonempty "alphas" list')
-    trials = args.trials if args.trials is not None else int(d.get("trials", 1000))
+    try:
+        trials = args.trials if args.trials is not None else int(d.get("trials", 1000))
+    except TypeError as exc:
+        raise _config_error("supernumerary config", exc) from exc
     seed = SeedSpec(args.seed)
     reports = [
         supernumerary_compare(_supernumerary_config_from_json(d, a), trials, seed) for a in alphas

@@ -5,9 +5,16 @@ The unconstrained optimum for a nonincreasing discount is simply the top-n
 items by weight.  Under prefix lower bounds with disjoint groups, a greedy
 pass fills positions in order, placing the heaviest item whose placement
 keeps every remaining prefix bound satisfiable; the lookahead is the
-earliest-deadline feasibility test from scheduling.  The brute-force solver
-enumerates ordered subsets and works for overlapping groups too, but only
-on small instances; it doubles as the correctness oracle for the greedy.
+earliest-deadline feasibility test from scheduling.  With c_s items of
+group s placed, it keeps ``slack[k-1] = sum_s max(0, L[k-1, s] - c_s) - k``
+for every prefix k.  Position j is pinned by the first k >= j with
+``slack[k-1] >= 1 - j``: there the unmet demand fills all k - j + 1 open
+positions (exceeding them means the bounds cannot be met).  Placing the
+(c+1)-th group-s item lowers slack only on the suffix where
+``L[k-1, s] >= c + 1``, which ``searchsorted`` finds on the column, so a
+placement costs O(n) numpy work instead of an O(n*p) Python rescan.  The
+brute-force solver enumerates ordered subsets and works for overlapping
+groups too, but only on small instances; it is the greedy's oracle.
 
 When only one group is bounded and its bound grows by at most one per
 position (every ``floor(alpha * k)`` matrix), the greedy has a closed form
@@ -52,55 +59,15 @@ def rank_unconstrained(instance: Instance, weights) -> Ranking:
     return Ranking(tuple(int(i) for i in order))
 
 
-def _single_unit_column(L: np.ndarray) -> int | None:
-    """Index of the only constrained column if its increments are all <= 1.
-
-    For such matrices the lookahead collapses to "place a target-group item
-    whenever the current row demands one more than is already placed".
-    Returns -1 when no column is constrained at all, None when the general
-    lookahead is required.
-    """
-    nonzero = np.nonzero(L[-1])[0] if L.size else np.empty(0, dtype=np.int64)
-    if nonzero.size == 0:
-        return -1
-    if nonzero.size > 1:
-        return None
-    s = int(nonzero[0])
-    col = L[:, s]
-    steps = np.diff(col, prepend=0)
-    return s if np.all(steps <= 1) else None
-
-
-def _forced_groups(Lrows: list[list[int]], counts: list[int], j: int, n: int, p: int) -> tuple[int, ...] | None:
-    """Groups the j-th position must draw from, or None if any item works.
-
-    Scans prefixes k >= j: if the total unmet demand at k equals the k-j+1
-    positions still available, the earliest such k pins position j to a
-    group with unmet demand there.  Unmet demand exceeding the available
-    positions means the matrix became infeasible (cannot happen after
-    check_feasibility plus a correct fill).
-    """
-    for k in range(j, n + 1):
-        row = Lrows[k - 1]
-        deficit = 0
-        for s in range(p):
-            d = row[s] - counts[s]
-            if d > 0:
-                deficit += d
-        slots = k - j + 1
-        if deficit > slots:
-            raise InfeasibleConstraintsError(f"unmet demand {deficit} exceeds {slots} open positions at prefix {k}")
-        if deficit == slots:
-            return tuple(s for s in range(p) if row[s] > counts[s])
-    return None
-
-
 def rank_constrained_greedy(instance: Instance, weights, L: ConstraintMatrix) -> Ranking:
     """Maximum-weight ranking satisfying prefix lower bounds, disjoint groups.
 
     Fills positions 1..n in order; at each position places the heaviest item
     (ties by ascending id) whose placement leaves every later prefix bound
-    satisfiable.  Raises NonDisjointGroupsError for overlapping groups and
+    satisfiable.  The lookahead keeps one slack entry per prefix (unmet
+    demand minus prefix length; see the module docstring), so a placement
+    costs O(n) numpy work rather than an O(n*p) Python rescan.  Raises
+    NonDisjointGroupsError for overlapping groups and
     InfeasibleConstraintsError for infeasible bounds.
     """
     n, p = instance.n, instance.p
@@ -110,55 +77,58 @@ def rank_constrained_greedy(instance: Instance, weights, L: ConstraintMatrix) ->
     if not check_feasibility(L, mem):
         raise InfeasibleConstraintsError("no ranking satisfies the constraint matrix")
     w = _check_weights(instance, weights)
-    Lmat = L.matrix
-
     labels = mem @ np.arange(1, p + 1) - 1  # rows hold at most one group: its id, or -1
-    order = np.argsort(-w, kind="stable")
-    order_list = order.tolist()
-    ordered_labels = labels[order]
-    per_group: list[list[int]] = [order[ordered_labels == s].tolist() for s in range(p)]
+    return Ranking(tuple(_greedy(labels, w, L.matrix)))
 
-    wlist = w.tolist()
-    labels_list = labels.tolist()
-    Lrows = Lmat.tolist()
-    fast = _single_unit_column(Lmat)
-    placed = bytearray(instance.m)
-    counts = [0] * p
-    gptr = [0] * p
-    optr = 0
-    out: list[int] = []
+
+def _greedy(labels: np.ndarray, w: np.ndarray, Lmat: np.ndarray) -> list[int]:
+    """The greedy on plain arrays: item group ids (-1 for none), weights and
+    the (n, p) bound matrix.  Does not check feasibility first; raises
+    InfeasibleConstraintsError when the fill runs into it."""
+    n, p = Lmat.shape
+    order = np.argsort(-w, kind="stable")
+    # Items are handled by their rank in ``order``: the lowest free rank is
+    # the heaviest item left, ties by ascending id.
+    ordered_labels = labels[order]
+    by_group = [np.flatnonzero(ordered_labels == s).tolist() for s in range(p)]
+    group_of = ordered_labels.tolist()
+    cols = Lmat.T.copy()  # row s is column s, contiguous for searchsorted
+    slack = Lmat.sum(axis=1) - np.arange(1, n + 1)
+    taken = bytearray(len(group_of))
+    counts, heads = [0] * p, [0] * p
+    free = 0
+    ranks: list[int] = []
 
     for j in range(1, n + 1):
-        if fast == -1:
-            forced = None
-        elif fast is not None:
-            forced = (fast,) if Lrows[j - 1][fast] > counts[fast] else None
-        else:
-            forced = _forced_groups(Lrows, counts, j, n, p)
+        tail = slack[j - 1 :]
+        k = int(np.argmax(tail >= 1 - j)) + j  # first prefix at or over its open positions
+        over = int(tail[k - j]) + j - 1  # unmet demand at k minus its k - j + 1 open positions
+        if over > 0:
+            raise InfeasibleConstraintsError(
+                f"unmet demand {over + k - j + 1} exceeds {k - j + 1} open positions at prefix {k}"
+            )
+        forced = [s for s in range(p) if Lmat[k - 1, s] > counts[s]] if over == 0 else None
         if forced:
-            pick = -1
-            pick_w = 0.0
+            r = len(taken)
             for s in forced:
-                q = per_group[s]
-                ptr = gptr[s]
-                while ptr < len(q) and placed[q[ptr]]:
-                    ptr += 1
-                gptr[s] = ptr
-                if ptr >= len(q):
+                q, h = by_group[s], heads[s]
+                while h < len(q) and taken[q[h]]:
+                    h += 1
+                if h == len(q):
                     raise InfeasibleConstraintsError(f"group {s} ran out of items at position {j}")
-                cand = q[ptr]
-                if pick < 0 or wlist[cand] > pick_w or (wlist[cand] == pick_w and cand < pick):
-                    pick, pick_w = cand, wlist[cand]
+                heads[s] = h
+                r = min(r, q[h])
         else:
-            while placed[order_list[optr]]:
-                optr += 1
-            pick = order_list[optr]
-        placed[pick] = 1
-        g = labels_list[pick]
+            while taken[free]:
+                free += 1
+            r = free
+        taken[r] = 1
+        g = group_of[r]
         if g >= 0:
+            slack[np.searchsorted(cols[g], counts[g] + 1) :] -= 1
             counts[g] += 1
-        out.append(pick)
-    return Ranking(tuple(out))
+        ranks.append(r)
+    return order[ranks].tolist()
 
 
 def rank_single_column(order, target, bounds) -> tuple[np.ndarray, np.ndarray]:

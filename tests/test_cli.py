@@ -281,6 +281,32 @@ class TestExitCodes:
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "command, doc",
+        [
+            ("sweep", {**TRIAL_CONFIG, "alphas": 0.5, "betas": [0.5]}),
+            ("supernumerary", {**SUPERNUMERARY_CONFIG, "alphas": 0.5}),
+            ("simulate", {**TRIAL_CONFIG, "n": [8]}),
+            ("sweep", {**TRIAL_CONFIG, "alphas": [0.0], "betas": [0.5], "trials": [3]}),
+            ("supernumerary", {**SUPERNUMERARY_CONFIG, "gamma": [0.5]}),
+            ("sweep", {**TRIAL_CONFIG, "alphas": {"0.5": 1}, "betas": [0.5]}),
+        ],
+        ids=[
+            "number-alphas-sweep",
+            "number-alphas-supernumerary",
+            "list-n-simulate",
+            "list-trials",
+            "list-gamma",
+            "object-alphas",
+        ],
+    )
+    def test_wrong_json_type_is_one_line_parse_error(self, tmp_path, capsys, command, doc):
+        code = main([command, write_json(tmp_path, "cfg.json", doc)])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert "Traceback" not in err
+
 
 class TestModuleEntry:
     """``python -m biasrank`` runs the CLI in a fresh interpreter."""

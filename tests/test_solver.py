@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from biasrank import (
@@ -17,6 +18,7 @@ from biasrank import (
     ranking_utility,
     satisfies,
 )
+from biasrank.solver import _greedy
 from conftest import (
     enumerate_best_feasible,
     random_disjoint_instance,
@@ -212,3 +214,126 @@ class TestGreedyMatchesOracle:
             assert_allclose(
                 ranking_utility(g, inst.v, w), ranking_utility(b, inst.v, w), atol=TOL
             )
+
+
+def rescan_greedy(labels, w, L) -> list[int]:
+    """Reference greedy with the original lookahead: at every position,
+    rescan every later prefix k for unmet demand that fills its k - j + 1
+    open positions.  O(n^2 p)."""
+    n, p = L.shape
+    rows = L.tolist()
+    order = np.argsort(-w, kind="stable").tolist()
+    per_group = [[i for i in order if labels[i] == s] for s in range(p)]
+    wl, placed, counts, out = w.tolist(), set(), [0] * p, []
+    for j in range(1, n + 1):
+        forced = None
+        for k in range(j, n + 1):
+            deficit = sum(max(0, rows[k - 1][s] - counts[s]) for s in range(p))
+            if deficit > k - j + 1:
+                raise InfeasibleConstraintsError(f"unmet demand {deficit} at prefix {k}")
+            if deficit == k - j + 1:
+                forced = [s for s in range(p) if rows[k - 1][s] > counts[s]]
+                break
+        if forced is None:
+            pick = next(i for i in order if i not in placed)
+        else:
+            heads = []
+            for s in forced:
+                left = [i for i in per_group[s] if i not in placed]
+                if not left:
+                    raise InfeasibleConstraintsError(f"group {s} ran out of items at position {j}")
+                heads.append(left[0])
+            pick = min(heads, key=lambda i: (-wl[i], i))
+        placed.add(pick)
+        if labels[pick] >= 0:
+            counts[labels[pick]] += 1
+        out.append(pick)
+    return out
+
+
+@st.composite
+def greedy_problems(draw, feasible: bool):
+    """Disjoint groups (p = 1..4) plus ungrouped items, weights with or
+    without ties, and bound columns that often jump by 2 or more.  With
+    ``feasible`` false, rows may ask for more than k items in total or for
+    more items than a group has, so the fill can break down midway."""
+    p = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 100))
+    n = draw(st.integers(1, min(m, 80)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    labels = rng.integers(-1, p, m)
+    w = rng.integers(0, 4, m).astype(float) if draw(st.booleans()) else rng.uniform(-1.0, 1.0, m)
+    grow = draw(st.sampled_from([0.2, 0.5, 0.8]))
+    sizes = np.bincount(labels[labels >= 0], minlength=p)
+    L = np.zeros((n, p), dtype=np.int64)
+    row = np.zeros(p, dtype=np.int64)
+    for k in range(1, n + 1):
+        budget = k - row.sum() if feasible else 3
+        for s in rng.permutation(p):
+            cap = min(sizes[s], k) if feasible else k
+            while budget > 0 and row[s] < cap and rng.random() < grow:
+                row[s] += 1
+                budget -= 1
+        L[k - 1] = row
+    return labels, w, L
+
+
+def outcome(solve, *args):
+    try:
+        return solve(*args)
+    except InfeasibleConstraintsError:
+        return InfeasibleConstraintsError
+
+
+class TestGreedyMatchesRescan:
+    """The incremental slack lookahead picks exactly what the per-position
+    prefix rescan picks."""
+
+    @given(problem=greedy_problems(feasible=True))
+    @settings(max_examples=150, deadline=None)
+    def test_feasible_bounds(self, problem):
+        labels, w, L = problem
+        inst = Instance.from_arrays(w, labels, L.shape[0], DiscountVector.constant(L.shape[0]), p=L.shape[1])
+        r = rank_constrained_greedy(inst, w, ConstraintMatrix(L))
+        assert list(r.positions) == rescan_greedy(labels, w, L)
+
+    @given(problem=greedy_problems(feasible=False))
+    @settings(max_examples=150, deadline=None)
+    def test_bounds_that_fail_mid_fill(self, problem):
+        labels, w, L = problem
+        assert outcome(_greedy, labels, w, L) == outcome(rescan_greedy, labels, w, L)
+
+    @pytest.mark.parametrize(
+        "L",
+        [
+            [[0, 0], [1, 1], [2, 2]],  # four items owed by position 3
+            [[0, 1], [0, 2], [0, 3]],  # group 1 has two members
+            [[0, 0], [0, 2], [1, 3]],  # group 1 runs out after a jump of 2
+        ],
+    )
+    def test_mid_fill_failures_raise(self, L):
+        labels = np.array([0, 0, 0, 1, 1, -1])
+        w = np.array([0.9, 0.8, 0.7, 0.6, 0.5, 1.0])
+        L = np.array(L)
+        with pytest.raises(InfeasibleConstraintsError):
+            rescan_greedy(labels, w, L)
+        with pytest.raises(InfeasibleConstraintsError):
+            _greedy(labels, w, L)
+
+
+class TestExactRepairAtScale:
+    """Solving the biased instance under the latent-optimal ranking's prefix
+    counts returns the latent optimum, at the size of the repair experiment."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_derived_bounds_recover_latent_optimum(self, seed):
+        rng = np.random.default_rng(seed)
+        n, m, p = 400, 1600, 3
+        labels = rng.integers(-1, p, m)
+        inst = Instance.from_arrays(rng.uniform(0.0, 1.0, m), labels, n, DiscountVector.dcg(n), p=p)
+        observed = observed_utilities(inst, BiasModel(rng.uniform(0.05, 0.95, p)))
+        best = rank_unconstrained(inst, inst.latent_utilities)
+        r = rank_constrained_greedy(inst, observed, derived_constraints(inst))
+        assert r.positions == best.positions
+        assert ranking_utility(r, inst.v, inst.latent_utilities) == ranking_utility(best, inst.v, inst.latent_utilities)
+        assert rank_unconstrained(inst, observed).positions != best.positions
