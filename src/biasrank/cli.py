@@ -15,10 +15,11 @@ Subcommands::
     ingest              score CSV ("score,group" header) -> per-group
                         empirical distribution JSON
 
-Common flags: ``--seed`` (default 0, echoed into every randomized output
-so reported numbers are reproducible), ``--trials``, ``--threads``
-(accepted for compatibility; trials run sequentially and output never
-depends on it), and ``--out`` (default stdout).
+Common flags: ``--seed`` (an integer in [0, 2**64), default 0, echoed
+into every randomized output so reported numbers are reproducible),
+``--trials``, ``--threads`` (accepted for compatibility; trials run
+sequentially and output never depends on it), and ``--out`` (default
+stdout).
 
 Exit codes: 0 success, 1 usage error, 2 infeasible constraints,
 3 I/O or parse error.
@@ -80,6 +81,17 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _master_seed(text: str) -> int:
+    """``--seed`` value: an integer in [0, 2**64)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if not 0 <= value < 2**64:
+        raise argparse.ArgumentTypeError(f"{value} is outside [0, 2**64)")
+    return value
+
+
 def _load_json(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
@@ -112,8 +124,9 @@ def _parse_betas(text: str, p: int) -> BiasModel:
 
 
 def _config_error(what: str, exc: Exception) -> ValueError:
-    """A missing key, or a JSON value of the wrong type, as a parse error."""
-    problem = "missing key" if isinstance(exc, KeyError) else "has a value of the wrong type:"
+    """A missing key, or a JSON value of the wrong type or out of range
+    (an infinite count), as a parse error."""
+    problem = "missing key" if isinstance(exc, KeyError) else "has a bad value:"
     return ValueError(f"{what} {problem} {exc}")
 
 
@@ -131,7 +144,7 @@ def _trial_config_from_json(d: dict) -> TrialConfig:
             discount=DiscountVector.from_json_dict(d.get("discount", {"kind": "constant"}), n),
             target_group=int(d.get("target_group", 1)),
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, OverflowError) as exc:
         raise _config_error("trial config", exc) from exc
 
 
@@ -152,7 +165,7 @@ def _supernumerary_config_from_json(d: dict, alpha: float) -> SupernumeraryConfi
             discount_kind=discount.get("kind", "constant"),
             log_base=discount.get("log_base"),
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, OverflowError) as exc:
         raise _config_error("supernumerary config", exc) from exc
 
 
@@ -219,7 +232,7 @@ def _cmd_sweep(args) -> int:
         alphas = [float(a) for a in d["alphas"]]
         betas = [float(b) for b in d["betas"]]
         trials = args.trials if args.trials is not None else int(d.get("trials", 1000))
-    except TypeError as exc:
+    except (TypeError, OverflowError) as exc:
         raise _config_error("sweep config", exc) from exc
     base = _trial_config_from_json({**d, "alpha": alphas[0], "beta": betas[0]})
     report = run_sweep(base, alphas, betas, trials, SeedSpec(args.seed))
@@ -267,7 +280,7 @@ def _cmd_supernumerary(args) -> int:
         raise ValueError('supernumerary config needs "alpha" or a nonempty "alphas" list')
     try:
         trials = args.trials if args.trials is not None else int(d.get("trials", 1000))
-    except TypeError as exc:
+    except (TypeError, OverflowError) as exc:
         raise _config_error("supernumerary config", exc) from exc
     seed = SeedSpec(args.seed)
     reports = [
@@ -341,7 +354,7 @@ def _cmd_ingest(args) -> int:
 
 def _build_parser() -> _Parser:
     common = _Parser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="64-bit master seed (default 0)")
+    common.add_argument("--seed", type=_master_seed, default=0, help="64-bit master seed in [0, 2**64) (default 0)")
     common.add_argument("--trials", type=int, default=None, help="number of Monte Carlo trials")
     common.add_argument(
         "--threads",

@@ -94,10 +94,12 @@ class ConstraintMatrix:
         if not isinstance(d, dict):
             raise ValueError("constraint JSON must be an object")
         try:
-            n, p, rows = int(d["n"]), int(d["p"]), d["L"]
+            n, p = int(d["n"]), int(d["p"])
+            arr = np.asarray(d["L"], dtype=np.int64)
         except KeyError as exc:
             raise ValueError(f"constraint JSON missing key {exc}") from exc
-        arr = np.asarray(rows, dtype=np.int64)
+        except (TypeError, OverflowError) as exc:
+            raise ValueError(f"malformed constraint JSON: {exc}") from exc
         if arr.ndim == 1 and p == 0:
             arr = arr.reshape(n, 0)
         if arr.shape != (n, p):

@@ -10,7 +10,10 @@ factor beta, and compares three rankings evaluated by latent utility:
   prefix bounds.
 
 Trials are independent: trial i derives its own stream from
-(master_seed, i), so any grid cell can be recomputed in isolation.
+(master_seed, i), so any grid cell can be recomputed in isolation.  The
+batched engines below take their generators from
+:meth:`SeedSpec.rngs_for_trials`, which puts each trial's generator in the
+state ``SeedSpec.rng_for_trial(i)`` defines without building one per trial.
 
 Sweeps and ``simulate`` run on a batched engine that walks the trials in
 blocks of ``BLOCK_TRIALS``.  Each trial is drawn once per sweep, whatever
@@ -72,6 +75,10 @@ CEIL_EPSILON = 1e-9
 # 16 or 32 and about 25% slower with 4, while peak memory grew by about
 # 0.4 MB per doubling of the block.
 BLOCK_TRIALS = 8
+
+# Trials drawn and sorted together by estimate_order_stats, one row of
+# m_a + m_b utilities each (6400 values at the benchmark's m = 100).
+ORDER_STATS_BLOCK = 64
 
 SWEEP_CSV_COLUMNS = (
     "alpha,beta,m_a,m_b,n,trials,mean_cons,se_cons,mean_uncons,se_uncons,mean_opt,se_opt"
@@ -257,6 +264,7 @@ def _run_grid(
     if bounds[:, -1].max(initial=0) > np.count_nonzero(target):
         raise InfeasibleConstraintsError("no ranking satisfies the constraint matrix")
     v = base.discount.values
+    rngs = seed.rngs_for_trials(0, trials)
     u_opt = np.empty(trials)
     u_uncons = np.empty((len(betas), trials))
     n_b_uncons = np.empty((len(betas), trials), dtype=np.int64)
@@ -266,8 +274,7 @@ def _run_grid(
         stop = min(start + BLOCK_TRIALS, trials)
         part = slice(start, stop)
         w = np.empty((stop - start, m))
-        for row, i in enumerate(range(start, stop)):
-            rng = seed.rng_for_trial(i)
+        for row, rng in zip(range(stop - start), rngs):
             w[row, :m_a] = base.dist_a.draw(rng, m_a)
             w[row, m_a:] = base.dist_b.draw(rng, m_b)
         if not np.all(np.isfinite(w)):
@@ -378,7 +385,17 @@ def estimate_order_stats(
     seed: SeedSpec,
 ) -> OrderStatsReport:
     """Sample the top-k target count and the position of the l-th target
-    item in the utility-sorted ranking of m_a + m_b i.i.d. utilities."""
+    item in the utility-sorted ranking of m_a + m_b i.i.d. utilities.
+
+    Trials run in blocks of ``ORDER_STATS_BLOCK``: trial i draws its m_a +
+    m_b utilities from the stream of ``seed.rng_for_trial(i)`` (derived by
+    :meth:`SeedSpec.rngs_for_trials`, which checks the first state of the
+    call against ``default_rng``) into one row of a matrix, and one stable
+    row-wise argsort ranks the block, ties by ascending id.  A row's top-k
+    target count is the number of target ids among its first k, and the
+    l-th target item sits where the running target count first reaches l.
+    The report is the same for every block size.
+    """
     if not (0 < k < min(m_a, m_b)):
         raise ValueError(f"need 0 < k < min(m_a, m_b), got k={k}")
     if not (1 <= l <= m_b):
@@ -388,13 +405,16 @@ def estimate_order_stats(
     m = m_a + m_b
     nkb = np.empty(trials, dtype=np.int64)
     pl = np.empty(trials, dtype=np.int64)
-    for i in range(trials):
-        rng = seed.rng_for_trial(i)
-        w = dist.draw(rng, m)
-        order = np.argsort(-w, kind="stable")
-        is_b = order >= m_a
-        nkb[i] = int(is_b[:k].sum())
-        pl[i] = int(np.nonzero(is_b)[0][l - 1]) + 1
+    rngs = seed.rngs_for_trials(0, trials)
+    w = np.empty((min(ORDER_STATS_BLOCK, trials), m))
+    for start in range(0, trials, ORDER_STATS_BLOCK):
+        rows = min(ORDER_STATS_BLOCK, trials - start)
+        for row, rng in zip(range(rows), rngs):
+            w[row] = dist.draw(rng, m)
+        is_b = _order(w[:rows]) >= m_a
+        part = slice(start, start + rows)
+        nkb[part] = np.count_nonzero(is_b[:, :k], axis=1)
+        pl[part] = np.argmax(np.cumsum(is_b, axis=1) == l, axis=1) + 1
     mean_n, se_n = _mean_se(nkb.astype(float))
     mean_p, se_p = _mean_se(pl.astype(float))
     return OrderStatsReport(
@@ -550,8 +570,7 @@ def supernumerary_compare(
         v = discount_for(ids.size)
         return float((latent[ids] @ v) / ids.size)
 
-    for i in range(trials):
-        rng = seed.rng_for_trial(i)
+    for i, rng in enumerate(seed.rngs_for_trials(0, trials)):
         s_a = config.dist_a.draw(rng, m_a)
         s_b = config.dist_b.draw(rng, m_b)
         observed = np.concatenate([s_a, s_b])

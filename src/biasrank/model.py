@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -403,9 +404,9 @@ def _flatten_ids(lists, bound: int, what: str) -> tuple[np.ndarray, np.ndarray]:
     """Flatten a list of integer lists into (values, owner) arrays, where
     owner[k] is the index of the list that values[k] came from; every value
     must lie in [0, bound)."""
-    lists = [[int(x) for x in xs] for xs in lists]
-    values = np.fromiter((x for xs in lists for x in xs), dtype=np.int64)
-    owner = np.repeat(np.arange(len(lists)), [len(xs) for xs in lists])
+    lens = [len(xs) for xs in lists]
+    values = np.fromiter(map(int, chain.from_iterable(lists)), np.int64, count=sum(lens))
+    owner = np.repeat(np.arange(len(lens)), lens)
     bad = (values < 0) | (values >= bound)
     if bad.any():
         raise ValueError(f"{what} {int(values[bad][0])} outside [0, {bound})")

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -211,8 +211,44 @@ def distribution_from_json(d: dict) -> Distribution:
 # ---------------------------------------------------------------------------
 # Reproducible per-trial streams
 
+_MASK32 = 0xFFFFFFFF
 _MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+
+# Trials whose generator states SeedSpec.rngs_for_trials derives together.
+SEED_BLOCK = 256
+
+# NumPy's SeedSequence hash constants (NEP 19) and PCG64's LCG multiplier.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hash_schedule(init: int, mult: int, calls: int) -> list[tuple[np.uint32, np.uint32]]:
+    """(xor, multiplier) of each successive hash call: the SeedSequence hash
+    constant does not depend on the data, only on how often it was used."""
+    out = []
+    for _ in range(calls):
+        nxt = (init * mult) & _MASK32
+        out.append((np.uint32(init), np.uint32(nxt)))
+        init = nxt
+    return out
+
+
+_HASH_A = _hash_schedule(_INIT_A, _MULT_A, 16)  # 4 pool fills + 12 cross mixes
+_HASH_B = _hash_schedule(_INIT_B, _MULT_B, 8)  # generate_state(4, uint64)
+
+
+def _hashmix(value: np.ndarray, const: tuple[np.uint32, np.uint32]) -> np.ndarray:
+    value = (value ^ const[0]) * const[1]
+    return value ^ (value >> np.uint32(16))
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+    return r ^ (r >> np.uint32(16))
 
 
 def _splitmix64(z: int) -> int:
@@ -222,16 +258,59 @@ def _splitmix64(z: int) -> int:
     return (z ^ (z >> 31)) & _MASK64
 
 
+def _trial_seeds(master_seed: int, start: int, stop: int) -> np.ndarray:
+    """``SeedSpec(master_seed).trial_seed(i)`` for i in start..stop-1, as
+    uint64 (numpy integer arithmetic wraps mod 2^64)."""
+    z = np.arange(start + 1, stop + 1, dtype=np.uint64) * np.uint64(_GOLDEN) + np.uint64(master_seed)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+def _pcg64_states(seeds: np.ndarray) -> list[dict]:
+    """``np.random.PCG64(seed).state`` for each uint64 seed.
+
+    A 64-bit seed enters SeedSequence as the 32-bit words [lo, hi, 0, 0];
+    the pool hash and ``generate_state(4, uint64)`` run in uint32
+    arithmetic across all seeds at once, and PCG64's two-step srandom
+    seeding runs on Python ints per seed.
+    """
+    lo = (seeds & np.uint64(_MASK32)).astype(np.uint32)
+    hi = (seeds >> np.uint64(32)).astype(np.uint32)
+    zero = np.zeros_like(lo)
+    consts = iter(_HASH_A)
+    pool = [_hashmix(word, next(consts)) for word in (lo, hi, zero, zero)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], next(consts)))
+    words = [_hashmix(pool[i % 4], const).astype(np.uint64) for i, const in enumerate(_HASH_B)]
+    # Consecutive word pairs are little-endian 64-bit words: the initial
+    # state's high and low halves, then the stream selector's.
+    s_hi, s_lo, q_hi, q_lo = ((words[2 * j] | (words[2 * j + 1] << np.uint64(32))).tolist() for j in range(4))
+    states = []
+    for a, b, c, d in zip(s_hi, s_lo, q_hi, q_lo):
+        inc = ((c << 65) | (d << 1) | 1) & _MASK128
+        state = ((((a << 64) | b) + inc) * _PCG64_MULT + inc) & _MASK128
+        states.append({"bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0})
+    return states
+
+
 @dataclass(frozen=True)
 class SeedSpec:
     """Master seed plus a fixed rule deriving one stream per trial.
 
     Trial ``i`` uses the splitmix64 output sequence of the master seed:
     ``seed_i = mix64(master_seed + (i + 1) * 0x9E3779B97F4A7C15 mod 2^64)``
-    where ``mix64`` is the splitmix64 finalizer.  Identical
-    (master_seed, trial_index) pairs always produce identical streams, so
-    any trial is reproducible in isolation and aggregation is independent
-    of execution order.
+    where ``mix64`` is the splitmix64 finalizer, and its stream is
+    ``np.random.default_rng(seed_i)`` (:meth:`rng_for_trial`, the
+    definition).  Identical (master_seed, trial_index) pairs always produce
+    identical streams, so any trial is reproducible in isolation and
+    aggregation is independent of execution order and batch size.
+
+    The batched engines draw through :meth:`rngs_for_trials`, which derives
+    the same PCG64 states for a block of trials at once instead of building
+    a SeedSequence, a PCG64 and a Generator per trial.
     """
 
     master_seed: int = 0
@@ -247,6 +326,39 @@ class SeedSpec:
 
     def rng_for_trial(self, trial_index: int) -> np.random.Generator:
         return np.random.default_rng(self.trial_seed(trial_index))
+
+    def rngs_for_trials(self, start: int, stop: int) -> Iterator[np.random.Generator]:
+        """One generator per trial index in start..stop-1, in the state
+        ``rng_for_trial(i)`` starts in, so the draws are the same.
+
+        NumPy's SeedSequence hash and PCG64 seeding are fixed, documented
+        algorithms (NEP 19), so the states of ``SEED_BLOCK`` trials are
+        derived together in numpy and loaded into one reused Generator: the
+        same object is yielded every time, and each one is valid only until
+        the next is requested.  The first derived state is checked against
+        ``default_rng`` (one construction per call); a numpy release that
+        seeds differently raises RuntimeError rather than changing the
+        output bytes.
+        """
+        if start < 0:
+            raise ValueError("trial index must be nonnegative")
+        return self._rngs(start, stop)
+
+    def _rngs(self, start: int, stop: int) -> Iterator[np.random.Generator]:
+        if stop <= start:
+            return
+        rng = np.random.default_rng(self.trial_seed(start))
+        bitgen = rng.bit_generator
+        for lo in range(start, stop, SEED_BLOCK):
+            states = _pcg64_states(_trial_seeds(self.master_seed, lo, min(lo + SEED_BLOCK, stop)))
+            if lo == start and states[0] != bitgen.state:
+                raise RuntimeError(
+                    f"block seeding derived a PCG64 state for trial {start} that differs from "
+                    f"default_rng's under numpy {np.__version__}"
+                )
+            for state in states:
+                bitgen.state = state
+                yield rng
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,16 @@
+import contextlib
+import copy
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import biasrank
 from biasrank.cli import ingest_scores, main
@@ -256,6 +261,19 @@ class TestExitCodes:
             (["solve", "inst"], {"inst": {**FACT_INSTANCE_W, "v": [2.0, 1.0]}}),
             (["supernumerary", "cfg"], {"cfg": {**SUPERNUMERARY_CONFIG, "discount": ["dcg"]}}),
             (["simulate", "cfg", "--trials", "0"], {"cfg": TRIAL_CONFIG}),
+            (["simulate", "cfg"], {"cfg": {**TRIAL_CONFIG, "m_a": float("inf")}}),
+            (["sweep", "cfg"], {"cfg": {**TRIAL_CONFIG, "alphas": [0.0], "betas": [0.5], "trials": float("inf")}}),
+            (["supernumerary", "cfg"], {"cfg": {**SUPERNUMERARY_CONFIG, "n": float("-inf")}}),
+            (["supernumerary", "cfg"], {"cfg": {**SUPERNUMERARY_CONFIG, "trials": float("inf")}}),
+            (["solve", "inst", "--constraints", "L"], {"inst": FACT_INSTANCE_W, "L": {"n": None, "p": 2, "L": []}}),
+            (
+                ["solve", "inst", "--constraints", "L"],
+                {"inst": FACT_INSTANCE_W, "L": {"n": 2, "p": 2, "L": [[1, 0], [1, None]]}},
+            ),
+            (
+                ["solve", "inst", "--constraints", "L"],
+                {"inst": FACT_INSTANCE_W, "L": {"n": 2, "p": 2, "L": [[1, 0], [float("inf"), 1]]}},
+            ),
         ],
         ids=[
             "solve-item-without-w",
@@ -271,6 +289,13 @@ class TestExitCodes:
             "list-discount",
             "list-supernumerary-discount",
             "simulate-zero-trials",
+            "infinite-m_a-simulate",
+            "infinite-trials-sweep",
+            "infinite-n-supernumerary",
+            "infinite-trials-supernumerary",
+            "null-n-constraints",
+            "null-bound",
+            "infinite-bound",
         ],
     )
     def test_malformed_json_is_one_line_parse_error(self, tmp_path, capsys, argv, files):
@@ -306,6 +331,109 @@ class TestExitCodes:
         assert code == 3
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
         assert "Traceback" not in err
+
+
+class TestSeedRange:
+    ORDERSTATS = ["orderstats", "--k", "2", "--l", "1", "--ma", "5", "--mb", "5", "--trials", "3"]
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    @pytest.mark.parametrize("command", ["orderstats", "sweep", "simulate", "supernumerary"])
+    def test_seed_outside_64_bits_is_usage_error(self, tmp_path, capsys, command, seed):
+        configs = {
+            "sweep": {**TRIAL_CONFIG, "alphas": [0.0], "betas": [0.5], "trials": 2},
+            "simulate": TRIAL_CONFIG,
+            "supernumerary": {**SUPERNUMERARY_CONFIG, "trials": 2},
+        }
+        argv = self.ORDERSTATS if command == "orderstats" else [command, write_json(tmp_path, "cfg.json", configs[command])]
+        assert main(argv + ["--seed", seed]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("usage error: ")
+        # the same run is fine at the ends of the range
+        for ok in ("0", str(2**64 - 1)):
+            assert main(argv + ["--seed", ok, "--out", str(tmp_path / "out")]) == 0
+
+    def test_non_integer_seed_is_usage_error(self, capsys):
+        assert main(self.ORDERSTATS + ["--seed", "1.5"]) == 1
+        assert capsys.readouterr().err == "usage error: argument --seed: invalid int value: '1.5'\n"
+
+
+# Small JSON values: sizes and counts stay tiny whatever key they land on.
+JSON_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 30)
+    | st.floats(-40.0, 40.0)
+    | st.sampled_from([float("nan"), float("inf"), float("-inf")])
+    | st.text(max_size=4)
+)
+JSON_VALUES = st.recursive(
+    JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+
+FUZZ_SWEEP = {**TRIAL_CONFIG, "alphas": [0.0, 0.25], "betas": [0.5], "trials": 3}
+FUZZ_SUPERNUMERARY = {**SUPERNUMERARY_CONFIG, "discount": {"kind": "dcg"}, "trials": 3}
+FUZZ_CONSTRAINTS = {"n": 2, "p": 2, "L": [[1, 0], [1, 1]]}
+# name -> (argv with "doc" where the fuzzed document goes, base document, other files)
+FUZZ_TARGETS = {
+    "solve-instance": (["solve", "doc", "--betas", "1.0,0.5"], FACT_INSTANCE_W, {}),
+    "derive-instance": (["derive-constraints", "doc"], FACT_INSTANCE_W, {}),
+    "solve-constraints": (["solve", "inst", "--constraints", "doc"], FUZZ_CONSTRAINTS, {"inst": FACT_INSTANCE_W}),
+    "simulate-trial": (["simulate", "doc", "--trials", "2"], TRIAL_CONFIG, {}),
+    "sweep": (["sweep", "doc"], FUZZ_SWEEP, {}),
+    "supernumerary": (["supernumerary", "doc"], FUZZ_SUPERNUMERARY, {}),
+}
+
+
+@st.composite
+def mutated(draw, doc):
+    """The document with one or two values somewhere inside replaced by
+    random JSON or their keys dropped, or replaced whole."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(JSON_VALUES)
+    doc = copy.deepcopy(doc)
+    for _ in range(draw(st.integers(1, 2))):
+        node = doc
+        while True:
+            key = draw(st.sampled_from(sorted(node) if isinstance(node, dict) else range(len(node))))
+            child = node[key]
+            if isinstance(child, (dict, list)) and child and draw(st.booleans()):
+                node = child
+                continue
+            if isinstance(node, dict) and draw(st.integers(0, 4)) == 0:
+                del node[key]
+            else:
+                node[key] = draw(JSON_VALUES)
+            break
+        if not doc:
+            break
+    return doc
+
+
+class TestFuzzedDocuments:
+    """Random JSON inside every input document gives a documented exit
+    code and never an unhandled exception."""
+
+    @pytest.mark.parametrize("target", sorted(FUZZ_TARGETS))
+    def test_exit_code_without_traceback(self, target):
+        argv, base, others = FUZZ_TARGETS[target]
+
+        @given(doc=mutated(base))
+        @settings(max_examples=150, deadline=None)
+        def check(doc):
+            with tempfile.TemporaryDirectory() as tmp:
+                files = {**others, "doc": doc}
+                paths = {name: write_json(Path(tmp), f"{name}.json", value) for name, value in files.items()}
+                err = io.StringIO()
+                with contextlib.redirect_stderr(err):
+                    code = main([paths.get(arg, arg) for arg in argv] + ["--out", str(Path(tmp) / "out")])
+            assert code in (0, 1, 2, 3)
+            assert "Traceback" not in err.getvalue()
+            if code:
+                assert len(err.getvalue().splitlines()) == 1
+
+        check()
 
 
 class TestModuleEntry:

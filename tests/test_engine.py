@@ -2,12 +2,16 @@
 
 ``run_trials`` and ``run_sweep`` must reproduce ``run_trial`` exactly, and
 the closed-form single-column placement must equal the greedy solver.
+Block seeding must put every trial's generator in the state
+``rng_for_trial`` gives it, and ``estimate_order_stats`` must return the
+same report whatever its block size.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,16 +22,20 @@ from biasrank import (
     Empirical,
     InfeasibleConstraintsError,
     Instance,
+    LogNormal,
     Normal,
     SeedSpec,
+    ShiftedScaled,
     TrialConfig,
     Uniform,
+    estimate_order_stats,
     rank_constrained_greedy,
     run_sweep,
     run_trial,
     run_trials,
     simple_constraints,
 )
+from biasrank import experiments, stats
 from biasrank.experiments import BLOCK_TRIALS
 from biasrank.solver import rank_single_column
 
@@ -184,3 +192,129 @@ class TestInfeasibleAlphaFailsBeforeDrawing:
         with pytest.raises(InfeasibleConstraintsError):
             run_trials(replace(cfg, alpha=0.5), 20, SeedSpec(0))
         assert dist.calls == 0
+
+
+# One of each distribution kind; the empirical sample is full of ties.
+FIVE_KINDS = [
+    Uniform(-1.0, 2.0),
+    LogNormal(0.3, 1.2),
+    Normal(1.0, 0.5),
+    Empirical([0.0, 1.0, 1.0, 2.0, 3.0, 3.0]),
+    ShiftedScaled(Normal(0.0, 1.0), -2.0, 1.0),
+]
+SEEDS = st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**64 - 1]) | st.integers(0, 2**64 - 1)
+# Seeding blocks of 1, 3 and 7 trials put several block edges inside short ranges.
+SEED_BLOCKS = st.sampled_from([1, 3, 7, stats.SEED_BLOCK])
+
+
+@st.composite
+def trial_ranges(draw):
+    start = draw(st.integers(0, 40) | st.integers(0, 2**40))
+    return start, start + draw(st.integers(0, 20))
+
+
+class TestBlockSeeding:
+    @given(seed=SEEDS, span=trial_ranges(), block=SEED_BLOCKS)
+    @settings(max_examples=60, deadline=None)
+    def test_states_equal_rng_for_trial(self, seed, span, block):
+        spec = SeedSpec(seed)
+        start, stop = span
+        with mock.patch.object(stats, "SEED_BLOCK", block):
+            states = [rng.bit_generator.state for rng in spec.rngs_for_trials(start, stop)]
+        assert states == [spec.rng_for_trial(i).bit_generator.state for i in range(start, stop)]
+
+    @given(seed=SEEDS, span=trial_ranges(), block=SEED_BLOCKS, size=st.integers(0, 12))
+    @settings(max_examples=40, deadline=None)
+    def test_first_draws_equal_for_every_distribution_kind(self, seed, span, block, size):
+        spec = SeedSpec(seed)
+        start, stop = span
+        for dist in FIVE_KINDS:
+            with mock.patch.object(stats, "SEED_BLOCK", block):
+                got = [dist.draw(rng, size) for rng in spec.rngs_for_trials(start, stop)]
+            want = [dist.draw(spec.rng_for_trial(i), size) for i in range(start, stop)]
+            assert len(got) == len(want)
+            for a, b in zip(got, want):
+                np.testing.assert_array_equal(a, b)
+
+    @given(seed=SEEDS, span=trial_ranges())
+    @settings(max_examples=100, deadline=None)
+    def test_vectorised_splitmix_equals_trial_seed(self, seed, span):
+        spec = SeedSpec(seed)
+        start, stop = span
+        assert stats._trial_seeds(seed, start, stop).tolist() == [spec.trial_seed(i) for i in range(start, stop)]
+
+    def test_range_across_default_block_edge(self):
+        spec = SeedSpec(2**64 - 1)
+        start, stop = 3, stats.SEED_BLOCK + 9
+        draws = [rng.uniform(size=2) for rng in spec.rngs_for_trials(start, stop)]
+        assert np.array_equal(draws, [spec.rng_for_trial(i).uniform(size=2) for i in range(start, stop)])
+
+    def test_yields_one_reused_generator(self):
+        rngs = list(SeedSpec(5).rngs_for_trials(0, 4))
+        assert len(rngs) == 4 and all(r is rngs[0] for r in rngs)
+
+    def test_empty_and_negative_ranges(self):
+        assert list(SeedSpec(1).rngs_for_trials(4, 4)) == []
+        assert list(SeedSpec(1).rngs_for_trials(4, 2)) == []
+        with pytest.raises(ValueError):
+            SeedSpec(1).rngs_for_trials(-1, 3)
+
+    def test_changed_seeding_fails_loudly(self):
+        # a numpy release that seeded PCG64 differently would derive other states
+        with mock.patch.object(stats, "_PCG64_MULT", stats._PCG64_MULT + 2):
+            with pytest.raises(RuntimeError, match=f"numpy {np.__version__}"):
+                next(SeedSpec(3).rngs_for_trials(7, 9))
+
+
+def per_trial_order_stats(k, l, m_a, m_b, dist, trials, seed):
+    """The per-trial loop: one ``rng_for_trial`` stream and one sort per trial."""
+    nkb, pl = [], []
+    for i in range(trials):
+        w = dist.draw(seed.rng_for_trial(i), m_a + m_b)
+        is_b = np.argsort(-w, kind="stable") >= m_a
+        nkb.append(int(is_b[:k].sum()))
+        pl.append(int(np.nonzero(is_b)[0][l - 1]) + 1)
+    return np.array(nkb), np.array(pl)
+
+
+@st.composite
+def order_stats_problems(draw):
+    m_a = draw(st.integers(2, 14))
+    m_b = draw(st.integers(2, 14))
+    k = draw(st.integers(1, min(m_a, m_b) - 1))
+    l = draw(st.integers(1, m_b))
+    trials = draw(st.integers(1, experiments.ORDER_STATS_BLOCK + 20))
+    return k, l, m_a, m_b, draw(st.sampled_from(FIVE_KINDS)), trials
+
+
+def report_fields(rep):
+    return (rep.mean_Nkb, rep.se_Nkb, rep.mean_Pl, rep.se_Pl, rep.trials, rep.nkb_counts.tolist())
+
+
+class TestOrderStatsEngine:
+    @given(problem=order_stats_problems(), seed=SEEDS)
+    @settings(max_examples=40, deadline=None)
+    def test_same_report_for_every_block_size(self, problem, seed):
+        k, l, m_a, m_b, dist, trials = problem
+        spec = SeedSpec(seed)
+        reports = []
+        for block in (1, 7, experiments.ORDER_STATS_BLOCK):
+            with mock.patch.object(experiments, "ORDER_STATS_BLOCK", block):
+                reports.append(report_fields(estimate_order_stats(k, l, m_a, m_b, dist, trials, spec)))
+        assert reports[0] == reports[1] == reports[2]
+
+    @given(problem=order_stats_problems(), seed=SEEDS)
+    @settings(max_examples=40, deadline=None)
+    def test_equals_per_trial_loop(self, problem, seed):
+        k, l, m_a, m_b, dist, trials = problem
+        spec = SeedSpec(seed)
+        nkb, pl = per_trial_order_stats(k, l, m_a, m_b, dist, trials, spec)
+        rep = estimate_order_stats(k, l, m_a, m_b, dist, trials, spec)
+
+        def mean_se(x):
+            x = x.astype(float)
+            return float(x.mean()), float(x.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
+
+        assert (rep.mean_Nkb, rep.se_Nkb) == mean_se(nkb)
+        assert (rep.mean_Pl, rep.se_Pl) == mean_se(pl)
+        assert rep.nkb_counts.tolist() == np.bincount(nkb, minlength=k + 1).tolist()

@@ -1,12 +1,16 @@
-"""Golden bytes: sha256 of sweep CSVs, simulate JSON and seat-expansion CSVs
-for fixed seeds.
+"""Golden bytes: sha256 of sweep CSVs, simulate JSON, seat-expansion CSVs
+and ``orderstats`` JSON for fixed seeds.
 
 The digests were taken from the per-trial implementation (one ``run_trial``
 per grid cell and trial), so any faster engine must reproduce its output
 byte for byte.  The cases cover the benchmark-shaped grid, the C11 config,
 beta = 0, alpha = 1 with a target group at least n strong, target group 0,
 empirical samples full of ties, negative utilities, constant, zipf and
-custom discounts, and a single trial.  The digests were taken with numpy
+custom discounts, and a single trial.  The ``orderstats`` digests were
+taken from the per-trial order-statistics loop, each trial seeded by its
+own ``default_rng``; they cover uniform, lognormal, tie-heavy empirical
+and negatively scaled normal utilities, k = 1 with l = m_b, one trial, and
+the largest master seed.  The digests were taken with numpy
 2.4 and its bundled OpenBLAS on x86-64; another BLAS build may round the
 discounted sums differently.
 """
@@ -166,6 +170,40 @@ CLI_DIGESTS = {
 }
 
 
+# name -> (distribution JSON or None for the default uniform, argv)
+ORDERSTATS_RUNS = {
+    "uniform-default": (None, ["--k", "10", "--l", "2", "--ma", "50", "--mb", "50"]),
+    "lognormal": (
+        {"kind": "lognormal", "mu": 0.5, "sigma": 2.0},
+        ["--k", "5", "--l", "3", "--ma", "30", "--mb", "40", "--trials", "2000", "--seed", "9"],
+    ),
+    "empirical-ties": (
+        {"kind": "empirical", "sample": [0.0, 1.0, 1.0, 1.0, 2.0, 3.0, 3.0]},
+        ["--k", "6", "--l", "4", "--ma", "12", "--mb", "15", "--trials", "1500", "--seed", "10"],
+    ),
+    "shifted-normal": (
+        {"kind": "shifted_scaled", "base": {"kind": "normal", "mu": 1.0, "sigma": 0.5}, "scale": -3.0, "shift": 2.0},
+        ["--k", "7", "--l", "5", "--ma", "20", "--mb", "9", "--trials", "1500", "--seed", "11"],
+    ),
+    "k1-last-target": (None, ["--k", "1", "--l", "20", "--ma", "25", "--mb", "20", "--trials", "1000", "--seed", "12"]),
+    "one-trial": (None, ["--k", "3", "--l", "1", "--ma", "8", "--mb", "6", "--trials", "1", "--seed", "13"]),
+    "max-seed": (
+        None,
+        ["--k", "10", "--l", "2", "--ma", "50", "--mb", "50", "--trials", "1000", "--seed", str(2**64 - 1)],
+    ),
+}
+
+ORDERSTATS_DIGESTS = {
+    "uniform-default": "22558a1c1b1bee71697fcb7f6687ff960a8f34ad91b4fef2d15f034d4ee26864",
+    "lognormal": "9c486b3ce9aca70514888a582fa5a1369c528bbb002e204cc096dfc50b6fdea3",
+    "empirical-ties": "e08f05f94f06729d29ebf85d800374f2e1524ef9c4aa4431ef5aebb46ee6d888",
+    "shifted-normal": "6474a6111e1fcc8be11fdc537a57e57fdaee7733351da562e4c53a9832c56e65",
+    "k1-last-target": "462df63c66c67bcfeff441fe476183d8618cb9aeaaa1fe2b44dc4844514252ab",
+    "one-trial": "9cf84e4663b81208cf8079efaab4872494b2d7638852f3b4cf52f803b919fb42",
+    "max-seed": "379500b33e665cfaf86f45e30083b899ae8795c4fd5be6380b454ee2f59b7712",
+}
+
+
 def sup_config(**kw):
     base = dict(
         n=10, m_a=20, m_b=8, alpha=0.2, gamma=1.05,
@@ -220,6 +258,18 @@ def cli_output(name: str, tmp_path) -> bytes:
     return out.read_bytes()
 
 
+def orderstats_output(name: str, tmp_path) -> bytes:
+    dist, argv = ORDERSTATS_RUNS[name]
+    out = tmp_path / "out"
+    extra = []
+    if dist is not None:
+        path = tmp_path / "dist.json"
+        path.write_text(json.dumps(dist), encoding="utf-8")
+        extra = ["--dist", str(path)]
+    assert main(["orderstats", *argv, *extra, "--out", str(out)]) == 0
+    return out.read_bytes()
+
+
 def supernumerary_output(name: str) -> str:
     configs, trials, seed = SUPERNUMERARY[name]
     return supernumerary_csv([supernumerary_compare(c, trials, SeedSpec(seed)) for c in configs])
@@ -238,3 +288,8 @@ def test_cli_output_bytes(name, tmp_path):
 @pytest.mark.parametrize("name", sorted(SUPERNUMERARY))
 def test_supernumerary_csv_bytes(name):
     assert sha256(supernumerary_output(name)) == SUPERNUMERARY_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(ORDERSTATS_RUNS))
+def test_orderstats_json_bytes(name, tmp_path):
+    assert sha256(orderstats_output(name, tmp_path)) == ORDERSTATS_DIGESTS[name]
