@@ -111,8 +111,46 @@ def _write_output(text: str, out: str | None) -> None:
         Path(out).write_text(text, encoding="utf-8")
 
 
+_NUMBER = {int, float}
+
+
+def _flat_json(obj: dict) -> str | None:
+    """``json.dumps(obj, indent=2, sort_keys=True)`` for an object of
+    numbers, number lists and lists of nonempty number lists (what
+    ``solve`` and ``derive-constraints`` print), or None for any other
+    shape.
+
+    With an indent the standard library encodes in pure Python; here the C
+    encoder writes each list on one line and the line breaks go in after,
+    which is safe because the text of a number holds no ``,`` or ``[``.
+    """
+    if {type(k) for k in obj} - {str}:
+        return None
+    fields = []
+    for key in sorted(obj):
+        value = obj[key]
+        if type(value) in _NUMBER:
+            text = json.dumps(value)
+        elif type(value) is not list:
+            return None
+        elif not value:
+            text = "[]"
+        elif {type(x) for x in value} <= _NUMBER:
+            text = "[\n    " + json.dumps(value)[1:-1].replace(", ", ",\n    ") + "\n  ]"
+        elif {type(r) for r in value} == {list} and all(value) and {type(x) for r in value for x in r} <= _NUMBER:
+            rows = json.dumps(value)[2:-2].replace(", ", ",\n      ")
+            text = "[\n    [\n      " + rows.replace("],\n      [", "\n    ],\n    [\n      ") + "\n    ]\n  ]"
+        else:
+            return None
+        fields.append(f"{json.dumps(key)}: {text}")
+    return "{\n  " + ",\n  ".join(fields) + "\n}" if fields else "{}"
+
+
 def _dump_json(obj: dict, out: str | None) -> None:
-    _write_output(json.dumps(obj, indent=2, sort_keys=True) + "\n", out)
+    text = _flat_json(obj)
+    if text is None:
+        text = json.dumps(obj, indent=2, sort_keys=True)
+    _write_output(text + "\n", out)
 
 
 def _parse_betas(text: str, p: int) -> BiasModel:
@@ -241,9 +279,10 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_orderstats(args) -> int:
-    dist: Distribution = (
-        distribution_from_json(_load_json(args.dist)) if args.dist else distribution_from_json({"kind": "uniform"})
-    )
+    try:
+        dist: Distribution = distribution_from_json(_load_json(args.dist) if args.dist else {"kind": "uniform"})
+    except (TypeError, OverflowError) as exc:
+        raise _config_error("distribution", exc) from exc
     trials = args.trials if args.trials is not None else 10000
     seed = SeedSpec(args.seed)
     est = estimate_order_stats(args.k, args.l, args.ma, args.mb, dist, trials, seed)
@@ -420,6 +459,9 @@ def main(argv=None) -> int:
         return EXIT_INFEASIBLE
     except (OSError, json.JSONDecodeError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return EXIT_IO
+    except MemoryError:
+        sys.stderr.write("error: out of memory\n")
         return EXIT_IO
 
 

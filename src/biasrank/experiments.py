@@ -17,10 +17,13 @@ state ``SeedSpec.rng_for_trial(i)`` defines without building one per trial.
 
 Sweeps and ``simulate`` run on a batched engine that walks the trials in
 blocks of ``BLOCK_TRIALS``.  Each trial is drawn once per sweep, whatever
-the number of cells, into one row of a (block, m) matrix.  One row-wise
-stable sort per block, ties by ascending id, gives the latent-optimal
-rankings, and one per beta gives the unconstrained ones.  The constrained
-ranking for each alpha then follows in closed form
+the number of cells, into one row of a (block, m) matrix.  Only each
+group's best ``min(size, n)`` items can reach a ranking of n positions, so
+a partial selection finds those top-n candidates, once per block by
+latent value and once per beta for the shaded group by observed value,
+and one stable sort of the candidates alone gives each row's top n, ties
+by ascending id (see ``_run_grid``).  The constrained ranking for each
+alpha then follows in closed form
 (:func:`biasrank.solver.rank_single_column`):
 with a single bound column that grows by at most one per position, the
 greedy puts the c-th best target item at position ``min(d_c, u_c)``, its
@@ -71,10 +74,10 @@ __all__ = [
 CEIL_EPSILON = 1e-9
 
 # Trials drawn and ranked together by the batched engine.  At m = 1000,
-# n = 100 and 11 alphas, sweeps ran about as fast with blocks of 8 as with
-# 16 or 32 and about 25% slower with 4, while peak memory grew by about
+# n = 100 and 11 alphas, sweeps ran about 10% faster with blocks of 16 than
+# with 8 and no faster with 32, while the worker's peak memory grew by about
 # 0.4 MB per doubling of the block.
-BLOCK_TRIALS = 8
+BLOCK_TRIALS = 16
 
 # Trials drawn and sorted together by estimate_order_stats, one row of
 # m_a + m_b utilities each (6400 values at the benchmark's m = 100).
@@ -230,6 +233,29 @@ def _order(x: np.ndarray) -> np.ndarray:
     return np.argsort(-x, axis=1, kind="stable")
 
 
+def _top(x: np.ndarray, c: int) -> np.ndarray:
+    """The first ``c`` columns of ``_order(x)``, by selection; ``c`` is at
+    least 1 or at least the row width.
+
+    ``argpartition`` finds each row's ``c`` largest values; their ids,
+    sorted ascending and then stable-sorted by value, keep the tie order of
+    the full sort.  When some row's c-th largest value is not above its
+    (c+1)-th, a tie straddles the cut and the partition may have picked
+    the wrong ids, so the whole matrix falls back to ``_order``.
+    """
+    rows, width = x.shape
+    if c >= width:
+        return _order(x)[:, :c]
+    neg = -x
+    part = np.argpartition(neg, c, axis=1)
+    win = np.sort(part[:, :c], axis=1)
+    row = np.arange(rows)[:, None]
+    key = neg[row, win]
+    if np.any(key.max(axis=1) >= neg[row[:, 0], part[:, c]]):
+        return _order(x)[:, :c]
+    return win[row, np.argsort(key, axis=1, kind="stable")]
+
+
 def _utilities(w: np.ndarray, ids: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Latent utility of each row's ranking, one ``w[ids] @ v`` dot per row
     exactly as :func:`ranking_utility` computes it."""
@@ -246,6 +272,16 @@ def _run_grid(
     """Every trial of every (beta, alpha) cell, equal to ``run_trial`` of the
     cell's config for each trial index, computed block by block.
 
+    Only each group's best ``min(size, n)`` items can reach a ranking of n
+    positions, so each block keeps those candidates per group (:func:`_top`
+    on the latent values once, and on the shaded group's scaled values per
+    beta), group 0 first.  One stable sort of the candidates' values then
+    orders them as the full stable sort orders its first n items, and
+    :func:`rank_single_column` runs on candidate-local indices: a target's
+    candidate position equals its full-order position whenever either is
+    at most n, and otherwise both exceed n, which is all the closed form
+    needs to know.
+
     Returns ``u_opt`` (trials,), ``u_uncons`` and ``n_b_uncons`` (betas,
     trials), and ``u_cons`` and ``n_b_cons`` (betas, alphas, trials).
     """
@@ -255,14 +291,14 @@ def _run_grid(
         for alpha in alphas:
             replace(base, alpha=float(alpha), beta=float(beta))  # validates the cell's config
     m_a, m_b, n, t = base.m_a, base.m_b, base.n, base.target_group
-    m = m_a + m_b
-    target = np.zeros(m, dtype=bool)
-    shaded = slice(m_a, None) if t == 1 else slice(None, m_a)
-    target[shaded] = True
     columns = [simple_constraints(float(a), t, n, 2).matrix[:, t] for a in alphas]
     bounds = np.array(columns, dtype=np.int64).reshape(len(alphas), n)
-    if bounds[:, -1].max(initial=0) > np.count_nonzero(target):
+    if bounds[:, -1].max(initial=0) > (m_b if t == 1 else m_a):
         raise InfeasibleConstraintsError("no ranking satisfies the constraint matrix")
+    groups = (slice(0, m_a), slice(m_a, m_a + m_b))
+    c = (min(m_a, n), min(m_b, n))
+    # Candidate-local target mask: group 0's candidates come first.
+    target = np.repeat([t == 0, t == 1], c)
     v = base.discount.values
     rngs = seed.rngs_for_trials(0, trials)
     u_opt = np.empty(trials)
@@ -273,23 +309,32 @@ def _run_grid(
     for start in range(0, trials, BLOCK_TRIALS):
         stop = min(start + BLOCK_TRIALS, trials)
         part = slice(start, stop)
-        w = np.empty((stop - start, m))
-        for row, rng in zip(range(stop - start), rngs):
-            w[row, :m_a] = base.dist_a.draw(rng, m_a)
-            w[row, m_a:] = base.dist_b.draw(rng, m_b)
+        w = np.empty((stop - start, m_a + m_b))
+        for i, rng in zip(range(stop - start), rngs):
+            w[i, :m_a] = base.dist_a.draw(rng, m_a)
+            w[i, m_a:] = base.dist_b.draw(rng, m_b)
         if not np.all(np.isfinite(w)):
             raise ValueError("latent utilities must be finite")
-        u_opt[part] = _utilities(w, _order(w)[:, :n], v)
+        row = np.arange(stop - start)[:, None]
+        ids = [_top(w[:, g], size) + g.start for g, size in zip(groups, c)]
+        keys = [w[row, i] for i in ids]
+        cand = np.concatenate(ids, axis=1)
+        local = _order(np.concatenate(keys, axis=1))
+        u_opt[part] = _utilities(w, cand[row, local[:, :n]], v)
         for b, beta in enumerate(betas):
-            observed = w.copy()
-            observed[:, shaded] *= float(beta)
-            order = _order(observed)
-            u_uncons[b, part] = _utilities(w, order[:, :n], v)
-            n_b_uncons[b, part] = target[order[:, :n]].sum(axis=1)
-            ids, count = rank_single_column(order, target, bounds)
+            scaled = w[:, groups[t]] * float(beta)
+            top = _top(scaled, c[t])
+            keys[t] = scaled[row, top]
+            ids[t] = top + groups[t].start
+            cand = np.concatenate(ids, axis=1)
+            local = _order(np.concatenate(keys, axis=1))
+            u_uncons[b, part] = _utilities(w, cand[row, local[:, :n]], v)
+            n_b_uncons[b, part] = target[local[:, :n]].sum(axis=1)
+            local_ids, count = rank_single_column(local, target, bounds)
+            ranked = cand[row[:, :, None], local_ids]
             n_b_cons[b, :, part] = count.T
             for a in range(len(alphas)):
-                u_cons[b, a, part] = _utilities(w, ids[:, a], v)
+                u_cons[b, a, part] = _utilities(w, ranked[:, a], v)
     return u_opt, u_uncons, n_b_uncons, u_cons, n_b_cons
 
 

@@ -56,10 +56,10 @@ class Uniform:
     kind = "uniform"
 
     def __init__(self, a: float = 0.0, b: float = 1.0):
-        if not (a < b):
-            raise ValueError(f"uniform requires a < b, got a={a}, b={b}")
         self.a = float(a)
         self.b = float(b)
+        if not (self.a < self.b and math.isfinite(self.b - self.a)):
+            raise ValueError(f"uniform requires a < b and a finite b - a, got a={a}, b={b}")
 
     def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return rng.uniform(self.a, self.b, size)

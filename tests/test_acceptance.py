@@ -32,7 +32,7 @@ from biasrank import (
     rank_unconstrained,
     ranking_utility,
     run_sweep,
-    run_trial,
+    run_trials,
     satisfies,
     tail_bound_Nkb,
 )
@@ -162,12 +162,9 @@ def test_c05_closed_form_utilities_at_scale():
         m_a=100, m_b=100, n=100, beta=0.5, alpha=0.5,
         dist_a=Uniform(0, 1), dist_b=Uniform(0, 1), discount=DiscountVector.constant(100),
     )
-    u_cons = np.empty(trials)
-    u_uncons = np.empty(trials)
-    for i in range(trials):
-        r = run_trial(cfg, i, seed)
-        u_cons[i] = r.u_cons
-        u_uncons[i] = r.u_uncons
+    reports = run_trials(cfg, trials, seed)
+    u_cons = np.array([r.u_cons for r in reports])
+    u_uncons = np.array([r.u_uncons for r in reports])
     cons_ok = abs(u_cons.mean() - 74.26) <= 0.03 * 74.26
     uncons_ok = abs(u_uncons.mean() - 72.22) <= 0.03 * 72.22
 
@@ -175,9 +172,7 @@ def test_c05_closed_form_utilities_at_scale():
         m_a=1000, m_b=1000, n=100, beta=0.5, alpha=0.5,
         dist_a=Uniform(0, 1), dist_b=Uniform(0, 1), discount=DiscountVector.constant(100),
     )
-    u_big = np.empty(trials)
-    for i in range(trials):
-        u_big[i] = run_trial(big, i, SeedSpec(55002)).u_cons
+    u_big = np.array([r.u_cons for r in run_trials(big, trials, SeedSpec(55002))])
     big_ok = abs(u_big.mean() - 97.5) <= 0.02 * 97.5
     elapsed = time.time() - t0
     report(
@@ -221,8 +216,7 @@ def test_c07_exact_proportional_pick():
     )
     violations = 0
     applicable = 0
-    for i in range(trials):
-        r = run_trial(cfg, i, seed)
+    for r in run_trials(cfg, trials, seed):
         if r.n_b_uncons <= 50:
             applicable += 1
             if r.n_b_cons != 50:

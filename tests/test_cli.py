@@ -2,6 +2,7 @@ import contextlib
 import copy
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import biasrank
+from biasrank import cli, stats
 from biasrank.cli import ingest_scores, main
 
 FACT_INSTANCE_W = {
@@ -274,6 +276,11 @@ class TestExitCodes:
                 ["solve", "inst", "--constraints", "L"],
                 {"inst": FACT_INSTANCE_W, "L": {"n": 2, "p": 2, "L": [[1, 0], [float("inf"), 1]]}},
             ),
+            (
+                ["sweep", "cfg"],
+                {"cfg": {**TRIAL_CONFIG, "alphas": [0.0], "betas": [0.5], "dist_a": {"kind": "uniform", "a": -math.inf}}},
+            ),
+            (["orderstats", "--k", "2", "--l", "1", "--ma", "5", "--mb", "5", "--dist", "d"], {"d": {"kind": "uniform", "a": None}}),
         ],
         ids=[
             "solve-item-without-w",
@@ -296,6 +303,8 @@ class TestExitCodes:
             "null-n-constraints",
             "null-bound",
             "infinite-bound",
+            "infinite-uniform-range",
+            "null-orderstats-dist-parameter",
         ],
     )
     def test_malformed_json_is_one_line_parse_error(self, tmp_path, capsys, argv, files):
@@ -357,6 +366,59 @@ class TestSeedRange:
         assert capsys.readouterr().err == "usage error: argument --seed: invalid int value: '1.5'\n"
 
 
+class TestMemoryError:
+    def test_failed_allocation_is_one_line_io_error(self, tmp_path, capsys, monkeypatch):
+        def no_memory(self, rng, size):
+            raise MemoryError
+
+        monkeypatch.setattr(stats.Uniform, "draw", no_memory)
+        path = write_json(tmp_path, "cfg.json", TRIAL_CONFIG)
+        assert main(["simulate", path, "--trials", "2"]) == 3
+        assert capsys.readouterr().err == "error: out of memory\n"
+
+
+NUMBERS = (
+    st.integers()
+    | st.integers(-(2**80), 2**80)
+    | st.floats()
+    | st.sampled_from([0.0, -0.0, float("nan"), float("inf"), float("-inf"), 1e-7, 1e22])
+)
+KEYS = st.text(max_size=6) | st.sampled_from(["L", "positions", "é", "键", "\u2028", 'q"\\'])
+# What solve and derive-constraints print, plus shapes that must fall back.
+FLAT_VALUES = (
+    NUMBERS
+    | st.lists(NUMBERS, max_size=6)
+    | st.lists(st.lists(NUMBERS, max_size=4), max_size=4)
+    | st.lists(st.lists(NUMBERS, max_size=3) | NUMBERS, max_size=3)
+    | st.booleans()
+    | st.none()
+    | st.text(max_size=3)
+    | st.lists(st.booleans() | st.none() | st.text(max_size=2), max_size=3)
+    | st.lists(st.lists(st.lists(NUMBERS, max_size=2), max_size=2), max_size=2)
+)
+
+
+class TestDumpJson:
+    @given(obj=st.dictionaries(KEYS, FLAT_VALUES, max_size=5))
+    @settings(max_examples=200, deadline=None)
+    def test_bytes_equal_indented_json_dumps(self, obj):
+        text = cli._flat_json(obj)
+        want = json.dumps(obj, indent=2, sort_keys=True)
+        assert text is None or text == want
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            cli._dump_json(obj, None)
+        assert out.getvalue() == want + "\n"
+
+    def test_solve_and_derive_shapes_take_the_template(self):
+        bounds = {"L": [[0, 1, 0], [1, 1, 1]], "n": 2, "p": 3}
+        ranking = {"betas": [1.0, 0.5], "latent_utility": float("nan"), "observed_utility": -0.0, "positions": [3, 1]}
+        for obj in (bounds, ranking, {"positions": [], "é": 2**70}):
+            assert cli._flat_json(obj) == json.dumps(obj, indent=2, sort_keys=True)
+        for obj in ({"L": [[0], []]}, {"flag": True}, {"groups": {"a": 1}}, {1: 2}):
+            assert cli._flat_json(obj) is None
+
+
 # Small JSON values: sizes and counts stay tiny whatever key they land on.
 JSON_LEAVES = (
     st.none()
@@ -375,6 +437,7 @@ JSON_VALUES = st.recursive(
 FUZZ_SWEEP = {**TRIAL_CONFIG, "alphas": [0.0, 0.25], "betas": [0.5], "trials": 3}
 FUZZ_SUPERNUMERARY = {**SUPERNUMERARY_CONFIG, "discount": {"kind": "dcg"}, "trials": 3}
 FUZZ_CONSTRAINTS = {"n": 2, "p": 2, "L": [[1, 0], [1, 1]]}
+FUZZ_DIST = {"kind": "shifted_scaled", "base": {"kind": "uniform", "a": 0.0, "b": 1.0}, "scale": 2.0, "shift": 1.0}
 # name -> (argv with "doc" where the fuzzed document goes, base document, other files)
 FUZZ_TARGETS = {
     "solve-instance": (["solve", "doc", "--betas", "1.0,0.5"], FACT_INSTANCE_W, {}),
@@ -383,6 +446,11 @@ FUZZ_TARGETS = {
     "simulate-trial": (["simulate", "doc", "--trials", "2"], TRIAL_CONFIG, {}),
     "sweep": (["sweep", "doc"], FUZZ_SWEEP, {}),
     "supernumerary": (["supernumerary", "doc"], FUZZ_SUPERNUMERARY, {}),
+    "orderstats-dist": (
+        ["orderstats", "--k", "2", "--l", "1", "--ma", "5", "--mb", "5", "--trials", "3", "--dist", "doc"],
+        FUZZ_DIST,
+        {},
+    ),
 }
 
 

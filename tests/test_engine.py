@@ -1,7 +1,8 @@
 """The batched trial engine against its scalar oracles.
 
-``run_trials`` and ``run_sweep`` must reproduce ``run_trial`` exactly, and
-the closed-form single-column placement must equal the greedy solver.
+``run_trials`` and ``run_sweep`` must reproduce ``run_trial`` exactly, the
+top-n selection must equal the prefix of the full stable sort, and the
+closed-form single-column placement must equal the greedy solver.
 Block seeding must put every trial's generator in the state
 ``rng_for_trial`` gives it, and ``estimate_order_stats`` must return the
 same report whatever its block size.
@@ -36,7 +37,6 @@ from biasrank import (
     simple_constraints,
 )
 from biasrank import experiments, stats
-from biasrank.experiments import BLOCK_TRIALS
 from biasrank.solver import rank_single_column
 
 DISTS = [Uniform(0, 1), Empirical([0.0, 1.0, 1.0, 2.0, 3.0, 3.0]), Normal(0, 1)]
@@ -66,10 +66,15 @@ def feasible(cfg: TrialConfig, alpha: float) -> bool:
     return math.floor(alpha * cfg.n + 1e-9) <= size
 
 
+# Engine blocks of 1, 3 and 7 trials put block edges inside short trial
+# ranges, so the oracle's cost does not grow with the production block.
+ENGINE_BLOCKS = st.sampled_from([1, 3, 7, experiments.BLOCK_TRIALS])
+
+
 class TestEngineMatchesRunTrial:
-    @given(cfg=trial_configs(), trials=st.integers(1, 2 * BLOCK_TRIALS + 3), seed=st.integers(0, 2**64 - 1))
+    @given(cfg=trial_configs(), trials=st.integers(1, 17), seed=st.integers(0, 2**64 - 1), block=ENGINE_BLOCKS)
     @settings(max_examples=80, deadline=None)
-    def test_run_trials_equals_run_trial(self, cfg, trials, seed):
+    def test_run_trials_equals_run_trial(self, cfg, trials, seed, block):
         spec = SeedSpec(seed)
         if not feasible(cfg, cfg.alpha):
             with pytest.raises(InfeasibleConstraintsError):
@@ -77,20 +82,24 @@ class TestEngineMatchesRunTrial:
             with pytest.raises(InfeasibleConstraintsError):
                 run_trials(cfg, trials, spec)
             return
-        assert run_trials(cfg, trials, spec) == [run_trial(cfg, i, spec) for i in range(trials)]
+        with mock.patch.object(experiments, "BLOCK_TRIALS", block):
+            reports = run_trials(cfg, trials, spec)
+        assert reports == [run_trial(cfg, i, spec) for i in range(trials)]
 
     @given(
         cfg=trial_configs(),
         alphas=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3),
         betas=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=2),
-        trials=st.integers(1, BLOCK_TRIALS + 2),
+        trials=st.integers(1, 9),
         seed=st.integers(0, 2**64 - 1),
+        block=ENGINE_BLOCKS,
     )
     @settings(max_examples=40, deadline=None)
-    def test_sweep_means_equal_per_trial_loop(self, cfg, alphas, betas, trials, seed):
+    def test_sweep_means_equal_per_trial_loop(self, cfg, alphas, betas, trials, seed, block):
         alphas = [a for a in alphas if feasible(cfg, a)] or [0.0]
         spec = SeedSpec(seed)
-        rows = iter(run_sweep(cfg, alphas, betas, trials, spec).rows)
+        with mock.patch.object(experiments, "BLOCK_TRIALS", block):
+            rows = iter(run_sweep(cfg, alphas, betas, trials, spec).rows)
         for beta in betas:
             for alpha in alphas:
                 cell = replace(cfg, alpha=alpha, beta=beta)
@@ -101,6 +110,57 @@ class TestEngineMatchesRunTrial:
                     se = values.std(ddof=1) / math.sqrt(trials) if trials > 1 else 0.0
                     assert getattr(row, f"mean_{field}") == values.mean()
                     assert getattr(row, f"se_{field}") == se
+
+    # Acceptance C5 (two trial sets) and C7 take their reports from
+    # run_trials; the scalar oracle checks their configs on the first trials.
+    @pytest.mark.parametrize(
+        "m, seed", [(100, 55001), (1000, 55002), (100, 77001)], ids=["c5", "c5-large-pool", "c7"]
+    )
+    def test_acceptance_configs(self, m, seed):
+        cfg = TrialConfig(
+            m_a=m, m_b=m, n=100, beta=0.5, alpha=0.5,
+            dist_a=Uniform(0, 1), dist_b=Uniform(0, 1), discount=DiscountVector.constant(100),
+        )
+        spec = SeedSpec(seed)
+        trials = 2 * experiments.BLOCK_TRIALS + 1
+        assert run_trials(cfg, trials, spec) == [run_trial(cfg, i, spec) for i in range(trials)]
+
+
+@st.composite
+def tie_heavy_matrices(draw):
+    rows = draw(st.integers(1, 4))
+    width = draw(st.integers(1, 12))
+    values = st.sampled_from([-0.0, 0.0]) | st.integers(-3, 3).map(float)
+    return np.array(draw(st.lists(st.lists(values, min_size=width, max_size=width), min_size=rows, max_size=rows)))
+
+
+class TestTopSelection:
+    @given(x=tie_heavy_matrices())
+    @settings(max_examples=200, deadline=None)
+    def test_equals_prefix_of_full_order(self, x):
+        full = experiments._order(x)
+        for c in range(1, x.shape[1] + 1):
+            assert experiments._top(x, c).tolist() == full[:, :c].tolist()
+
+    def fallbacks(self, x, c):
+        with mock.patch.object(experiments, "_order", wraps=experiments._order) as order:
+            top = experiments._top(x, c)
+        assert top.tolist() == np.argsort(-x, axis=1, kind="stable")[:, :c].tolist()
+        return order.call_count
+
+    def test_partition_branch_without_a_straddling_tie(self):
+        # ties inside the top 3 and below it, none across the cut
+        x = np.array([[1.0, 5.0, 0.0, 5.0, 2.0, 0.0, -0.0], [3.0, 3.0, 8.0, -1.0, -1.0, 9.0, 9.0]])
+        assert self.fallbacks(x, 3) == 0
+
+    def test_fallback_branch_on_a_straddling_tie(self):
+        # row 1's 2nd and 3rd largest tie (0.0 and -0.0)
+        x = np.array([[4.0, 3.0, 2.0, 1.0], [-0.0, 7.0, 0.0, -2.0]])
+        assert self.fallbacks(x, 2) == 1
+
+    def test_empty_group_and_full_width(self):
+        assert experiments._top(np.empty((2, 0)), 0).shape == (2, 0)
+        assert experiments._top(np.array([[2.0, 1.0, 2.0]]), 3).tolist() == [[0, 2, 1]]
 
 
 @st.composite

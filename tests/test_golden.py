@@ -6,7 +6,11 @@ per grid cell and trial), so any faster engine must reproduce its output
 byte for byte.  The cases cover the benchmark-shaped grid, the C11 config,
 beta = 0, alpha = 1 with a target group at least n strong, target group 0,
 empirical samples full of ties, negative utilities, constant, zipf and
-custom discounts, and a single trial.  The ``orderstats`` digests were
+custom discounts, and a single trial.  The sweep cases for the top-n
+candidate engine (one group smaller than n, n = m, betas that can round
+two utilities into a tie, ties across a group's n-th candidate, and two
+engine blocks plus one trial) were taken from the engine that fully
+sorted every row.  The ``orderstats`` digests were
 taken from the per-trial order-statistics loop, each trial seeded by its
 own ``default_rng``; they cover uniform, lognormal, tie-heavy empirical
 and negatively scaled normal utilities, k = 1 with l = m_b, one trial, and
@@ -95,6 +99,19 @@ SWEEPS = {
         16,
     ),
     "one-trial": (trial_config(15, 15, 10, DiscountVector.constant(10)), [0.0, 0.5, 1.0], [0.5], 1, 17),
+    # One group smaller than n, so all of it is a candidate for the top n.
+    "ma-lt-n-lt-mb": (trial_config(30, 200, 60), [0.0, 0.25, 0.5], [0.4, 0.9], 20, 31),
+    "mb-lt-n-lt-ma": (trial_config(200, 30, 60), [0.0, 0.2, 0.5], [0.3, 0.8], 20, 32),
+    "ma-lt-n-lt-mb-target0": (trial_config(30, 200, 60, target_group=0), [0.0, 0.5], [0.3, 0.8], 20, 33),
+    "n-equals-m": (trial_config(25, 15, 40, DiscountVector.zipf(40)), [0.0, 0.25, 0.375], [0.2, 1.0], 20, 34),
+    # Scaling by 0.3 or 0.7 can round two distinct utilities into a tie.
+    "uniform-beta-rounding": (trial_config(750, 250, 100), BENCH_ALPHAS, [0.3, 0.7], 30, 35),
+    # Few distinct values, so ties straddle every group's n-th candidate.
+    "empirical-ties-m200": (
+        trial_config(120, 80, 50, DiscountVector.dcg(50), TIES_A, TIES_B), [0.0, 0.3, 0.5], [0.5, 1.0], 40, 36
+    ),
+    # 2 * 16 + 1 trials: two full blocks of the sweep engine and one more trial.
+    "block-edge": (trial_config(300, 200, 50), [0.0, 0.4], [0.5], 33, 37),
 }
 
 SWEEP_DIGESTS = {
@@ -107,6 +124,13 @@ SWEEP_DIGESTS = {
     "normal-zipf": "42010d4c02eaab183e9b2e40e018289606500bfe58b1f6308f2e17e454449d49",
     "custom-discount": "b0c6348a3660a8a7065bef51e17b13f7a4c82d6ea3c9b962db1cebde344257a3",
     "one-trial": "a34caab0b9d705223d7347f7d6c20ce6d355591f6e885c6301cd240d2f1d3a88",
+    "ma-lt-n-lt-mb": "fae3aa874a7f76406df564376f874f81e6e54e75306ad34288e37e7f05349dbf",
+    "mb-lt-n-lt-ma": "0fd32620c7de646de2f56c6d338c8164d6a33e4f6a13bf67723597a6561034fe",
+    "ma-lt-n-lt-mb-target0": "cb865dd88dd0b04fa19e159589d3a8e7a16b2e9f65db5ae9ce3bcd0b911453ea",
+    "n-equals-m": "759a14495aa0770bae91768e0e98805fb5ed4d5926f135ac1d40db2cb35d9512",
+    "uniform-beta-rounding": "9b9393336521466f0f180965b642eb0967b6fe39d28e4123418f37f83f313e89",
+    "empirical-ties-m200": "2a004fba4babf12b123b57de7c4b51d48d38a34ba7b5c3cbbf3541784fcc5622",
+    "block-edge": "d653e39ae51901120947d235f5814869fd40ef7618c049e69b4dff6baa58361b",
 }
 
 C11_CONFIG = {

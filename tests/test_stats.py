@@ -234,6 +234,12 @@ class TestDistributions:
             with pytest.raises(ValueError):
                 dist.draw(np.random.default_rng(0), -1)
 
+    def test_uniform_range_must_be_finite(self):
+        # numpy's uniform raises OverflowError when b - a is not finite
+        for a, b in ((-math.inf, 1.0), (0.0, math.inf), (-1e308, 1e308), (math.nan, 1.0)):
+            with pytest.raises(ValueError, match="finite"):
+                Uniform(a, b)
+
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             Uniform(1, 1)
