@@ -20,10 +20,11 @@ blocks of ``BLOCK_TRIALS``.  Each trial is drawn once per sweep, whatever
 the number of cells, into one row of a (block, m) matrix.  Only each
 group's best ``min(size, n)`` items can reach a ranking of n positions, so
 a partial selection finds those top-n candidates, once per block by
-latent value and once per beta for the shaded group by observed value,
-and one stable sort of the candidates alone gives each row's top n, ties
-by ascending id (see ``_run_grid``).  The constrained ranking for each
-alpha then follows in closed form
+latent value and once per beta for the shaded group by observed value
+(when a tie straddles the n-th candidate, the tied ids are taken by
+ascending id), and one stable sort of the candidates alone gives each
+row's top n, ties by ascending id (see ``_top`` and ``_run_grid``).  The
+constrained ranking for each alpha then follows in closed form
 (:func:`biasrank.solver.rank_single_column`):
 with a single bound column that grows by at most one per position, the
 greedy puts the c-th best target item at position ``min(d_c, u_c)``, its
@@ -32,6 +33,10 @@ remaining positions in observed order.  Every ranking is scored with the
 same per-row ``w[ids] @ v`` dot as :func:`ranking_utility`, so the engine
 reproduces :func:`run_trial`, which stays as the scalar oracle, bit for
 bit.
+
+:func:`estimate_order_stats` draws its trials in blocks the same way but
+sorts no row: each of its statistics follows from one order statistic per
+row, found by selection.
 
 The seat-expansion comparison pits the prefix-bound intervention against
 reserving added seats for the target group when the target group's scores
@@ -79,9 +84,11 @@ CEIL_EPSILON = 1e-9
 # 0.4 MB per doubling of the block.
 BLOCK_TRIALS = 16
 
-# Trials drawn and sorted together by estimate_order_stats, one row of
-# m_a + m_b utilities each (6400 values at the benchmark's m = 100).
-ORDER_STATS_BLOCK = 64
+# Trials drawn and counted together by estimate_order_stats, one row of
+# m_a + m_b utilities each (25,600 values, 200 KB, at the benchmark's
+# m = 100).  Its per-row selections and counts took 1.0 us per trial in
+# blocks of 256 rows, against 1.4 us in blocks of 64 and 2.9 us in 16.
+ORDER_STATS_BLOCK = 256
 
 SWEEP_CSV_COLUMNS = (
     "alpha,beta,m_a,m_b,n,trials,mean_cons,se_cons,mean_uncons,se_uncons,mean_opt,se_opt"
@@ -233,6 +240,12 @@ def _order(x: np.ndarray) -> np.ndarray:
     return np.argsort(-x, axis=1, kind="stable")
 
 
+def _kth_largest(x: np.ndarray, k: int) -> np.ndarray:
+    """Each row's k-th largest value, ``1 <= k <=`` row width, by selection."""
+    cut = x.shape[1] - k
+    return np.partition(x, cut, axis=1)[:, cut]
+
+
 def _top(x: np.ndarray, c: int) -> np.ndarray:
     """The first ``c`` columns of ``_order(x)``, by selection; ``c`` is at
     least 1 or at least the row width.
@@ -240,8 +253,10 @@ def _top(x: np.ndarray, c: int) -> np.ndarray:
     ``argpartition`` finds each row's ``c`` largest values; their ids,
     sorted ascending and then stable-sorted by value, keep the tie order of
     the full sort.  When some row's c-th largest value is not above its
-    (c+1)-th, a tie straddles the cut and the partition may have picked
-    the wrong ids, so the whole matrix falls back to ``_order``.
+    (c+1)-th, a tie straddles the cut and the partition may have picked the
+    wrong tied ids.  Then every row takes its ids above its c-th largest
+    value and the lowest ids equal to it until it holds ``c``, as the full
+    sort would.
     """
     rows, width = x.shape
     if c >= width:
@@ -251,8 +266,13 @@ def _top(x: np.ndarray, c: int) -> np.ndarray:
     win = np.sort(part[:, :c], axis=1)
     row = np.arange(rows)[:, None]
     key = neg[row, win]
-    if np.any(key.max(axis=1) >= neg[row[:, 0], part[:, c]]):
-        return _order(x)[:, :c]
+    kth = key.max(axis=1)[:, None]  # minus each row's c-th largest value
+    if np.any(kth >= neg[row, part[:, c : c + 1]]):
+        above = neg < kth
+        tied = neg == kth
+        room = c - np.count_nonzero(above, axis=1)[:, None]
+        win = np.nonzero(above | tied & (np.cumsum(tied, axis=1) <= room))[1].reshape(rows, c)
+        key = neg[row, win]
     return win[row, np.argsort(key, axis=1, kind="stable")]
 
 
@@ -435,11 +455,13 @@ def estimate_order_stats(
     Trials run in blocks of ``ORDER_STATS_BLOCK``: trial i draws its m_a +
     m_b utilities from the stream of ``seed.rng_for_trial(i)`` (derived by
     :meth:`SeedSpec.rngs_for_trials`, which checks the first state of the
-    call against ``default_rng``) into one row of a matrix, and one stable
-    row-wise argsort ranks the block, ties by ascending id.  A row's top-k
-    target count is the number of target ids among its first k, and the
-    l-th target item sits where the running target count first reaches l.
-    The report is the same for every block size.
+    call against ``default_rng``) into one row of a matrix.  The ranking is
+    by descending utility, ties by ascending id, so group A (ids below m_a)
+    wins ties, but no row is sorted.  With ``t`` a row's k-th largest
+    value, the top k holds every item above ``t``, then the tied ones, A's
+    first: ``N_k^b = max(#(B > t), k - #(A >= t))``.  With ``b_l`` its l-th
+    largest target value, ``P_l = l + #(A >= b_l)``.  The report is the
+    same for every block size.  NaN utilities raise ``ValueError``.
     """
     if not (0 < k < min(m_a, m_b)):
         raise ValueError(f"need 0 < k < min(m_a, m_b), got k={k}")
@@ -456,10 +478,15 @@ def estimate_order_stats(
         rows = min(ORDER_STATS_BLOCK, trials - start)
         for row, rng in zip(range(rows), rngs):
             w[row] = dist.draw(rng, m)
-        is_b = _order(w[:rows]) >= m_a
+        x = w[:rows]
+        if np.isnan(x).any():
+            raise ValueError("utilities must not be NaN")
+        a, b = x[:, :m_a], x[:, m_a:]
+        t = _kth_largest(x, k)[:, None]
+        b_l = _kth_largest(b, l)[:, None]
         part = slice(start, start + rows)
-        nkb[part] = np.count_nonzero(is_b[:, :k], axis=1)
-        pl[part] = np.argmax(np.cumsum(is_b, axis=1) == l, axis=1) + 1
+        nkb[part] = np.maximum(np.count_nonzero(b > t, axis=1), k - np.count_nonzero(a >= t, axis=1))
+        pl[part] = l + np.count_nonzero(a >= b_l, axis=1)
     mean_n, se_n = _mean_se(nkb.astype(float))
     mean_p, se_p = _mean_se(pl.astype(float))
     return OrderStatsReport(

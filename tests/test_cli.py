@@ -281,6 +281,10 @@ class TestExitCodes:
                 {"cfg": {**TRIAL_CONFIG, "alphas": [0.0], "betas": [0.5], "dist_a": {"kind": "uniform", "a": -math.inf}}},
             ),
             (["orderstats", "--k", "2", "--l", "1", "--ma", "5", "--mb", "5", "--dist", "d"], {"d": {"kind": "uniform", "a": None}}),
+            (
+                ["orderstats", "--k", "2", "--l", "1", "--ma", "5", "--mb", "5", "--dist", "d"],
+                {"d": {"kind": "shifted_scaled", "base": {"kind": "uniform"}, "scale": math.nan}},
+            ),
         ],
         ids=[
             "solve-item-without-w",
@@ -305,6 +309,7 @@ class TestExitCodes:
             "infinite-bound",
             "infinite-uniform-range",
             "null-orderstats-dist-parameter",
+            "nan-orderstats-utilities",
         ],
     )
     def test_malformed_json_is_one_line_parse_error(self, tmp_path, capsys, argv, files):

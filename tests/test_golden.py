@@ -14,9 +14,12 @@ sorted every row.  The ``orderstats`` digests were
 taken from the per-trial order-statistics loop, each trial seeded by its
 own ``default_rng``; they cover uniform, lognormal, tie-heavy empirical
 and negatively scaled normal utilities, k = 1 with l = m_b, one trial, and
-the largest master seed.  The digests were taken with numpy
-2.4 and its bundled OpenBLAS on x86-64; another BLAS build may round the
-discounted sums differently.
+the largest master seed.  Two more were taken from the engine that sorted
+every row, before it counted by selection: an empirical sample of -0.0,
+0.0 and 1.0 whose ties straddle both the k-th value and the l-th target
+value in most trials, and a lognormal whose every draw is infinite.  The
+digests were taken with numpy 2.4 and its bundled OpenBLAS on x86-64;
+another BLAS build may round the discounted sums differently.
 """
 
 from __future__ import annotations
@@ -215,6 +218,14 @@ ORDERSTATS_RUNS = {
         None,
         ["--k", "10", "--l", "2", "--ma", "50", "--mb", "50", "--trials", "1000", "--seed", str(2**64 - 1)],
     ),
+    "empirical-signed-zero": (
+        {"kind": "empirical", "sample": [-0.0, 0.0, 0.0, 1.0]},
+        ["--k", "5", "--l", "5", "--ma", "12", "--mb", "14", "--trials", "1500", "--seed", "14"],
+    ),
+    "lognormal-all-inf": (
+        {"kind": "lognormal", "mu": 800.0, "sigma": 1.0},
+        ["--k", "4", "--l", "3", "--ma", "10", "--mb", "12", "--trials", "300", "--seed", "15"],
+    ),
 }
 
 ORDERSTATS_DIGESTS = {
@@ -225,6 +236,8 @@ ORDERSTATS_DIGESTS = {
     "k1-last-target": "462df63c66c67bcfeff441fe476183d8618cb9aeaaa1fe2b44dc4844514252ab",
     "one-trial": "9cf84e4663b81208cf8079efaab4872494b2d7638852f3b4cf52f803b919fb42",
     "max-seed": "379500b33e665cfaf86f45e30083b899ae8795c4fd5be6380b454ee2f59b7712",
+    "empirical-signed-zero": "664df6bf08fc70c4c6cd0ced99686772237476441b1a6d8693c938fed410882f",
+    "lognormal-all-inf": "771216575a8b522155185ecb65e6e43bd691941979c9c18d794122d0a3f67d53",
 }
 
 
