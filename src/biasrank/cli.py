@@ -28,6 +28,7 @@ Exit codes: 0 success, 1 usage error, 2 infeasible constraints,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import asdict
@@ -391,7 +392,9 @@ def _cmd_ingest(args) -> int:
 # Parser
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The parser, built on the first ``main`` call and reused: a parse leaves no state in it."""
     common = _Parser(add_help=False)
     common.add_argument("--seed", type=_master_seed, default=0, help="64-bit master seed in [0, 2**64) (default 0)")
     common.add_argument("--trials", type=int, default=None, help="number of Monte Carlo trials")

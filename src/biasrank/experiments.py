@@ -29,10 +29,12 @@ constrained ranking for each alpha then follows in closed form
 with a single bound column that grows by at most one per position, the
 greedy puts the c-th best target item at position ``min(d_c, u_c)``, its
 deadline or its unconstrained position, and the other group fills the
-remaining positions in observed order.  Every ranking is scored with the
-same per-row ``w[ids] @ v`` dot as :func:`ranking_utility`, so the engine
-reproduces :func:`run_trial`, which stays as the scalar oracle, bit for
-bit.
+remaining positions in observed order.  All rankings of a block are
+scored by one stacked ``matmul`` whose products NumPy sums with the ddot
+kernel of :func:`ranking_utility`'s ``w[ids] @ v`` (see ``_utilities``),
+and each cell's mean and standard error come from one reduction along the
+trial axis, so the engine reproduces :func:`run_trial`, which stays as the
+scalar oracle, bit for bit.
 
 :func:`estimate_order_stats` draws its trials in blocks the same way but
 sorts no row: each of its statistics follows from one order statistic per
@@ -100,9 +102,11 @@ def _fmt(x: float) -> str:
     return format(float(x), ".12g")
 
 
-def _mean_se(values: np.ndarray) -> tuple[float, float]:
-    mean = float(values.mean())
-    se = float(values.std(ddof=1) / math.sqrt(values.size)) if values.size > 1 else 0.0
+def _mean_se(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and standard error along the last axis, the bits of each row's 1-D forms."""
+    size = values.shape[-1]
+    mean = values.mean(axis=-1)
+    se = values.std(axis=-1, ddof=1) / math.sqrt(size) if size > 1 else np.zeros_like(mean)
     return mean, se
 
 
@@ -213,24 +217,9 @@ class SweepReport:
     def to_csv(self) -> str:
         lines = [f"# seed={self.master_seed}", SWEEP_CSV_COLUMNS]
         for r in self.rows:
-            lines.append(
-                ",".join(
-                    [
-                        _fmt(r.alpha),
-                        _fmt(r.beta),
-                        str(r.m_a),
-                        str(r.m_b),
-                        str(r.n),
-                        str(r.trials),
-                        _fmt(r.mean_cons),
-                        _fmt(r.se_cons),
-                        _fmt(r.mean_uncons),
-                        _fmt(r.se_uncons),
-                        _fmt(r.mean_opt),
-                        _fmt(r.se_opt),
-                    ]
-                )
-            )
+            counts = (str(r.m_a), str(r.m_b), str(r.n), str(r.trials))
+            means = (r.mean_cons, r.se_cons, r.mean_uncons, r.se_uncons, r.mean_opt, r.se_opt)
+            lines.append(",".join([_fmt(r.alpha), _fmt(r.beta), *counts, *map(_fmt, means)]))
         return "\n".join(lines) + "\n"
 
 
@@ -277,9 +266,19 @@ def _top(x: np.ndarray, c: int) -> np.ndarray:
 
 
 def _utilities(w: np.ndarray, ids: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Latent utility of each row's ranking, one ``w[ids] @ v`` dot per row
-    exactly as :func:`ranking_utility` computes it."""
-    return np.array([row[r] @ v for row, r in zip(w, ids)])
+    """Latent utility ``w[r, ids[r, ...]] @ v`` of every ranking in ``ids``,
+    shape (rows, ..., n), by one stacked ``matmul`` of (1, n) @ (n, 1)
+    products.  NumPy sums each with the ddot kernel of the 1-D ``@`` in
+    :func:`ranking_utility` (a (T, n) @ (n,) gemv sums in another order);
+    the first ranking is checked against that dot, so a build that sums
+    differently raises RuntimeError rather than changing the output bytes.
+    """
+    row = np.arange(len(w)).reshape((-1,) + (1,) * (ids.ndim - 1))
+    u = np.matmul(w[row, ids][..., None, :], v[:, None])[..., 0, 0]
+    first = (0,) * (ids.ndim - 1)
+    if u.size and (got := u[first]) != (want := w[0, ids[first]] @ v) and not (np.isnan(got) and np.isnan(want)):
+        raise RuntimeError(f"stacked matmul and the 1-D dot sum differently under numpy {np.__version__}")
+    return u
 
 
 def _run_grid(
@@ -353,8 +352,7 @@ def _run_grid(
             local_ids, count = rank_single_column(local, target, bounds)
             ranked = cand[row[:, :, None], local_ids]
             n_b_cons[b, :, part] = count.T
-            for a in range(len(alphas)):
-                u_cons[b, a, part] = _utilities(w, ranked[:, a], v)
+            u_cons[b, :, part] = _utilities(w, ranked, v).T
     return u_opt, u_uncons, n_b_uncons, u_cons, n_b_cons
 
 
@@ -392,27 +390,26 @@ def run_sweep(
     """
     u_opt, u_uncons, _, u_cons, _ = _run_grid(base, alphas, betas, trials, seed)
     mo, so = _mean_se(u_opt)
-    rows = []
-    for b, beta in enumerate(betas):
-        mu, su = _mean_se(u_uncons[b])
-        for a, alpha in enumerate(alphas):
-            mc, sc = _mean_se(u_cons[b, a])
-            rows.append(
-                SweepRow(
-                    alpha=float(alpha),
-                    beta=float(beta),
-                    m_a=base.m_a,
-                    m_b=base.m_b,
-                    n=base.n,
-                    trials=trials,
-                    mean_cons=mc,
-                    se_cons=sc,
-                    mean_uncons=mu,
-                    se_uncons=su,
-                    mean_opt=mo,
-                    se_opt=so,
-                )
-            )
+    mu, su = _mean_se(u_uncons)
+    mc, sc = _mean_se(u_cons)
+    rows = [
+        SweepRow(
+            alpha=float(alpha),
+            beta=float(beta),
+            m_a=base.m_a,
+            m_b=base.m_b,
+            n=base.n,
+            trials=trials,
+            mean_cons=float(mc[b, a]),
+            se_cons=float(sc[b, a]),
+            mean_uncons=float(mu[b]),
+            se_uncons=float(su[b]),
+            mean_opt=float(mo),
+            se_opt=float(so),
+        )
+        for b, beta in enumerate(betas)
+        for a, alpha in enumerate(alphas)
+    ]
     return SweepReport(master_seed=seed.master_seed, rows=tuple(rows))
 
 
@@ -487,8 +484,8 @@ def estimate_order_stats(
         part = slice(start, start + rows)
         nkb[part] = np.maximum(np.count_nonzero(b > t, axis=1), k - np.count_nonzero(a >= t, axis=1))
         pl[part] = l + np.count_nonzero(a >= b_l, axis=1)
-    mean_n, se_n = _mean_se(nkb.astype(float))
-    mean_p, se_p = _mean_se(pl.astype(float))
+    mean_n, se_n = map(float, _mean_se(nkb.astype(float)))
+    mean_p, se_p = map(float, _mean_se(pl.astype(float)))
     return OrderStatsReport(
         mean_Nkb=mean_n,
         se_Nkb=se_n,
@@ -690,7 +687,7 @@ def supernumerary_compare(
             seats[name][i] = len(ids)
     stats = []
     for name in SUPERNUMERARY_SCHEMES:
-        mean_u, se = _mean_se(per_seat[name])
+        mean_u, se = map(float, _mean_se(per_seat[name]))
         stats.append(
             SupernumerarySchemeStats(
                 scheme=name,

@@ -371,6 +371,62 @@ class TestSeedRange:
         assert capsys.readouterr().err == "usage error: argument --seed: invalid int value: '1.5'\n"
 
 
+class TestRepeatedCalls:
+    """One process, many ``main`` calls: the parser is built once and reused,
+    so no call may see the flags of another."""
+
+    ORDERSTATS = ["orderstats", "--k", "2", "--l", "1", "--ma", "5", "--mb", "5", "--trials", "30"]
+
+    def jobs(self, tmp_path):
+        sweep = write_json(tmp_path, "sweep.json", {**TRIAL_CONFIG, "alphas": [0.0, 0.25], "betas": [0.5], "trials": 4})
+        simulate = write_json(tmp_path, "simulate.json", TRIAL_CONFIG)
+        return [
+            ["sweep", sweep, "--seed", "5", "--trials", "3", "--out", str(tmp_path / "out.csv")],
+            ["sweep", sweep],
+            ["simulate", simulate, "--seed", "7", "--trials", "2", "--out", str(tmp_path / "out-simulate.json")],
+            ["simulate", simulate],
+            [*self.ORDERSTATS, "--seed", "9", "--out", str(tmp_path / "out-orderstats.json")],
+            self.ORDERSTATS,
+        ]
+
+    def call(self, argv, capsys):
+        code = main(argv)
+        out, err = capsys.readouterr()
+        data = Path(argv[argv.index("--out") + 1]).read_bytes() if "--out" in argv else out.encode()
+        return code, data, err
+
+    def test_each_call_equals_a_single_call(self, tmp_path, capsys):
+        jobs = self.jobs(tmp_path)
+        single = []
+        for argv in jobs:
+            cli._build_parser.cache_clear()
+            single.append(self.call(argv, capsys))
+        cli._build_parser.cache_clear()
+        for order in (jobs, jobs[::-1]):
+            for argv in order:
+                assert self.call(argv, capsys) == single[jobs.index(argv)]
+        assert cli._build_parser.cache_info().misses == 1
+        # the calls without flags ran at seed 0, wrote to stdout and took the default trials
+        sweep, simulate, orderstats = (single[i][1] for i in (1, 3, 5))
+        assert sweep.startswith(b"# seed=0\n") and sweep.splitlines()[2].split(b",")[5] == b"4"
+        assert (json.loads(simulate)["seed"], json.loads(simulate)["trials"]) == (0, 1)
+        assert (json.loads(orderstats)["seed"], json.loads(orderstats)["trials"]) == (0, 30)
+
+    @pytest.mark.parametrize(
+        "bad", [["sweep"], ["simulate", "cfg.json", "--trials", "x"], ["orderstats", "--k", "2"]]
+    )
+    def test_usage_error_before_and_after_a_run(self, tmp_path, capsys, bad):
+        ok = ["simulate", write_json(tmp_path, "cfg.json", TRIAL_CONFIG), "--trials", "2"]
+        cli._build_parser.cache_clear()
+        expected = self.call(ok, capsys)
+        for argv in (ok, bad, ok, bad):
+            code, data, err = self.call(argv, capsys)
+            if argv is bad:
+                assert code == 1 and len(err.splitlines()) == 1 and err.startswith("usage error: ")
+            else:
+                assert (code, data, err) == expected
+
+
 class TestMemoryError:
     def test_failed_allocation_is_one_line_io_error(self, tmp_path, capsys, monkeypatch):
         def no_memory(self, rng, size):

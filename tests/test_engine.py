@@ -1,7 +1,8 @@
 """The batched trial engine against its scalar oracles.
 
 ``run_trials`` and ``run_sweep`` must reproduce ``run_trial`` exactly, the
-top-n selection must equal the prefix of the full stable sort, and the
+top-n selection must equal the prefix of the full stable sort, the
+stacked scoring must equal ``ranking_utility`` bit for bit, and the
 closed-form single-column placement must equal the greedy solver.
 Block seeding must put every trial's generator in the state
 ``rng_for_trial`` gives it, and ``estimate_order_stats`` must return the
@@ -25,12 +26,14 @@ from biasrank import (
     Instance,
     LogNormal,
     Normal,
+    Ranking,
     SeedSpec,
     ShiftedScaled,
     TrialConfig,
     Uniform,
     estimate_order_stats,
     rank_constrained_greedy,
+    ranking_utility,
     run_sweep,
     run_trial,
     run_trials,
@@ -180,6 +183,56 @@ def single_column_problems(draw):
     w = np.array(draw(st.lists(st.lists(weights, min_size=m, max_size=m), min_size=rows, max_size=rows)))
     alphas = draw(st.lists(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0), min_size=1, max_size=3))
     return w, labels, n, alphas, draw(st.integers(0, 1))
+
+
+@st.composite
+def scoring_problems(draw):
+    """``(w, ids, v)``: rows of values from 1e-12 to 1e13 in magnitude, of
+    both signs and with zeros, in C, Fortran or strided layout, and
+    distinct-id rankings of shape (rows, n) or (rows, alphas, n)."""
+    rows = draw(st.integers(1, 4))
+    width = draw(st.integers(1, 60))
+    n = draw(st.sampled_from([1, width]) | st.integers(1, width))
+    lead = (rows,) if draw(st.booleans()) else (rows, draw(st.integers(1, 3)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def wide(*shape):
+        x = rng.uniform(-10.0, 10.0, shape) * 10.0 ** rng.integers(-12, 13, shape)
+        return np.where(rng.random(shape) < 0.05, 0.0, x)
+
+    w = wide(rows, width)
+    layout = draw(st.sampled_from(["C", "F", "strided"]))
+    if layout == "F":
+        w = np.asfortranarray(w)
+    elif layout == "strided":
+        w = np.repeat(w, 2, axis=1)[:, ::2]
+    ids = np.array([rng.permutation(width)[:n] for _ in range(math.prod(lead))])
+    return w, ids.reshape(*lead, n), wide(n)
+
+
+class TestBatchedScoring:
+    @given(problem=scoring_problems())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_per_row_dot_bit_for_bit(self, problem):
+        w, ids, v = problem
+        u = experiments._utilities(w, ids, v)
+        assert u.shape == ids.shape[:-1]
+        for idx in np.ndindex(*ids.shape[:-1]):
+            row = w[idx[0]]
+            assert u[idx] == row[ids[idx]] @ v
+            assert u[idx] == ranking_utility(Ranking(ids[idx]), v, row)
+
+    def test_a_sum_off_by_one_ulp_fails_loudly(self):
+        # a numpy or BLAS build whose stacked product summed in another order
+        rng = np.random.default_rng(5)
+        w, v = rng.normal(size=(3, 12)), DiscountVector.dcg(6).values
+        ids = np.argsort(-w, axis=1)[:, :6]
+        matmul = np.matmul
+        with mock.patch.object(np, "matmul", lambda a, b: np.nextafter(matmul(a, b), np.inf)):
+            with pytest.raises(RuntimeError, match=f"numpy {np.__version__}"):
+                experiments._utilities(w, ids, v)
+            with pytest.raises(RuntimeError):
+                experiments._utilities(w, np.stack([ids, ids], axis=1), v)
 
 
 class TestClosedFormPlacement:

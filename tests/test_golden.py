@@ -18,6 +18,9 @@ the largest master seed.  Two more were taken from the engine that sorted
 every row, before it counted by selection: an empirical sample of -0.0,
 0.0 and 1.0 whose ties straddle both the k-th value and the l-th target
 value in most trials, and a lognormal whose every draw is infinite.  The
+n = 1 and wide-magnitude sweeps and the wide-magnitude ``simulate`` run
+were taken from the engine that scored each ranking with its own 1-D
+dot, before it scored a block with one stacked ``matmul``.  The
 digests were taken with numpy 2.4 and its bundled OpenBLAS on x86-64;
 another BLAS build may round the discounted sums differently.
 """
@@ -47,6 +50,8 @@ from biasrank.experiments import supernumerary_csv
 
 TIES_A = Empirical([0.0, 1.0, 1.0, 2.0, 2.0, 2.0, 3.0])
 TIES_B = Empirical([1.0, 1.0, 2.0, 3.0, 3.0])
+WIDE_A = Normal(0, 1e12)
+WIDE_B = ShiftedScaled(Normal(0, 1), 1e-6, -3.0)
 BENCH_ALPHAS = [round(0.05 * i, 2) for i in range(11)]
 
 
@@ -115,6 +120,13 @@ SWEEPS = {
     ),
     # 2 * 16 + 1 trials: two full blocks of the sweep engine and one more trial.
     "block-edge": (trial_config(300, 200, 50), [0.0, 0.4], [0.5], 33, 37),
+    # One position, so every ranking's utility is a one-term sum.
+    "n1": (trial_config(6, 5, 1), [0.0, 1.0], [0.2, 1.0], 40, 38),
+    # Utilities of both signs near 1e12 mixed with target utilities near -3
+    # that differ by 1e-6, summed over 257 positions.  The CSV's 12 digits
+    # hide the last bit of each sum; the simulate case of the same
+    # distributions below prints every bit.
+    "wide-magnitude": (trial_config(300, 200, 257, dist_a=WIDE_A, dist_b=WIDE_B), [0.0, 0.25, 0.5], [0.5, 1.0], 20, 39),
 }
 
 SWEEP_DIGESTS = {
@@ -134,6 +146,8 @@ SWEEP_DIGESTS = {
     "uniform-beta-rounding": "9b9393336521466f0f180965b642eb0967b6fe39d28e4123418f37f83f313e89",
     "empirical-ties-m200": "2a004fba4babf12b123b57de7c4b51d48d38a34ba7b5c3cbbf3541784fcc5622",
     "block-edge": "d653e39ae51901120947d235f5814869fd40ef7618c049e69b4dff6baa58361b",
+    "n1": "f159089632cc40519c455052d6c334802ac0952f79f9e2b72b880c77c0c27a65",
+    "wide-magnitude": "4c0f9ae8f8c21c710fe04567df0ade27948beeb94c02549a122eb17fe30a16dd",
 }
 
 C11_CONFIG = {
@@ -186,6 +200,16 @@ CLI_RUNS = {
         },
         ["--seed", "6"],
     ),
+    "simulate-wide-magnitude": (
+        "simulate",
+        {
+            "m_a": 300, "m_b": 200, "n": 257, "beta": 0.5, "alpha": 0.4,
+            "dist_a": {"kind": "normal", "sigma": 1e12},
+            "dist_b": {"kind": "shifted_scaled", "base": {"kind": "normal"}, "scale": 1e-6, "shift": -3.0},
+            "discount": {"kind": "dcg"},
+        },
+        ["--seed", "8", "--trials", "20"],
+    ),
 }
 
 CLI_DIGESTS = {
@@ -194,6 +218,7 @@ CLI_DIGESTS = {
     "simulate-target0-ties": "d7398a321227c0262324c1f48fac8d95992874b75040a095f8b249f2f1810f66",
     "simulate-alpha1": "82f6ba24abef66eac84154ffe78a1c8a066fead3629cdadf8a9298909a669b65",
     "simulate-default-trials": "35e25f7aef30c90fd1ff67a504edf88d12b8e619cce07abd0aef7e624b5bda2c",
+    "simulate-wide-magnitude": "d3b70f45ee518ee0a46bced0b172b7048432e1ea5a6f5ab362c9593d4e4a659d",
 }
 
 
