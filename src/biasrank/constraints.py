@@ -65,6 +65,14 @@ class ConstraintMatrix:
         self._matrix = arr.copy()
         self._matrix.setflags(write=False)
 
+    @classmethod
+    def _unchecked(cls, arr: np.ndarray) -> "ConstraintMatrix":
+        """Take ownership of an int64 matrix that is valid by construction, unchecked."""
+        self = object.__new__(cls)
+        arr.setflags(write=False)
+        self._matrix = arr
+        return self
+
     @property
     def matrix(self) -> np.ndarray:
         return self._matrix
@@ -116,15 +124,19 @@ def simple_constraints(alpha: float, target_group: int, n: int, p: int) -> Const
     top-k prefix; all other groups are unconstrained.
 
     Floor (with a tiny epsilon) is used rather than ceil so the bound never
-    exceeds the prefix length for any alpha in [0, 1].
+    exceeds the prefix length for any alpha in [0, 1].  The columns are then
+    nonnegative, nondecreasing and at most k, so the matrix is not checked
+    again.
     """
     if not (0.0 <= alpha <= 1.0):
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
     if not (0 <= target_group < p):
         raise ValueError(f"target group {target_group} outside [0, {p})")
+    if n < 1:
+        raise ValueError("constraint matrix needs at least one row")
     L = np.zeros((n, p), dtype=np.int64)
     L[:, target_group] = np.floor(alpha * np.arange(1, n + 1) + FLOOR_EPSILON)
-    return ConstraintMatrix(L)
+    return ConstraintMatrix._unchecked(L)
 
 
 def derived_constraints(instance: Instance) -> ConstraintMatrix:

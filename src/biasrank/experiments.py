@@ -55,7 +55,7 @@ from typing import Sequence
 import numpy as np
 
 from .constraints import InfeasibleConstraintsError, simple_constraints
-from .model import DiscountVector, Instance, ranking_utility
+from .model import DiscountVector, Instance, check_size, ranking_utility
 from .solver import rank_constrained_greedy, rank_single_column, rank_unconstrained
 from .stats import Distribution, SeedSpec
 
@@ -306,14 +306,22 @@ def _run_grid(
     """
     if trials < 1:
         raise ValueError("trials must be positive")
-    for beta in betas:
-        for alpha in alphas:
-            replace(base, alpha=float(alpha), beta=float(beta))  # validates the cell's config
+    if len(alphas) and len(betas):
+        # A cell's config fails on its beta before its alpha, so over the
+        # cells in grid order the first error is the first cell's, then the
+        # first bad alpha's, then the first bad beta's.
+        replace(base, alpha=float(alphas[0]), beta=float(betas[0]))
+        for alpha in alphas[1:]:
+            replace(base, alpha=float(alpha))
+        for beta in betas[1:]:
+            replace(base, beta=float(beta))
     m_a, m_b, n, t = base.m_a, base.m_b, base.n, base.target_group
     columns = [simple_constraints(float(a), t, n, 2).matrix[:, t] for a in alphas]
     bounds = np.array(columns, dtype=np.int64).reshape(len(alphas), n)
     if bounds[:, -1].max(initial=0) > (m_b if t == 1 else m_a):
         raise InfeasibleConstraintsError("no ranking satisfies the constraint matrix")
+    check_size("a block of utilities", min(BLOCK_TRIALS, trials) * (m_a + m_b))
+    check_size("the trial results", trials * max(len(betas), 1) * max(len(alphas), 1))
     groups = (slice(0, m_a), slice(m_a, m_a + m_b))
     c = (min(m_a, n), min(m_b, n))
     # Candidate-local target mask: group 0's candidates come first.
@@ -359,6 +367,8 @@ def _run_grid(
 def run_trials(config: TrialConfig, trials: int, seed: SeedSpec) -> list[TrialReport]:
     """Reports of trials 0..trials-1 of one config; report i equals
     ``run_trial(config, i, seed)``."""
+    # A report costs about 2 KB of Python objects and output JSON.
+    check_size("the trial reports", trials * 256)
     grid = _run_grid(config, [config.alpha], [config.beta], trials, seed)
     u_opt, u_uncons, n_b_uncons, u_cons, n_b_cons = grid
     return [
@@ -467,6 +477,8 @@ def estimate_order_stats(
     if trials < 1:
         raise ValueError("trials must be positive")
     m = m_a + m_b
+    check_size("a block of utilities", min(ORDER_STATS_BLOCK, trials) * m)
+    check_size("the trial results", trials)
     nkb = np.empty(trials, dtype=np.int64)
     pl = np.empty(trials, dtype=np.int64)
     rngs = seed.rngs_for_trials(0, trials)
@@ -622,6 +634,8 @@ def supernumerary_compare(
         raise ValueError("trials must be positive")
     m_a, m_b, n = config.m_a, config.m_b, config.n
     m = m_a + m_b
+    check_size("a trial's utilities", m)
+    check_size("the trial results", trials)
     per_seat = {s: np.empty(trials) for s in SUPERNUMERARY_SCHEMES}
     seats = {s: np.empty(trials) for s in SUPERNUMERARY_SCHEMES}
     target = np.zeros(m, dtype=bool)

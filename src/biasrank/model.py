@@ -43,6 +43,18 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+# Elements one allocation may hold (1 GiB of eight-byte values).  Counts come
+# from outside, and under memory overcommit a far larger allocation can succeed
+# and the process die later while filling it, so sizes are checked first.
+MAX_ELEMENTS = 2**27
+
+
+def check_size(what: str, elements: int) -> None:
+    """Raise ValueError when ``what`` would hold more than MAX_ELEMENTS elements."""
+    if elements > MAX_ELEMENTS:
+        raise ValueError(f"{what} would hold {elements} elements, more than the limit of {MAX_ELEMENTS}")
+
+
 class BiasModel:
     """Per-group multiplicative shading factors, each in ``[0, 1]``.
 
@@ -161,6 +173,7 @@ class DiscountVector:
     def from_json_dict(cls, d: dict, n: int) -> "DiscountVector":
         if not isinstance(d, dict):
             raise ValueError("discount must be a JSON object")
+        check_size("the discount vector", n)
         kind = d.get("kind")
         if kind == "constant":
             return cls.constant(n)

@@ -16,6 +16,7 @@ finite for group sizes in the thousands.
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -213,11 +214,11 @@ def distribution_from_json(d: dict) -> Distribution:
 
 _MASK32 = 0xFFFFFFFF
 _MASK64 = (1 << 64) - 1
-_MASK128 = (1 << 128) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
-# Trials whose generator states SeedSpec.rngs_for_trials derives together.
-SEED_BLOCK = 256
+# Trials whose generator states SeedSpec.rngs_for_trials derives together;
+# a block costs about 0.3 ms of numpy calls whatever its size.
+SEED_BLOCK = 1024
 
 # NumPy's SeedSequence hash constants (NEP 19) and PCG64's LCG multiplier.
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
@@ -225,24 +226,28 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
+# Word orders of numpy's 128-bit PCG64 state and increment, as indices into
+# (hi, lo, hi, lo): native little-endian __uint128_t, then numpy's emulated
+# {high, low} struct (also the native big-endian order).
+_PCG128_LAYOUTS = ((1, 0, 3, 2), (0, 1, 2, 3))
 
-def _hash_schedule(init: int, mult: int, calls: int) -> list[tuple[np.uint32, np.uint32]]:
-    """(xor, multiplier) of each successive hash call: the SeedSequence hash
-    constant does not depend on the data, only on how often it was used."""
-    out = []
+
+def _hash_schedule(init: int, mult: int, calls: int) -> tuple[np.ndarray, np.ndarray]:
+    """(xor, multiplier) columns of successive hash calls: the SeedSequence
+    hash constant does not depend on the data, only on how often it was used."""
+    consts = [init]
     for _ in range(calls):
-        nxt = (init * mult) & _MASK32
-        out.append((np.uint32(init), np.uint32(nxt)))
-        init = nxt
-    return out
+        consts.append((consts[-1] * mult) & _MASK32)
+    column = np.array(consts, dtype=np.uint32)[:, None]
+    return column[:-1], column[1:]
 
 
 _HASH_A = _hash_schedule(_INIT_A, _MULT_A, 16)  # 4 pool fills + 12 cross mixes
 _HASH_B = _hash_schedule(_INIT_B, _MULT_B, 8)  # generate_state(4, uint64)
 
 
-def _hashmix(value: np.ndarray, const: tuple[np.uint32, np.uint32]) -> np.ndarray:
-    value = (value ^ const[0]) * const[1]
+def _hashmix(value: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    value = (value ^ xor) * mult
     return value ^ (value >> np.uint32(16))
 
 
@@ -267,33 +272,49 @@ def _trial_seeds(master_seed: int, start: int, stop: int) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
-def _pcg64_states(seeds: np.ndarray) -> list[dict]:
-    """``np.random.PCG64(seed).state`` for each uint64 seed.
-
-    A 64-bit seed enters SeedSequence as the 32-bit words [lo, hi, 0, 0];
-    the pool hash and ``generate_state(4, uint64)`` run in uint32
-    arithmetic across all seeds at once, and PCG64's two-step srandom
-    seeding runs on Python ints per seed.
-    """
-    lo = (seeds & np.uint64(_MASK32)).astype(np.uint32)
-    hi = (seeds >> np.uint64(32)).astype(np.uint32)
-    zero = np.zeros_like(lo)
-    consts = iter(_HASH_A)
-    pool = [_hashmix(word, next(consts)) for word in (lo, hi, zero, zero)]
+def _seed_words(seeds: np.ndarray) -> np.ndarray:
+    """``SeedSequence(seed).generate_state(4, np.uint64)`` for each uint64
+    seed as (4, B) rows: PCG64's initial state hi, lo, stream selector hi, lo.
+    A seed's pool starts as the 32-bit words [lo, hi, 0, 0]; a source word's
+    three cross mixes leave it unchanged, so they run as one operation."""
+    xor_a, mult_a = _HASH_A
+    pool = np.zeros((4, seeds.size), dtype=np.uint32)
+    pool[0] = seeds & np.uint64(_MASK32)
+    pool[1] = seeds >> np.uint64(32)
+    pool = _hashmix(pool, xor_a[:4], mult_a[:4])
     for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hashmix(pool[src], next(consts)))
-    words = [_hashmix(pool[i % 4], const).astype(np.uint64) for i, const in enumerate(_HASH_B)]
-    # Consecutive word pairs are little-endian 64-bit words: the initial
-    # state's high and low halves, then the stream selector's.
-    s_hi, s_lo, q_hi, q_lo = ((words[2 * j] | (words[2 * j + 1] << np.uint64(32))).tolist() for j in range(4))
-    states = []
-    for a, b, c, d in zip(s_hi, s_lo, q_hi, q_lo):
-        inc = ((c << 65) | (d << 1) | 1) & _MASK128
-        state = ((((a << 64) | b) + inc) * _PCG64_MULT + inc) & _MASK128
-        states.append({"bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0})
-    return states
+        dst = [d for d in range(4) if d != src]
+        calls = slice(4 + 3 * src, 7 + 3 * src)
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], xor_a[calls], mult_a[calls]))
+    words = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], *_HASH_B).astype(np.uint64)
+    # Consecutive 32-bit words are the halves of little-endian 64-bit words.
+    return words[0::2] | (words[1::2] << np.uint64(32))
+
+
+def _mulhi(a: np.ndarray, b: int) -> np.ndarray:
+    """High 64 bits of each uint64 ``a`` times the 64-bit constant ``b``,
+    from 32-bit limbs whose products fit in uint64."""
+    m32, s32 = np.uint64(_MASK32), np.uint64(32)
+    a0, a1 = a & m32, a >> s32
+    b0, b1 = np.uint64(b & _MASK32), np.uint64(b >> 32)
+    p01, p10 = a0 * b1, a1 * b0
+    mid = ((a0 * b0) >> s32) + (p01 & m32) + (p10 & m32)
+    return a1 * b1 + (p01 >> s32) + (p10 >> s32) + (mid >> s32)
+
+
+def _srandom(s_hi: np.ndarray, s_lo: np.ndarray, q_hi: np.ndarray, q_lo: np.ndarray) -> np.ndarray:
+    """PCG64's seeding, ``inc = q << 1 | 1`` and ``state = (s + inc) * MULT +
+    inc mod 2^128``, on uint64 halves: (B, 4) rows of state hi, lo, inc hi, lo."""
+    one = np.uint64(1)
+    inc_lo = (q_lo << one) | one
+    inc_hi = (q_hi << one) | (q_lo >> np.uint64(63))
+    lo = s_lo + inc_lo
+    hi = s_hi + inc_hi + (lo < inc_lo)
+    mult_lo = _PCG64_MULT & _MASK64
+    hi = _mulhi(lo, mult_lo) + lo * np.uint64(_PCG64_MULT >> 64) + hi * np.uint64(mult_lo)
+    lo = lo * np.uint64(mult_lo) + inc_lo
+    hi = hi + inc_hi + (lo < inc_lo)
+    return np.stack([hi, lo, inc_hi, inc_lo], axis=1)
 
 
 @dataclass(frozen=True)
@@ -309,8 +330,9 @@ class SeedSpec:
     aggregation is independent of execution order and batch size.
 
     The batched engines draw through :meth:`rngs_for_trials`, which derives
-    the same PCG64 states for a block of trials at once instead of building
-    a SeedSequence, a PCG64 and a Generator per trial.
+    the same PCG64 states for a block of trials at once in numpy and stores
+    each into one reused generator, instead of building a SeedSequence, a
+    PCG64 and a Generator per trial.
     """
 
     master_seed: int = 0
@@ -333,12 +355,13 @@ class SeedSpec:
 
         NumPy's SeedSequence hash and PCG64 seeding are fixed, documented
         algorithms (NEP 19), so the states of ``SEED_BLOCK`` trials are
-        derived together in numpy and loaded into one reused Generator: the
+        derived together in numpy and stored into one reused Generator: the
         same object is yielded every time, and each one is valid only until
-        the next is requested.  The first derived state is checked against
-        ``default_rng`` (one construction per call); a numpy release that
-        seeds differently raises RuntimeError rather than changing the
-        output bytes.
+        the next is requested.  Each call reads the build's 128-bit word
+        order from ``rng_for_trial(start)``'s raw state and checks the first
+        stored state against that generator's; an unknown layout, or a numpy
+        release that seeds differently, raises RuntimeError rather than
+        changing the output bytes.
         """
         if start < 0:
             raise ValueError("trial index must be nonnegative")
@@ -349,15 +372,34 @@ class SeedSpec:
             return
         rng = np.random.default_rng(self.trial_seed(start))
         bitgen = rng.bit_generator
+        want = bitgen.state
+        # numpy's pcg64_state: {pcg64_random_t *pcg_state; int has_uint32;
+        # uint32_t uinteger;}, where *pcg_state holds the state, then inc.
+        address = bitgen.ctypes.state_address
+        words = (ctypes.c_uint64 * 4).from_address(ctypes.c_void_p.from_address(address).value)
+        buffered = (ctypes.c_uint32 * 2).from_address(address + ctypes.sizeof(ctypes.c_void_p))
+        s, inc = want["state"]["state"], want["state"]["inc"]
+        halves = (s >> 64, s & _MASK64, inc >> 64, inc & _MASK64)
+        layout = next((p for p in _PCG128_LAYOUTS if list(words) == [halves[i] for i in p]), None)
+        if layout is None:
+            raise RuntimeError(f"unknown PCG64 state layout under numpy {np.__version__}")
+        # Per trial, one 32-byte store and one clearing the buffered uint32;
+        # memoryview slice stores cost about half of numpy row assignments.
+        store, clear, zeros = memoryview(words).cast("B"), memoryview(buffered).cast("B"), bytes(8)
         for lo in range(start, stop, SEED_BLOCK):
-            states = _pcg64_states(_trial_seeds(self.master_seed, lo, min(lo + SEED_BLOCK, stop)))
-            if lo == start and states[0] != bitgen.state:
-                raise RuntimeError(
-                    f"block seeding derived a PCG64 state for trial {start} that differs from "
-                    f"default_rng's under numpy {np.__version__}"
-                )
-            for state in states:
-                bitgen.state = state
+            seeds = _trial_seeds(self.master_seed, lo, min(lo + SEED_BLOCK, stop))
+            states = np.take(_srandom(*_seed_words(seeds)), layout, axis=1)
+            raw = memoryview(states).cast("B")
+            if lo == start:
+                store[:] = raw[:32]
+                if bitgen.state != want:
+                    raise RuntimeError(
+                        f"block seeding derived a PCG64 state for trial {start} that differs from "
+                        f"default_rng's under numpy {np.__version__}"
+                    )
+            for at in range(0, 32 * seeds.size, 32):
+                store[:] = raw[at : at + 32]
+                clear[:] = zeros
                 yield rng
 
 

@@ -155,6 +155,23 @@ class TestSweep:
         assert main(["sweep", cfg, "--seed", "42", "--threads", "8", "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize(
+        "alphas, betas, message",
+        [
+            ([0.1, 1.5], [0.5, -1.0], "alpha must lie in [0, 1]"),
+            ([0.1, 0.2], [0.5, 2.0], "beta must lie in [0, 1]"),
+            ([1.5], [-1.0], "beta must lie in [0, 1]"),
+            ([0.1, -0.5], [0.5, 0.7, 1.2], "alpha must lie in [0, 1]"),
+            ([0.1, 0.2, 2.0], [1.5, 0.5], "beta must lie in [0, 1]"),
+            ([0.1, 0.3], [0.2, 0.4, float("nan")], "beta must lie in [0, 1]"),
+        ],
+    )
+    def test_first_bad_cell_of_the_grid(self, tmp_path, capsys, alphas, betas, message):
+        # the message of the first invalid (beta, alpha) cell in grid order
+        doc = {**TRIAL_CONFIG, "alphas": alphas, "betas": betas, "trials": 2}
+        assert main(["sweep", write_json(tmp_path, "sweep.json", doc)]) == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
+
 
 class TestOrderstats:
     def test_analytic_and_monte_carlo(self, tmp_path):
@@ -436,6 +453,43 @@ class TestMemoryError:
         path = write_json(tmp_path, "cfg.json", TRIAL_CONFIG)
         assert main(["simulate", path, "--trials", "2"]) == 3
         assert capsys.readouterr().err == "error: out of memory\n"
+
+
+class TestSizeCheck:
+    """Counts far beyond memory are refused before anything large is allocated."""
+
+    HUGE = {"m_a": 10**9}
+    CASES = [
+        (["simulate", "cfg"], {"cfg": {**TRIAL_CONFIG, **HUGE}}),
+        (["simulate", "cfg", "--trials", str(10**9)], {"cfg": TRIAL_CONFIG}),
+        (["simulate", "cfg"], {"cfg": {**TRIAL_CONFIG, "m_a": 10**12, "m_b": 10**12, "n": 10**12}}),
+        (["sweep", "cfg"], {"cfg": {**TRIAL_CONFIG, **HUGE, "alphas": [0.0, 0.5], "betas": [0.5]}}),
+        (["sweep", "cfg", "--trials", str(10**12)], {"cfg": {**TRIAL_CONFIG, "alphas": [0.0], "betas": [0.5]}}),
+        (["orderstats", "--k", "2", "--l", "1", "--ma", str(10**9), "--mb", "10"], {}),
+        (["orderstats", "--k", "2", "--l", "1", "--ma", "10", "--mb", "10", "--trials", str(10**12)], {}),
+        (["supernumerary", "cfg"], {"cfg": {**SUPERNUMERARY_CONFIG, **HUGE}}),
+        (["supernumerary", "cfg", "--trials", str(10**12)], {"cfg": SUPERNUMERARY_CONFIG}),
+        (["solve", "inst"], {"inst": {**FACT_INSTANCE_W, "n": 10**12, "v": {"kind": "constant"}}}),
+    ]
+
+    @pytest.mark.parametrize("argv, files", CASES)
+    def test_exit_3_before_a_large_allocation(self, tmp_path, capsys, monkeypatch, argv, files):
+        def guarded(allocate):
+            def allocate_small(*args, **kwargs):
+                dims = [d for a in args[:2] for d in (a if isinstance(a, tuple) else (a,))]
+                if max((abs(d) for d in dims if isinstance(d, (int, float, np.integer))), default=0) > 10**7:
+                    raise AssertionError(f"{allocate.__name__}{args} was called")
+                return allocate(*args, **kwargs)
+
+            return allocate_small
+
+        for name in ("empty", "zeros", "ones", "arange"):
+            monkeypatch.setattr(np, name, guarded(getattr(np, name)))
+        paths = {key: write_json(tmp_path, f"{key}.json", doc) for key, doc in files.items()}
+        assert main([paths.get(a, a) for a in argv]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "more than the limit of" in err
 
 
 NUMBERS = (

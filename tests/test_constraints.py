@@ -50,6 +50,17 @@ class TestSimpleConstraints:
         with pytest.raises(ValueError):
             simple_constraints(0.5, 2, 4, 2)
 
+    @given(alpha=st.floats(0.0, 1.0), n=st.integers(1, 400), target=st.integers(0, 2))
+    @settings(max_examples=200, deadline=None)
+    def test_unchecked_matrix_passes_the_checked_constructor(self, alpha, n, target):
+        L = simple_constraints(alpha, target, n, 3)
+        assert ConstraintMatrix(L.matrix) == L
+        assert not L.matrix.flags.writeable
+
+    def test_needs_a_row(self):
+        with pytest.raises(ValueError, match="at least one row"):
+            simple_constraints(0.5, 0, 0, 1)
+
     def test_float_noise_does_not_lose_integral_products(self):
         # 0.2 * 15 and 0.3 * 10 are integral in real arithmetic but land
         # just under the integer in binary floating point

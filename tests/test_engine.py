@@ -324,6 +324,8 @@ FIVE_KINDS = [
 SEEDS = st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**64 - 1]) | st.integers(0, 2**64 - 1)
 # Seeding blocks of 1, 3 and 7 trials put several block edges inside short ranges.
 SEED_BLOCKS = st.sampled_from([1, 3, 7, stats.SEED_BLOCK])
+# Edge values of the 128-bit arithmetic's uint64 halves, whose products and sums carry.
+UINT64S = st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1, stats._PCG64_MULT % 2**64]) | st.integers(0, 2**64 - 1)
 
 
 @st.composite
@@ -382,6 +384,42 @@ class TestBlockSeeding:
         # a numpy release that seeded PCG64 differently would derive other states
         with mock.patch.object(stats, "_PCG64_MULT", stats._PCG64_MULT + 2):
             with pytest.raises(RuntimeError, match=f"numpy {np.__version__}"):
+                next(SeedSpec(3).rngs_for_trials(7, 9))
+
+    def test_buffered_uint32_does_not_leak_into_the_next_trial(self):
+        # three bounded 32-bit draws leave half of a 64-bit output buffered
+        spec = SeedSpec(11)
+        got = []
+        for rng in spec.rngs_for_trials(0, 6):
+            got.append((rng.bit_generator.state, rng.integers(0, 7, 3).tolist()))
+            assert rng.bit_generator.state["has_uint32"] == 1
+        want = []
+        for i in range(6):
+            rng = spec.rng_for_trial(i)
+            want.append((rng.bit_generator.state, rng.integers(0, 7, 3).tolist()))
+        assert got == want
+
+    @given(a=UINT64S, b=UINT64S)
+    @settings(max_examples=300, deadline=None)
+    def test_mulhi_equals_python_ints(self, a, b):
+        assert stats._mulhi(np.array([a], dtype=np.uint64), b).tolist() == [(a * b) >> 64]
+
+    @given(s=st.tuples(UINT64S, UINT64S), q=st.tuples(UINT64S, UINT64S))
+    @settings(max_examples=300, deadline=None)
+    def test_srandom_step_equals_python_ints(self, s, q):
+        words = [np.array([x], dtype=np.uint64) for x in (*s, *q)]
+        inc = ((((q[0] << 64) | q[1]) << 1) | 1) % 2**128
+        state = ((((s[0] << 64) | s[1]) + inc) * stats._PCG64_MULT + inc) % 2**128
+        assert stats._srandom(*words).tolist() == [[state >> 64, state % 2**64, inc >> 64, inc % 2**64]]
+
+    def test_wrong_word_order_fails_loudly(self):
+        swap_halves = (1, 0, 3, 2)
+        with mock.patch.object(stats, "_PCG128_LAYOUTS", ((2, 3, 0, 1),)):
+            with pytest.raises(RuntimeError, match=f"layout under numpy {np.__version__}"):
+                next(SeedSpec(3).rngs_for_trials(7, 9))
+        srandom = stats._srandom
+        with mock.patch.object(stats, "_srandom", lambda *words: srandom(*words)[:, swap_halves]):
+            with pytest.raises(RuntimeError, match=f"differs from default_rng's under numpy {np.__version__}"):
                 next(SeedSpec(3).rngs_for_trials(7, 9))
 
 

@@ -1,5 +1,8 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from biasrank import (
@@ -21,6 +24,8 @@ from biasrank import (
 )
 
 TOL = 1e-9
+# Grid values: valid, out of range, NaN, and not numbers at all.
+GRID_VALUES = st.sampled_from([0.0, 0.5, 1.0, -0.5, 1.5, float("nan"), "x", None])
 
 
 def config(m_a=20, m_b=20, n=10, beta=0.5, alpha=0.5, discount=None):
@@ -145,6 +150,24 @@ class TestRunSweep:
     def test_trials_positive(self):
         with pytest.raises(ValueError):
             run_sweep(config(), [0.1], [0.5], trials=0, seed=SeedSpec(0))
+
+    @given(alphas=st.lists(GRID_VALUES, min_size=1, max_size=4), betas=st.lists(GRID_VALUES, min_size=1, max_size=4))
+    @settings(max_examples=200, deadline=None)
+    def test_first_error_is_the_first_bad_cells(self, alphas, betas):
+        def error(call):
+            try:
+                call()
+            except (TypeError, ValueError) as exc:
+                return type(exc), str(exc)
+            return None
+
+        def cell_by_cell():
+            for beta in betas:
+                for alpha in alphas:
+                    replace(config(), alpha=float(alpha), beta=float(beta))
+
+        want = error(cell_by_cell)
+        assert error(lambda: run_sweep(config(), alphas, betas, trials=1, seed=SeedSpec(0))) == want
 
 
 class TestEstimateOrderStats:
