@@ -7,13 +7,14 @@ pass fills positions in order, placing the heaviest item whose placement
 keeps every remaining prefix bound satisfiable; the lookahead is the
 earliest-deadline feasibility test from scheduling.  With c_s items of
 group s placed, it keeps ``slack[k-1] = sum_s max(0, L[k-1, s] - c_s) - k``
-for every prefix k.  Position j is pinned by the first k >= j with
-``slack[k-1] >= 1 - j``: there the unmet demand fills all k - j + 1 open
-positions (exceeding them means the bounds cannot be met).  Placing the
-(c+1)-th group-s item lowers slack only on the suffix where
-``L[k-1, s] >= c + 1``, which ``searchsorted`` finds on the column, so a
-placement costs O(n) numpy work instead of an O(n*p) Python rescan.  The
-brute-force solver enumerates ordered subsets and works for overlapping
+for every prefix k.  Position j is pinned by the first k >= j where the
+unmet demand fills all k - j + 1 open positions, ``slack[k-1] == 1 - j``.
+Feasible bounds keep all later slack at most 1 - j, so that k is the tail's
+first maximum (one above 1 - j means infeasible bounds), or j itself when
+``slack[j-1]`` is tight, as at every forced position under derived bounds.
+The (c+1)-th group-s item lowers slack from its due prefix on, the first
+with ``L[k-1, s] >= c + 1``, read from per-group tables built per solve.
+The brute-force solver enumerates ordered subsets and works for overlapping
 groups too, but only on small instances; it is the greedy's oracle.
 
 When only one group is bounded and its bound grows by at most one per
@@ -64,9 +65,7 @@ def rank_constrained_greedy(instance: Instance, weights, L: ConstraintMatrix) ->
 
     Fills positions 1..n in order; at each position places the heaviest item
     (ties by ascending id) whose placement leaves every later prefix bound
-    satisfiable.  The lookahead keeps one slack entry per prefix (unmet
-    demand minus prefix length; see the module docstring), so a placement
-    costs O(n) numpy work rather than an O(n*p) Python rescan.  Raises
+    satisfiable, by the slack lookahead of the module docstring.  Raises
     NonDisjointGroupsError for overlapping groups and
     InfeasibleConstraintsError for infeasible bounds.
     """
@@ -92,7 +91,8 @@ def _greedy(labels: np.ndarray, w: np.ndarray, Lmat: np.ndarray) -> list[int]:
     ordered_labels = labels[order]
     by_group = [np.flatnonzero(ordered_labels == s).tolist() for s in range(p)]
     group_of = ordered_labels.tolist()
-    cols = Lmat.T.copy()  # row s is column s, contiguous for searchsorted
+    # due[s][c]: index of the first prefix whose bound on group s reaches c + 1, else n
+    due = [np.searchsorted(col, np.arange(1, n + 2)).tolist() for col in Lmat.T]
     slack = Lmat.sum(axis=1) - np.arange(1, n + 1)
     taken = bytearray(len(group_of))
     counts, heads = [0] * p, [0] * p
@@ -100,17 +100,17 @@ def _greedy(labels: np.ndarray, w: np.ndarray, Lmat: np.ndarray) -> list[int]:
     ranks: list[int] = []
 
     for j in range(1, n + 1):
-        tail = slack[j - 1 :]
-        k = int(np.argmax(tail >= 1 - j)) + j  # first prefix at or over its open positions
-        over = int(tail[k - j]) + j - 1  # unmet demand at k minus its k - j + 1 open positions
-        if over > 0:
-            raise InfeasibleConstraintsError(
-                f"unmet demand {over + k - j + 1} exceeds {k - j + 1} open positions at prefix {k}"
-            )
-        forced = [s for s in range(p) if Lmat[k - 1, s] > counts[s]] if over == 0 else None
-        if forced:
+        k, over = j, 0  # j is tight when its unmet demand fills its one open position
+        if slack[j - 1] != 1 - j:
+            k = int(slack[j - 1 :].argmax()) + j  # else the first maximum of the tail
+            over = int(slack[k - 1]) + j - 1  # unmet demand at k minus its k - j + 1 open positions
+            if over > 0:
+                raise InfeasibleConstraintsError(f"unmet demand exceeds open positions by {over} at prefix {k}")
+        if over == 0:
             r = len(taken)
-            for s in forced:
+            for s, d in enumerate(due):
+                if d[counts[s]] >= k:  # the bound at k asks for no more group-s items
+                    continue
                 q, h = by_group[s], heads[s]
                 while h < len(q) and taken[q[h]]:
                     h += 1
@@ -125,7 +125,7 @@ def _greedy(labels: np.ndarray, w: np.ndarray, Lmat: np.ndarray) -> list[int]:
         taken[r] = 1
         g = group_of[r]
         if g >= 0:
-            slack[np.searchsorted(cols[g], counts[g] + 1) :] -= 1
+            slack[due[g][counts[g]] :] -= 1
             counts[g] += 1
         ranks.append(r)
     return order[ranks].tolist()

@@ -320,6 +320,142 @@ class TestGreedyMatchesRescan:
         with pytest.raises(InfeasibleConstraintsError):
             _greedy(labels, w, L)
 
+    def test_overfull_prefix_before_a_tight_one(self):
+        # At position 1, prefix 3 owes four items to three open positions
+        # and prefix 4 is tight after it: the first maximum of the slack
+        # tail is prefix 3, not the first prefix whose slack equals 1 - j.
+        labels = np.array([0, 0, 0, 1, 1, -1])
+        w = np.array([0.9, 0.8, 0.7, 0.6, 0.5, 1.0])
+        L = np.array([[0, 0], [0, 0], [2, 2], [2, 2]])
+        with pytest.raises(InfeasibleConstraintsError, match="prefix 3"):
+            rescan_greedy(labels, w, L)
+        with pytest.raises(InfeasibleConstraintsError, match="by 1 at prefix 3"):
+            _greedy(labels, w, L)
+
+
+class TestLookaheadPathsAtScale:
+    """Both lookahead paths pick what the rescan picks at n=300, m=1200, p=3."""
+
+    n, m, p = 300, 1200, 3
+
+    def test_derived_bounds_take_the_tight_check(self):
+        # Total demand grows by at most one per position, so no two demand
+        # units fall due together and every forced step is tight at j itself.
+        rng = np.random.default_rng(5)
+        labels = rng.integers(-1, self.p, self.m)
+        latent = rng.uniform(0.0, 1.0, self.m)
+        w = latent * np.array([0.5, 0.7, 0.9, 1.0])[labels]
+        top = np.argsort(-latent, kind="stable")[: self.n]
+        L = np.cumsum(labels[top, None] == np.arange(self.p), axis=0)
+        assert np.diff(L.sum(axis=1), prepend=0).max() == 1
+        assert _greedy(labels, w, L) == rescan_greedy(labels, w, L) == top.tolist()
+
+    def test_jumping_bounds_take_the_scan(self):
+        # Columns jump by 2-3, often several at one position, so the first
+        # tight prefix lies beyond j and the tail scan finds it.
+        rng = np.random.default_rng(6)
+        labels = rng.integers(-1, self.p, self.m)
+        w = rng.uniform(0.0, 1.0, self.m)
+        L = np.zeros((self.n, self.p), dtype=np.int64)
+        row = np.zeros(self.p, dtype=np.int64)
+        for k in range(1, self.n + 1):
+            if rng.random() < 0.15:
+                for s in rng.permutation(self.p)[: rng.integers(1, self.p + 1)]:
+                    row[s] += min(int(rng.integers(2, 4)), k - int(row.sum()))
+            L[k - 1] = row
+        steps = np.diff(L, axis=0, prepend=0)
+        assert steps.max() >= 2 and np.any((steps > 0).sum(axis=1) >= 2)
+        assert _greedy(labels, w, L) == rescan_greedy(labels, w, L)
+
+
+def dp_optimum(labels, w, v, L):
+    """Exact optimum for two disjoint groups (labels 0 and 1) plus ungrouped
+    items (-1) under prefix lower bounds ``L`` and a nonincreasing discount
+    ``v``: (utility, ranked ids), or None when no ranking meets the bounds.
+
+    By an exchange argument each class ranks its members in weight order
+    (ties by ascending id), so only the interleaving is free.  After j
+    positions, ``V[a, b]`` is the best utility with a items of group 0 and b
+    of group 1 placed, the other j - a - b ungrouped: n steps over an
+    (n+1)^2 table (the constant-p DP of Celis, Straszak & Vishnoi)."""
+    n = len(v)
+    ids = [np.flatnonzero(labels == c) for c in (0, 1, -1)]
+    ids = [i[np.argsort(-w[i], kind="stable")] for i in ids]
+    sizes = [len(i) for i in ids]
+    # class weights in rank order, zero-padded so that every count indexes them
+    wa, wb, wu = (np.concatenate([w[i], np.zeros(n)])[:n] for i in ids)
+    a, b = np.ogrid[: n + 1, : n + 1]
+    V = np.full((n + 1, n + 1), -np.inf)
+    V[0, 0] = 0.0
+    moves = np.empty((n, n + 1, n + 1), dtype=np.int8)  # class placed at position j
+    cand = np.empty((3, n + 1, n + 1))
+    for j in range(1, n + 1):
+        u = j - a - b
+        cand.fill(-np.inf)
+        cand[0, 1:] = V[:-1] + wa[:, None] * v[j - 1]
+        cand[1, :, 1:] = V[:, :-1] + wb * v[j - 1]
+        cand[2] = V + wu[np.clip(u - 1, 0, n - 1)] * v[j - 1]
+        moves[j - 1] = cand.argmax(axis=0)
+        ok = (a <= sizes[0]) & (b <= sizes[1]) & (u >= 0) & (u <= sizes[2])
+        ok &= (a >= L[j - 1, 0]) & (b >= L[j - 1, 1])
+        V = np.where(ok, cand.max(axis=0), -np.inf)
+    if V.max() == -np.inf:
+        return None
+    ca, cb = np.unravel_index(V.argmax(), V.shape)
+    classes = []
+    for j in range(n, 0, -1):
+        c = int(moves[j - 1, ca, cb])
+        classes.append(c)
+        ca, cb = ca - (c == 0), cb - (c == 1)
+    heads, ranked = [0, 0, 0], []
+    for c in reversed(classes):
+        ranked.append(int(ids[c][heads[c]]))
+        heads[c] += 1
+    return float(V.max()), ranked
+
+
+class TestGreedyMatchesDP:
+    """The greedy's value equals the exact DP optimum at the Monte Carlo
+    scale (m=1000, n up to 200), and the two agree on infeasibility."""
+
+    KINDS = ("alpha", "derived", "jumps", "overfull", "short")
+
+    @pytest.mark.parametrize("tied", [False, True])
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("n", [100, 200])
+    def test_value_and_feasibility(self, n, kind, tied):
+        m = 1000
+        rng = np.random.default_rng([n, self.KINDS.index(kind), tied])
+        labels = rng.integers(-1, 2, m)
+        if kind == "short":  # group 1 keeps 20 members and is owed floor(0.3 k)
+            labels[np.flatnonzero(labels == 1)[20:]] = -1
+        if tied:  # integer weights, and a discount that is flat in blocks of ten
+            w = rng.integers(0, 30, m).astype(float)
+            v = DiscountVector.custom(np.repeat(np.linspace(1.0, 0.1, n // 10), 10))
+        else:
+            w = rng.uniform(0.0, 1.0, m)
+            v = DiscountVector.dcg(n)
+        inst = Instance.from_arrays(w, labels, n, v, p=2)
+        if kind == "derived":  # solve the shaded instance under the latent optimum's prefix counts
+            top = np.argsort(-w, kind="stable")[:n]
+            L = ConstraintMatrix(np.cumsum(labels[top, None] == np.arange(2), axis=0))
+            w = w * np.array([0.5, 0.8, 1.0])[labels]
+        elif kind == "jumps":
+            L = random_feasible_constraints(rng, inst)
+        else:
+            alpha = {"alpha": [0.3, 0.25], "overfull": [0.6, 0.5], "short": [0.1, 0.3]}[kind]
+            k = np.arange(1, n + 1)[:, None]
+            L = ConstraintMatrix(np.floor(np.array(alpha) * k + 1e-9).astype(np.int64))
+        best = dp_optimum(labels, w, v.values, L.matrix)
+        r = outcome(rank_constrained_greedy, inst, w, L)
+        assert (best is None) == (kind in ("overfull", "short")) == (r is InfeasibleConstraintsError)
+        if best is None:
+            assert outcome(_greedy, labels, w, L.matrix) is InfeasibleConstraintsError
+            return
+        assert ranking_utility(r, v, w) == pytest.approx(best[0], rel=1e-12)
+        if not tied:
+            assert list(r.positions) == best[1]
+
 
 class TestExactRepairAtScale:
     """Solving the biased instance under the latent-optimal ranking's prefix
