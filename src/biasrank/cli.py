@@ -323,9 +323,8 @@ def _cmd_supernumerary(args) -> int:
     except (TypeError, OverflowError) as exc:
         raise _config_error("supernumerary config", exc) from exc
     seed = SeedSpec(args.seed)
-    reports = [
-        supernumerary_compare(_supernumerary_config_from_json(d, a), trials, seed) for a in alphas
-    ]
+    configs = [_supernumerary_config_from_json(d, a) for a in alphas]
+    reports = [supernumerary_compare(c, trials, seed) for c in configs]
     _write_output(supernumerary_csv(reports), args.out)
     return EXIT_OK
 

@@ -10,35 +10,16 @@ factor beta, and compares three rankings evaluated by latent utility:
   prefix bounds.
 
 Trials are independent: trial i derives its own stream from
-(master_seed, i), so any grid cell can be recomputed in isolation.  The
-batched engines below take their generators from
-:meth:`SeedSpec.rngs_for_trials`, which puts each trial's generator in the
-state ``SeedSpec.rng_for_trial(i)`` defines without building one per trial.
-
-Sweeps and ``simulate`` run on a batched engine that walks the trials in
-blocks of ``BLOCK_TRIALS``.  Each trial is drawn once per sweep, whatever
-the number of cells, into one row of a (block, m) matrix.  Only each
-group's best ``min(size, n)`` items can reach a ranking of n positions, so
-a partial selection finds those top-n candidates, once per block by
-latent value and once per beta for the shaded group by observed value
-(when a tie straddles the n-th candidate, the tied ids are taken by
-ascending id), and one stable sort of the candidates alone gives each
-row's top n, ties by ascending id (see ``_top`` and ``_run_grid``).  The
-constrained ranking for each alpha then follows in closed form
-(:func:`biasrank.solver.rank_single_column`):
-with a single bound column that grows by at most one per position, the
-greedy puts the c-th best target item at position ``min(d_c, u_c)``, its
-deadline or its unconstrained position, and the other group fills the
-remaining positions in observed order.  All rankings of a block are
-scored by one stacked ``matmul`` whose products NumPy sums with the ddot
-kernel of :func:`ranking_utility`'s ``w[ids] @ v`` (see ``_utilities``),
-and each cell's mean and standard error come from one reduction along the
-trial axis, so the engine reproduces :func:`run_trial`, which stays as the
-scalar oracle, bit for bit.
-
-:func:`estimate_order_stats` draws its trials in blocks the same way but
-sorts no row: each of its statistics follows from one order statistic per
-row, found by selection.
+(master_seed, i), so any grid cell can be recomputed in isolation, and
+:func:`run_trial` stays as the scalar definition and oracle.  The batched
+engines (sweeps and ``simulate``, :func:`estimate_order_stats` and
+:func:`supernumerary_compare`) draw through one helper, ``_draw_blocks``:
+it walks the trials in blocks, puts each trial's generator in the state
+``SeedSpec.rng_for_trial(i)`` defines (:meth:`SeedSpec.rngs_for_trials`),
+and has each group's distribution write its draws straight into that
+group's columns of the trial's row of one (block, m) matrix.  Each engine
+then checks, selects or sorts, and scores the whole block at once, and
+reproduces the per-trial loop bit for bit.
 
 The seat-expansion comparison pits the prefix-bound intervention against
 reserving added seats for the target group when the target group's scores
@@ -50,12 +31,12 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .constraints import InfeasibleConstraintsError, simple_constraints
-from .model import DiscountVector, Instance, check_size, ranking_utility
+from .model import MAX_ELEMENTS, DiscountVector, Instance, check_size, ranking_utility
 from .solver import rank_constrained_greedy, rank_single_column, rank_unconstrained
 from .stats import Distribution, SeedSpec
 
@@ -91,6 +72,11 @@ BLOCK_TRIALS = 16
 # m = 100).  Its per-row selections and counts took 1.0 us per trial in
 # blocks of 256 rows, against 1.4 us in blocks of 64 and 2.9 us in 16.
 ORDER_STATS_BLOCK = 256
+
+# Trials drawn, sorted and scored together by supernumerary_compare.  At
+# m = 800 and n = 40, 2000 trials took about 0.26 s in blocks of 64 against
+# 0.33 s in blocks of 16, and no less in blocks of 256.
+SUPERNUMERARY_BLOCK = 64
 
 SWEEP_CSV_COLUMNS = (
     "alpha,beta,m_a,m_b,n,trials,mean_cons,se_cons,mean_uncons,se_uncons,mean_opt,se_opt"
@@ -151,18 +137,11 @@ class TrialReport:
     n_b_uncons: int
 
 
-def _draw_two_groups(config, rng) -> tuple[np.ndarray, np.ndarray]:
-    w_a = config.dist_a.draw(rng, config.m_a)
-    w_b = config.dist_b.draw(rng, config.m_b)
-    return w_a, w_b
-
-
 def run_trial(config: TrialConfig, trial_index: int, seed: SeedSpec) -> TrialReport:
     """One trial: draw utilities, shade the target group, rank three ways,
     and evaluate all three by latent utility."""
     rng = seed.rng_for_trial(trial_index)
-    w_a, w_b = _draw_two_groups(config, rng)
-    w = np.concatenate([w_a, w_b])
+    w = np.concatenate([config.dist_a.draw(rng, config.m_a), config.dist_b.draw(rng, config.m_b)])
     labels = np.zeros(config.m_a + config.m_b, dtype=np.int64)
     labels[config.m_a :] = 1
     instance = Instance.from_arrays(w, labels, config.n, config.discount, p=2)
@@ -221,6 +200,29 @@ class SweepReport:
             means = (r.mean_cons, r.se_cons, r.mean_uncons, r.se_uncons, r.mean_opt, r.se_opt)
             lines.append(",".join([_fmt(r.alpha), _fmt(r.beta), *counts, *map(_fmt, means)]))
         return "\n".join(lines) + "\n"
+
+
+def _draw_blocks(seed: SeedSpec, trials: int, block: int, groups) -> Iterator[tuple[slice, np.ndarray]]:
+    """Trials 0..trials-1, ``block`` at a time, as ``(part, w)``: row i of
+    the (rows, m) matrix ``w`` holds trial ``part.start + i``, each
+    ``(dist, size)`` of ``groups`` in turn drawing the next ``size`` columns
+    from the trial's stream with ``dist.draw(rng, size, out=...)``.  Every
+    block reuses one buffer, so ``w`` is valid until the next is requested.
+    """
+    cols, at = [], 0
+    for dist, size in groups:
+        cols.append((dist, size, slice(at, at + size)))
+        at += size
+    buf = np.empty((min(block, trials), at))
+    # Each row's group views, made once for all blocks.
+    rows = [[(dist, size, row[col]) for dist, size, col in cols] for row in buf]
+    rngs = seed.rngs_for_trials(0, trials)
+    for start in range(0, trials, block):
+        stop = min(start + block, trials)
+        for draws, rng in zip(rows[: stop - start], rngs):
+            for dist, size, out in draws:
+                dist.draw(rng, size, out)
+        yield slice(start, stop), buf[: stop - start]
 
 
 def _order(x: np.ndarray) -> np.ndarray:
@@ -327,22 +329,15 @@ def _run_grid(
     # Candidate-local target mask: group 0's candidates come first.
     target = np.repeat([t == 0, t == 1], c)
     v = base.discount.values
-    rngs = seed.rngs_for_trials(0, trials)
     u_opt = np.empty(trials)
     u_uncons = np.empty((len(betas), trials))
     n_b_uncons = np.empty((len(betas), trials), dtype=np.int64)
     u_cons = np.empty((len(betas), len(alphas), trials))
     n_b_cons = np.empty((len(betas), len(alphas), trials), dtype=np.int64)
-    for start in range(0, trials, BLOCK_TRIALS):
-        stop = min(start + BLOCK_TRIALS, trials)
-        part = slice(start, stop)
-        w = np.empty((stop - start, m_a + m_b))
-        for i, rng in zip(range(stop - start), rngs):
-            w[i, :m_a] = base.dist_a.draw(rng, m_a)
-            w[i, m_a:] = base.dist_b.draw(rng, m_b)
+    for part, w in _draw_blocks(seed, trials, BLOCK_TRIALS, ((base.dist_a, m_a), (base.dist_b, m_b))):
         if not np.all(np.isfinite(w)):
             raise ValueError("latent utilities must be finite")
-        row = np.arange(stop - start)[:, None]
+        row = np.arange(len(w))[:, None]
         ids = [_top(w[:, g], size) + g.start for g, size in zip(groups, c)]
         keys = [w[row, i] for i in ids]
         cand = np.concatenate(ids, axis=1)
@@ -428,7 +423,8 @@ class OrderStatsReport:
     """Monte Carlo estimates of the utility-sorted ranking's composition.
 
     ``nkb_counts[j]`` counts trials whose top-k contained exactly j
-    target-group items, so tail frequencies can be read off directly.
+    target-group items, so tail frequencies can be read off directly;
+    ``pl_counts[p]`` counts trials whose l-th target item sat at position p.
     """
 
     mean_Nkb: float
@@ -437,6 +433,7 @@ class OrderStatsReport:
     se_Pl: float
     trials: int
     nkb_counts: np.ndarray
+    pl_counts: np.ndarray
 
     def tail_frequency(self, threshold: float) -> float:
         """Fraction of trials with top-k target count <= threshold."""
@@ -459,14 +456,12 @@ def estimate_order_stats(
     """Sample the top-k target count and the position of the l-th target
     item in the utility-sorted ranking of m_a + m_b i.i.d. utilities.
 
-    Trials run in blocks of ``ORDER_STATS_BLOCK``: trial i draws its m_a +
-    m_b utilities from the stream of ``seed.rng_for_trial(i)`` (derived by
-    :meth:`SeedSpec.rngs_for_trials`, which checks the first state of the
-    call against ``default_rng``) into one row of a matrix.  The ranking is
-    by descending utility, ties by ascending id, so group A (ids below m_a)
-    wins ties, but no row is sorted.  With ``t`` a row's k-th largest
-    value, the top k holds every item above ``t``, then the tied ones, A's
-    first: ``N_k^b = max(#(B > t), k - #(A >= t))``.  With ``b_l`` its l-th
+    Trials are drawn in blocks of ``ORDER_STATS_BLOCK``, trial i's m_a +
+    m_b utilities in one row of a matrix.  The ranking is by descending
+    utility, ties by ascending id, so group A (ids below m_a) wins ties,
+    but no row is sorted.  With ``t`` a row's k-th largest value, the top
+    k holds every item above ``t``, then the tied ones, A's first:
+    ``N_k^b = max(#(B > t), k - #(A >= t))``.  With ``b_l`` its l-th
     largest target value, ``P_l = l + #(A >= b_l)``.  The report is the
     same for every block size.  NaN utilities raise ``ValueError``.
     """
@@ -481,19 +476,12 @@ def estimate_order_stats(
     check_size("the trial results", trials)
     nkb = np.empty(trials, dtype=np.int64)
     pl = np.empty(trials, dtype=np.int64)
-    rngs = seed.rngs_for_trials(0, trials)
-    w = np.empty((min(ORDER_STATS_BLOCK, trials), m))
-    for start in range(0, trials, ORDER_STATS_BLOCK):
-        rows = min(ORDER_STATS_BLOCK, trials - start)
-        for row, rng in zip(range(rows), rngs):
-            w[row] = dist.draw(rng, m)
-        x = w[:rows]
+    for part, x in _draw_blocks(seed, trials, ORDER_STATS_BLOCK, ((dist, m),)):
         if np.isnan(x).any():
             raise ValueError("utilities must not be NaN")
         a, b = x[:, :m_a], x[:, m_a:]
         t = _kth_largest(x, k)[:, None]
         b_l = _kth_largest(b, l)[:, None]
-        part = slice(start, start + rows)
         nkb[part] = np.maximum(np.count_nonzero(b > t, axis=1), k - np.count_nonzero(a >= t, axis=1))
         pl[part] = l + np.count_nonzero(a >= b_l, axis=1)
     mean_n, se_n = map(float, _mean_se(nkb.astype(float)))
@@ -505,6 +493,7 @@ def estimate_order_stats(
         se_Pl=se_p,
         trials=trials,
         nkb_counts=np.bincount(nkb, minlength=k + 1),
+        pl_counts=np.bincount(pl, minlength=m_a + l + 1),
     )
 
 
@@ -517,13 +506,13 @@ def apply_score_shift(scores, gamma: float, offset: float) -> np.ndarray:
     return (s + offset) * gamma - offset
 
 
-def supernumerary_seats(n: int, n_f: int, alpha: float) -> int:
-    """Added seats x solving ``n_f + x = alpha * (n + x)``, ceiled and
-    clamped at zero."""
+def supernumerary_seats(n: int, n_f, alpha: float):
+    """Added seats x solving ``n_f + x = alpha * (n + x)``, ceiled and clamped
+    at zero: an int, or whole-number floats (past int64 near alpha 1) for an array."""
     if not (0.0 <= alpha < 1.0):
         raise ValueError("alpha must lie in [0, 1)")
-    raw = (alpha * n - n_f) / (1.0 - alpha)
-    return max(0, int(math.ceil(raw - CEIL_EPSILON)))
+    x = np.maximum(0.0, np.ceil((alpha * n - np.asarray(n_f)) / (1.0 - alpha) - CEIL_EPSILON))
+    return x if x.ndim else int(x)
 
 
 @dataclass(frozen=True)
@@ -560,6 +549,7 @@ class SupernumeraryConfig:
             raise ValueError("gamma must be at least 1")
         if self.discount_kind not in ("constant", "dcg", "zipf"):
             raise ValueError("discount kind must be constant, dcg, or zipf")
+        self.discount(1)  # a bad log base fails here, before any trial is drawn
 
     def discount(self, length: int) -> DiscountVector:
         if self.discount_kind == "dcg":
@@ -629,15 +619,23 @@ def supernumerary_compare(
     the tail positions, while the prefix bounds spread them through the
     list.  Latent utility under the config's discount, divided by the
     scheme's seat count, is reported.
+
+    Trials run in blocks of ``SUPERNUMERARY_BLOCK`` (fewer for huge m), with
+    one stable sort and one :func:`rank_single_column` call per block.  Each
+    trial is checked for too many seats, then too many reserved seats, then a
+    non-finite shifted utility; as in a per-trial loop, the first failing
+    trial raises its error.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
-    m_a, m_b, n = config.m_a, config.m_b, config.n
+    m_a, m_b, n, alpha = config.m_a, config.m_b, config.n, config.alpha
     m = m_a + m_b
     check_size("a trial's utilities", m)
     check_size("the trial results", trials)
-    per_seat = {s: np.empty(trials) for s in SUPERNUMERARY_SCHEMES}
-    seats = {s: np.empty(trials) for s in SUPERNUMERARY_SCHEMES}
+    block = max(1, min(SUPERNUMERARY_BLOCK, MAX_ELEMENTS // m))
+    # one row per scheme, in SUPERNUMERARY_SCHEMES order
+    per_seat = np.empty((len(SUPERNUMERARY_SCHEMES), trials))
+    seats = np.empty((len(SUPERNUMERARY_SCHEMES), trials))
     target = np.zeros(m, dtype=bool)
     target[m_a:] = True
 
@@ -647,69 +645,55 @@ def supernumerary_compare(
 
     @functools.cache
     def bound_for(length: int) -> np.ndarray:
-        return simple_constraints(config.alpha, 1, length, 2).matrix[:, 1]
+        return simple_constraints(alpha, 1, length, 2).matrix[:, 1]
 
-    def per_seat_utility(latent: np.ndarray, ids: np.ndarray) -> float:
-        v = discount_for(ids.size)
-        return float((latent[ids] @ v) / ids.size)
-
-    for i, rng in enumerate(seed.rngs_for_trials(0, trials)):
-        s_a = config.dist_a.draw(rng, m_a)
-        s_b = config.dist_b.draw(rng, m_b)
-        observed = np.concatenate([s_a, s_b])
+    groups = ((config.dist_a, m_a), (config.dist_b, m_b))
+    for part, observed in _draw_blocks(seed, trials, block, groups):
         latent = observed.copy()
-        latent[m_a:] = apply_score_shift(s_b, config.gamma, config.score_offset)
-
-        order = np.argsort(-observed, kind="stable")
-        top_n = order[:n]
-        n_f = int((top_n >= m_a).sum())
-        x = supernumerary_seats(n, n_f, config.alpha)
-        n_sup = n + x
-        if n_sup > m:
-            raise ValueError(f"{n_sup} seats but only {m} candidates")
-        reserved_count = n_f + x
-        if reserved_count > m_b:
-            raise ValueError(f"{reserved_count} reserved seats but only {m_b} target candidates")
-
-        # Reserved seats go to the best target candidates by observed score;
-        # open seats then take the best of everyone not already admitted.
-        # Placement is unconstrained, so the admitted set is re-ranked by
-        # observed score alone.
-        b_order = order[order >= m_a]
-        reserved = b_order[:reserved_count]
-        taken = np.zeros(m, dtype=bool)
-        taken[reserved] = True
-        open_pool = order[~taken[order]]
-        sup_ids = order[np.isin(order, np.concatenate([reserved, open_pool[: n - n_f]]))]
-
-        uncons_ids = top_n
-        uncons_exp_ids = order[:n_sup]
-
-        if not np.all(np.isfinite(latent)):
-            raise ValueError("latent utilities must be finite")
-        cons_ids = rank_single_column(order, target, bound_for(n))[0]
-        cons_exp_ids = rank_single_column(order, target, bound_for(n_sup))[0]
-
-        for name, ids in (
-            ("cons", cons_ids),
-            ("uncons", uncons_ids),
-            ("sup", sup_ids),
-            ("cons_expanded", cons_exp_ids),
-            ("uncons_expanded", uncons_exp_ids),
-        ):
-            per_seat[name][i] = per_seat_utility(latent, ids)
-            seats[name][i] = len(ids)
-    stats = []
-    for name in SUPERNUMERARY_SCHEMES:
-        mean_u, se = map(float, _mean_se(per_seat[name]))
-        stats.append(
-            SupernumerarySchemeStats(
-                scheme=name,
-                mean_seats=float(seats[name].mean()),
-                mean_utility_per_seat=mean_u,
-                se=se,
+        latent[:, m_a:] = apply_score_shift(observed[:, m_a:], config.gamma, config.score_offset)
+        order = _order(observed)
+        is_t = order >= m_a
+        n_f = np.count_nonzero(is_t[:, :n], axis=1)
+        x = supernumerary_seats(n, n_f, alpha)  # float, so a huge x is checked before any cast
+        # each trial's checks in order; the first failing trial raises
+        bad = np.stack([n + x > m, n_f + x > m_b, ~np.isfinite(latent).all(axis=1)])
+        if bad.any():
+            i = int(bad.any(axis=0).argmax())
+            raise ValueError(
+                (
+                    f"{n + int(x[i])} seats but only {m} candidates",
+                    f"{int(n_f[i]) + int(x[i])} reserved seats but only {m_b} target candidates",
+                    "latent utilities must be finite",
+                )[int(bad[:, i].argmax())]
             )
-        )
-    return SupernumeraryReport(
-        alpha=config.alpha, master_seed=seed.master_seed, trials=trials, schemes=tuple(stats)
+        n_sup, reserved = n + x.astype(np.int64), n_f + x.astype(np.int64)
+
+        # Reserved seats go to the best reserved-count target candidates by
+        # observed score; open seats then take the best n - n_f of everyone
+        # else, so an item's open rank is its position less the reserved
+        # targets at or above it.  Placement is unconstrained, so the
+        # admitted set keeps its observed order.
+        t_rank = np.cumsum(is_t, axis=1)
+        open_rank = np.arange(1, m + 1) - np.minimum(t_rank, reserved[:, None])
+        admitted = (is_t & (t_rank <= reserved[:, None])) | (open_rank <= (n - n_f)[:, None])
+
+        # The floor(alpha * k) bounds of a shorter ranking are a prefix of a
+        # longer one's, and so is the closed form's ranking under them: one
+        # call at the block's most seats gives every row's cons and
+        # cons_expanded as prefixes.
+        cons = rank_single_column(order, target, bound_for(int(n_sup.max())))[0]
+        ids = np.stack([cons[:, :n], order[:, :n]], axis=1)
+        per_seat[:2, part] = _utilities(latent, ids, discount_for(n)).T / n
+        seats[:2, part] = n
+        seats[2:, part] = n_sup
+        for length in np.unique(n_sup).tolist():
+            rows = np.flatnonzero(n_sup == length)
+            o = order[rows]
+            ids = np.stack([o[admitted[rows]].reshape(len(rows), length), cons[rows, :length], o[:, :length]], axis=1)
+            per_seat[2:, part.start + rows] = _utilities(latent[rows], ids, discount_for(length)).T / length
+    mean_u, se = _mean_se(per_seat)
+    stats = tuple(
+        SupernumerarySchemeStats(name, float(s), float(u), float(e))
+        for name, s, u, e in zip(SUPERNUMERARY_SCHEMES, seats.mean(axis=1), mean_u, se)
     )
+    return SupernumeraryReport(alpha=config.alpha, master_seed=seed.master_seed, trials=trials, schemes=stats)

@@ -47,7 +47,15 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# Distributions
+# Distributions: ``draw(rng, size)`` returns ``size`` new values, and
+# ``draw(rng, size, out)`` writes the same values into ``out`` and returns it.
+
+
+def _into(out: np.ndarray | None, values: np.ndarray) -> np.ndarray:
+    if out is None:
+        return values
+    out[...] = values
+    return out
 
 
 class Uniform:
@@ -62,8 +70,14 @@ class Uniform:
         if not (self.a < self.b and math.isfinite(self.b - self.a)):
             raise ValueError(f"uniform requires a < b and a finite b - a, got a={a}, b={b}")
 
-    def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        return rng.uniform(self.a, self.b, size)
+    def draw(self, rng: np.random.Generator, size: int, out: np.ndarray | None = None) -> np.ndarray:
+        if out is None or self.a != 0.0:
+            # a + (b - a) * x may round differently where multiply-add is fused
+            return _into(out, rng.uniform(self.a, self.b, size))
+        rng.random(out=out)  # rng.uniform's 0 + b * x rounds once, fused or not
+        if self.b != 1.0:
+            out *= self.b
+        return out
 
     def to_json_dict(self) -> dict:
         return {"kind": self.kind, "a": self.a, "b": self.b}
@@ -87,8 +101,8 @@ class LogNormal:
         self.mu = float(mu)
         self.sigma = float(sigma)
 
-    def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        return rng.lognormal(self.mu, self.sigma, size)
+    def draw(self, rng: np.random.Generator, size: int, out: np.ndarray | None = None) -> np.ndarray:
+        return _into(out, rng.lognormal(self.mu, self.sigma, size))
 
     def to_json_dict(self) -> dict:
         return {"kind": self.kind, "mu": self.mu, "sigma": self.sigma}
@@ -110,8 +124,8 @@ class Normal:
         self.mu = float(mu)
         self.sigma = float(sigma)
 
-    def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        return rng.normal(self.mu, self.sigma, size)
+    def draw(self, rng: np.random.Generator, size: int, out: np.ndarray | None = None) -> np.ndarray:
+        return _into(out, rng.normal(self.mu, self.sigma, size))
 
     def to_json_dict(self) -> dict:
         return {"kind": self.kind, "mu": self.mu, "sigma": self.sigma}
@@ -138,9 +152,8 @@ class Empirical:
         arr.setflags(write=False)
         self.sample = arr
 
-    def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        idx = rng.integers(0, self.sample.size, size)
-        return self.sample[idx]
+    def draw(self, rng: np.random.Generator, size: int, out: np.ndarray | None = None) -> np.ndarray:
+        return _into(out, self.sample[rng.integers(0, self.sample.size, size)])
 
     def to_json_dict(self) -> dict:
         return {"kind": self.kind, "sample": self.sample.tolist()}
@@ -163,8 +176,11 @@ class ShiftedScaled:
         self.scale = float(scale)
         self.shift = float(shift)
 
-    def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        return self.base.draw(rng, size) * self.scale + self.shift
+    def draw(self, rng: np.random.Generator, size: int, out: np.ndarray | None = None) -> np.ndarray:
+        x = self.base.draw(rng, size, out)
+        x *= self.scale  # in place: the roundings of base * scale + shift
+        x += self.shift
+        return x
 
     def to_json_dict(self) -> dict:
         return {

@@ -98,16 +98,21 @@ def test_c02_derived_constraints_recover_latent_optimum():
     )
 
 
+# name -> (k, l, m_a, m_b, distribution, master seed), 100k trials each
+ORDER_STATS_RUNS = {
+    "uniform_nkb": (10, 2, 50, 50, Uniform(0, 1), 1001),
+    "lognorm_nkb": (10, 2, 50, 50, LogNormal(0, 1), 1002),
+    "uniform_pl": (4, 2, 9, 9, Uniform(0, 1), 1003),
+    "lognorm_pl": (4, 2, 9, 9, LogNormal(0, 1), 1004),
+}
+
+
 @pytest.fixture(scope="module")
 def order_stats_runs():
-    trials = 100_000
-    runs = {
-        "uniform_nkb": estimate_order_stats(10, 2, 50, 50, Uniform(0, 1), trials, SeedSpec(1001)),
-        "lognorm_nkb": estimate_order_stats(10, 2, 50, 50, LogNormal(0, 1), trials, SeedSpec(1002)),
-        "uniform_pl": estimate_order_stats(4, 2, 9, 9, Uniform(0, 1), trials, SeedSpec(1003)),
-        "lognorm_pl": estimate_order_stats(4, 2, 9, 9, LogNormal(0, 1), trials, SeedSpec(1004)),
+    return {
+        name: estimate_order_stats(k, l, m_a, m_b, dist, 100_000, SeedSpec(seed))
+        for name, (k, l, m_a, m_b, dist, seed) in ORDER_STATS_RUNS.items()
     }
-    return runs
 
 
 def test_c03_order_stat_means_and_distribution_independence(order_stats_runs):
@@ -138,6 +143,43 @@ def test_c03_order_stat_means_and_distribution_independence(order_stats_runs):
         ok,
         f"|dNkb| {err_n_u:.4f}/{err_n_l:.4f}, |dPl| {err_p_u:.4f}/{err_p_l:.4f}",
     )
+
+
+def pooled_chi_square(counts, pmf) -> tuple[float, int]:
+    """Pearson's statistic and degrees of freedom of ``counts`` against
+    ``counts.sum() * pmf`` over the same bins, adjacent bins pooled left to
+    right until each expects at least 5 (a short tail joins the last bin)."""
+    obs, exp, o, e = [], [], 0.0, 0.0
+    for c, x in zip(counts, counts.sum() * np.asarray(pmf)):
+        o, e = o + c, e + x
+        if e >= 5.0:
+            obs.append(o)
+            exp.append(e)
+            o, e = 0.0, 0.0
+    obs[-1] += o
+    exp[-1] += e
+    obs, exp = np.array(obs), np.array(exp)
+    return float(((obs - exp) ** 2 / exp).sum()), len(obs) - 1
+
+
+def test_c12_urn_laws_pass_chi_square(order_stats_runs):
+    # Every C3 run's top-k target count is hypergeometric and its l-th target
+    # position shifted negative hypergeometric, whatever the distribution.
+    chi2 = pytest.importorskip("scipy.stats").chi2
+    ok, details = True, []
+    for name, (k, l, m_a, m_b, _, _) in ORDER_STATS_RUNS.items():
+        est = order_stats_runs[name]
+        laws = (
+            ("Nkb", est.nkb_counts, [pmf_Nkb(j, k, m_a, m_b) for j in range(k + 1)]),
+            ("Pl", est.pl_counts, [pmf_Pl(p, l, m_a, m_b) for p in range(m_a + l + 1)]),
+        )
+        for law, counts, pmf in laws:
+            assert len(counts) == len(pmf)
+            stat, df = pooled_chi_square(counts, pmf)
+            p_value = float(chi2.sf(stat, df))
+            ok = ok and p_value > 0.001
+            details.append(f"{name} {law}: chi2={stat:.1f} df={df} p={p_value:.3f}")
+    report("C12 urn-model laws pass a chi-square test at p > 0.001", ok, "; ".join(details))
 
 
 def test_c04_lower_tail_within_bound(order_stats_runs):

@@ -3,10 +3,13 @@
 Each ``BENCH_<workload>.json`` at the repository root maps a change number
 to the runs measured for it: one entry per ``perfbench/run.py`` invocation,
 with the side (``parent`` or ``change``), the seed, the ``--trace`` value and
-the JSON line the run printed, verbatim, as ``result``.
+the JSON line the run printed, verbatim, as ``result``.  Each change
+number holds exactly one ``parent`` and one ``change`` run per (seed,
+trace), so every run has its pair.
 """
 
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -27,6 +30,9 @@ def test_every_run_passed_its_output_checks(path):
     assert doc and all(key.isdigit() for key in doc)
     for runs in doc.values():
         assert {entry["side"] for entry in runs} == {"parent", "change"}
+        sides = Counter((entry["seed"], entry["trace"], entry["side"]) for entry in runs)
+        pairs = {(seed, trace) for seed, trace, _ in sides}
+        assert sides == Counter({(seed, trace, side): 1 for seed, trace in pairs for side in ("parent", "change")})
         for entry in runs:
             assert entry["workload"] == workload and entry["trace"] in (0, 1)
             result = entry["result"]

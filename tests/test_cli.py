@@ -279,6 +279,10 @@ class TestExitCodes:
             (["orderstats", "--k", "2", "--l", "1", "--ma", "5", "--mb", "5", "--dist", "d"], {"d": [{"kind": "uniform"}]}),
             (["solve", "inst"], {"inst": {**FACT_INSTANCE_W, "v": [2.0, 1.0]}}),
             (["supernumerary", "cfg"], {"cfg": {**SUPERNUMERARY_CONFIG, "discount": ["dcg"]}}),
+            (["supernumerary", "cfg"], {"cfg": {**SUPERNUMERARY_CONFIG, "discount": {"kind": "dcg", "log_base": "e"}}}),
+            (["supernumerary", "cfg"], {"cfg": {**SUPERNUMERARY_CONFIG, "discount": {"kind": "dcg", "log_base": [2]}}}),
+            (["supernumerary", "cfg"], {"cfg": {**SUPERNUMERARY_CONFIG, "discount": {"kind": "dcg", "log_base": 0.5}}}),
+            (["supernumerary", "cfg"], {"cfg": {**SUPERNUMERARY_CONFIG, "discount": {"kind": "lcg"}}}),
             (["simulate", "cfg", "--trials", "0"], {"cfg": TRIAL_CONFIG}),
             (["simulate", "cfg"], {"cfg": {**TRIAL_CONFIG, "m_a": float("inf")}}),
             (["sweep", "cfg"], {"cfg": {**TRIAL_CONFIG, "alphas": [0.0], "betas": [0.5], "trials": float("inf")}}),
@@ -316,6 +320,10 @@ class TestExitCodes:
             "list-orderstats-dist",
             "list-discount",
             "list-supernumerary-discount",
+            "string-log-base-supernumerary",
+            "list-log-base-supernumerary",
+            "small-log-base-supernumerary",
+            "unknown-discount-kind-supernumerary",
             "simulate-zero-trials",
             "infinite-m_a-simulate",
             "infinite-trials-sweep",
@@ -336,6 +344,22 @@ class TestExitCodes:
         assert code == 3
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "discount, code",
+        [
+            ({"kind": "dcg", "log_base": 2.0}, 0),  # the control: a good discount draws
+            ({"kind": "lcg"}, 3),
+        ],
+        ids=["good", "unknown-kind"],
+    )
+    def test_bad_supernumerary_discount_fails_before_drawing(self, tmp_path, monkeypatch, discount, code):
+        calls = []
+        draw = stats.Normal.draw
+        monkeypatch.setattr(stats.Normal, "draw", lambda self, *args: calls.append(1) or draw(self, *args))
+        doc = {**SUPERNUMERARY_CONFIG, "discount": discount, "trials": 2}
+        assert main(["supernumerary", write_json(tmp_path, "cfg.json", doc)]) == code
+        assert bool(calls) == (code == 0)
 
     @pytest.mark.parametrize(
         "command, doc",
@@ -446,7 +470,7 @@ class TestRepeatedCalls:
 
 class TestMemoryError:
     def test_failed_allocation_is_one_line_io_error(self, tmp_path, capsys, monkeypatch):
-        def no_memory(self, rng, size):
+        def no_memory(self, rng, size, out=None):
             raise MemoryError
 
         monkeypatch.setattr(stats.Uniform, "draw", no_memory)

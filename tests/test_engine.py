@@ -5,19 +5,22 @@ top-n selection must equal the prefix of the full stable sort, the
 stacked scoring must equal ``ranking_utility`` bit for bit, and the
 closed-form single-column placement must equal the greedy solver.
 Block seeding must put every trial's generator in the state
-``rng_for_trial`` gives it, and ``estimate_order_stats`` must return the
-same report whatever its block size.
+``rng_for_trial`` gives it, every distribution must draw the same bits
+into a block row as into a new array, ``estimate_order_stats`` must
+return the same report whatever its block size, and
+``supernumerary_compare`` must equal the per-trial loop, errors included.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import replace
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from biasrank import (
     DiscountVector,
@@ -29,8 +32,10 @@ from biasrank import (
     Ranking,
     SeedSpec,
     ShiftedScaled,
+    SupernumeraryConfig,
     TrialConfig,
     Uniform,
+    apply_score_shift,
     estimate_order_stats,
     rank_constrained_greedy,
     ranking_utility,
@@ -38,11 +43,16 @@ from biasrank import (
     run_trial,
     run_trials,
     simple_constraints,
+    supernumerary_compare,
+    supernumerary_seats,
 )
 from biasrank import experiments, stats
 from biasrank.solver import rank_single_column
 
-DISTS = [Uniform(0, 1), Empirical([0.0, 1.0, 1.0, 2.0, 3.0, 3.0]), Normal(0, 1)]
+# Uniform draws into a block row take rng.random when a is 0 (signed zero
+# included) and rng.uniform otherwise; each must give rng.uniform's bits.
+UNIFORMS = [Uniform(0, 1), Uniform(0, 100), Uniform(-0.0, 2.0)]
+DISTS = UNIFORMS + [Empirical([0.0, 1.0, 1.0, 2.0, 3.0, 3.0]), Normal(0, 1)]
 DISCOUNTS = {"constant": DiscountVector.constant, "dcg": DiscountVector.dcg, "zipf": DiscountVector.zipf}
 
 
@@ -286,9 +296,9 @@ class CountingUniform(Uniform):
         super().__init__(0.0, 1.0)
         self.calls = 0
 
-    def draw(self, rng, size):
+    def draw(self, rng, size, out=None):
         self.calls += 1
-        return super().draw(rng, size)
+        return super().draw(rng, size, out)
 
 
 class TestInfeasibleAlphaFailsBeforeDrawing:
@@ -297,6 +307,16 @@ class TestInfeasibleAlphaFailsBeforeDrawing:
             m_a=18, m_b=2, n=10, beta=0.5, alpha=0.0,
             dist_a=dist, dist_b=dist, discount=DiscountVector.constant(10),
         )
+
+    def test_feasible_runs_count_every_draw(self):
+        # the positive control: without it, calls == 0 below could mean the
+        # counter is never reached
+        dist = CountingUniform()
+        run_sweep(self.config(dist), [0.0, 0.1, 0.2], [0.25, 0.5], trials=37, seed=SeedSpec(0))
+        assert dist.calls == 2 * 37
+        dist = CountingUniform()
+        estimate_order_stats(3, 2, 10, 12, dist, 300, SeedSpec(0))
+        assert dist.calls == 300
 
     def test_only_last_alpha_infeasible(self):
         dist = CountingUniform()
@@ -349,13 +369,18 @@ class TestBlockSeeding:
     def test_first_draws_equal_for_every_distribution_kind(self, seed, span, block, size):
         spec = SeedSpec(seed)
         start, stop = span
-        for dist in FIVE_KINDS:
+        for dist in FIVE_KINDS + UNIFORMS:
+            want = [dist.draw(spec.rng_for_trial(i), size).tobytes() for i in range(start, stop)]
             with mock.patch.object(stats, "SEED_BLOCK", block):
-                got = [dist.draw(rng, size) for rng in spec.rngs_for_trials(start, stop)]
-            want = [dist.draw(spec.rng_for_trial(i), size) for i in range(start, stop)]
-            assert len(got) == len(want)
-            for a, b in zip(got, want):
-                np.testing.assert_array_equal(a, b)
+                got = [dist.draw(rng, size).tobytes() for rng in spec.rngs_for_trials(start, stop)]
+                # into the middle columns of a block row, leaving the rest alone
+                block_rows = np.full((stop - start, size + 3), np.nan)
+                for row, rng in zip(block_rows, spec.rngs_for_trials(start, stop)):
+                    out = row[2 : 2 + size]
+                    assert dist.draw(rng, size, out) is out
+            assert got == want
+            assert [row[2 : 2 + size].tobytes() for row in block_rows] == want
+            assert np.isnan(block_rows[:, :2]).all() and np.isnan(block_rows[:, 2 + size :]).all()
 
     @given(seed=SEEDS, span=trial_ranges())
     @settings(max_examples=100, deadline=None)
@@ -434,10 +459,10 @@ def per_trial_order_stats(k, l, m_a, m_b, dist, trials, seed):
     return np.array(nkb), np.array(pl)
 
 
-# Besides the five kinds: signed zeros that tie with each other, a sample
-# with few atoms, and lognormals whose draws overflow to +inf (some or
-# all) or, scaled by -1, to -inf.
-ORDER_STATS_DISTS = FIVE_KINDS + [
+# Besides the five kinds and the uniforms: signed zeros that tie with each
+# other, a sample with few atoms, and lognormals whose draws overflow to
+# +inf (some or all) or, scaled by -1, to -inf.
+ORDER_STATS_DISTS = FIVE_KINDS + UNIFORMS + [
     Empirical([-0.0, 0.0, 0.0, 1.0]),
     Empirical([0.0, 1.0, 1.0]),
     LogNormal(709.0, 2.0),
@@ -460,7 +485,7 @@ def order_stats_problems(draw):
 
 
 def report_fields(rep):
-    return (rep.mean_Nkb, rep.se_Nkb, rep.mean_Pl, rep.se_Pl, rep.trials, rep.nkb_counts.tolist())
+    return (rep.mean_Nkb, rep.se_Nkb, rep.mean_Pl, rep.se_Pl, rep.trials, rep.nkb_counts.tolist(), rep.pl_counts.tolist())
 
 
 class TestOrderStatsEngine:
@@ -491,3 +516,89 @@ class TestOrderStatsEngine:
         assert (rep.mean_Nkb, rep.se_Nkb) == mean_se(nkb)
         assert (rep.mean_Pl, rep.se_Pl) == mean_se(pl)
         assert rep.nkb_counts.tolist() == np.bincount(nkb, minlength=k + 1).tolist()
+        assert rep.pl_counts.tolist() == np.bincount(pl, minlength=m_a + l + 1).tolist()
+
+
+def per_trial_supernumerary(config, trials, seed):
+    """The per-trial loop: one ``rng_for_trial`` stream, one sort and one
+    ``rank_single_column`` call per trial and seat count, and each scheme's
+    per-seat utility from its own 1-D dot.  Returns the per-seat utilities
+    and seat counts, one row per scheme, or raises the first trial's error."""
+    m_a, m_b, n = config.m_a, config.m_b, config.n
+    m = m_a + m_b
+    target = np.arange(m) >= m_a
+    per_seat, seats = np.empty((5, trials)), np.empty((5, trials))
+    for i in range(trials):
+        rng = seed.rng_for_trial(i)
+        observed = np.concatenate([config.dist_a.draw(rng, m_a), config.dist_b.draw(rng, m_b)])
+        latent = observed.copy()
+        latent[m_a:] = apply_score_shift(observed[m_a:], config.gamma, config.score_offset)
+        order = np.argsort(-observed, kind="stable")
+        n_f = int(target[order[:n]].sum())
+        x = supernumerary_seats(n, n_f, config.alpha)
+        if n + x > m:
+            raise ValueError(f"{n + x} seats but only {m} candidates")
+        if n_f + x > m_b:
+            raise ValueError(f"{n_f + x} reserved seats but only {m_b} target candidates")
+        if not np.all(np.isfinite(latent)):
+            raise ValueError("latent utilities must be finite")
+        reserved = order[target[order]][: n_f + x]
+        open_pool = order[~np.isin(order, reserved)]
+        sup = order[np.isin(order, np.concatenate([reserved, open_pool[: n - n_f]]))]
+
+        def cons(length):
+            bound = simple_constraints(config.alpha, 1, length, 2).matrix[:, 1]
+            return rank_single_column(order, target, bound)[0]
+
+        for s, ids in enumerate([cons(n), order[:n], sup, cons(n + x), order[: n + x]]):
+            per_seat[s, i] = (latent[ids] @ config.discount(ids.size).values) / ids.size
+            seats[s, i] = ids.size
+    return per_seat, seats
+
+
+@st.composite
+def supernumerary_problems(draw):
+    m_a = draw(st.integers(0, 30))
+    m_b = draw(st.integers(0 if m_a else 1, 30))
+    return SupernumeraryConfig(
+        n=draw(st.integers(1, m_a + m_b)),
+        m_a=m_a,
+        m_b=m_b,
+        alpha=draw(st.sampled_from([0.0, 0.5, 0.99]) | st.floats(0.0, 0.95)),
+        gamma=draw(st.sampled_from([1.0, 1.5])),
+        dist_a=draw(st.sampled_from(DISTS)),
+        dist_b=draw(st.sampled_from(DISTS + [LogNormal(800.0, 1.0)])),
+        score_offset=draw(st.sampled_from([0.0, 10.0])),
+        discount_kind=draw(st.sampled_from(["constant", "dcg", "zipf"])),
+    )
+
+
+class TestSupernumeraryEngine:
+    # Trial 1 has too many reserved seats and trial 3 too many seats, the
+    # check that comes first within a trial: the engine must raise trial 1's.
+    @example(
+        config=SupernumeraryConfig(
+            n=10, m_a=8, m_b=6, alpha=0.5, gamma=1.2, dist_a=Uniform(0, 100), dist_b=Uniform(0, 70),
+            score_offset=10.0, discount_kind="dcg",
+        ),
+        trials=8,
+        seed=30,
+        block=64,
+    )
+    @given(config=supernumerary_problems(), trials=st.integers(1, 20), seed=SEEDS, block=st.sampled_from([1, 3, 7, 64]))
+    @settings(max_examples=80, deadline=None)
+    def test_equals_per_trial_loop(self, config, trials, seed, block):
+        spec = SeedSpec(seed)
+        with mock.patch.object(experiments, "SUPERNUMERARY_BLOCK", block):
+            try:
+                report = supernumerary_compare(config, trials, spec)
+            except ValueError as exc:
+                with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                    per_trial_supernumerary(config, trials, spec)
+                return
+        per_seat, seats = per_trial_supernumerary(config, trials, spec)
+        for s, stats_ in enumerate(report.schemes):
+            values = per_seat[s]
+            se = values.std(ddof=1) / math.sqrt(trials) if trials > 1 else 0.0
+            assert (stats_.mean_utility_per_seat, stats_.se) == (values.mean(), se)
+            assert stats_.mean_seats == seats[s].mean()

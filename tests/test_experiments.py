@@ -231,9 +231,27 @@ class TestSupernumerarySeats:
         # n_f + x = alpha (n + x) solves exactly at x = 4
         assert supernumerary_seats(10, 3, 0.5) == 4
 
+    def test_array_of_counts_equals_each_count(self):
+        counts = np.arange(0, 101)
+        for alpha in (0.0, 0.14, 0.5, 0.99):
+            seats = supernumerary_seats(100, counts, alpha)
+            assert seats.tolist() == [supernumerary_seats(100, int(c), alpha) for c in counts]
+        assert type(supernumerary_seats(100, 9, 0.14)) is int
+
     def test_alpha_validation(self):
         with pytest.raises(ValueError):
             supernumerary_seats(10, 0, 1.0)
+
+    def test_alpha_next_below_one_overflows_no_seat_count(self):
+        # 1 - alpha = 2**-53 puts x near 1990 * 2**53, past the int64 range
+        alpha = 1 - 2**-53
+        x = supernumerary_seats(2000, 10, alpha)
+        assert type(x) is int and x > 2**63
+        assert supernumerary_seats(2000, np.array([10]), alpha).tolist() == [x]
+        # every one of the 10 target candidates is in the top 2000 of 2000
+        config = sup_config(n=2000, m_a=1990, m_b=10, alpha=alpha)
+        with pytest.raises(ValueError, match=f"^{2000 + x} seats but only 2000 candidates$"):
+            supernumerary_compare(config, 3, SeedSpec(0))
 
 
 def sup_config(**kw):
@@ -333,3 +351,10 @@ class TestSupernumeraryCompare:
             sup_config(alpha=1.0)
         with pytest.raises(ValueError):
             sup_config(n=50, m_a=20, m_b=8)
+        # the discount is checked when the config is built, not per trial
+        with pytest.raises(ValueError):
+            sup_config(discount_kind="dcg", log_base=1.0)
+        with pytest.raises(TypeError):
+            sup_config(discount_kind="dcg", log_base="e")
+        with pytest.raises(ValueError):
+            sup_config(discount_kind="lcg")

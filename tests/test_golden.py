@@ -21,6 +21,10 @@ value in most trials, and a lognormal whose every draw is infinite.  The
 n = 1 and wide-magnitude sweeps and the wide-magnitude ``simulate`` run
 were taken from the engine that scored each ranking with its own 1-D
 dot, before it scored a block with one stacked ``matmul``.  The
+seat-expansion cases with no added seat and with alpha close to 1, and the
+three seat-error messages (one from the first of two failing trials in a
+block), were taken from the loop that ran one trial at a time, before
+``supernumerary_compare`` ran on blocks.  The
 digests were taken with numpy 2.4 and its bundled OpenBLAS on x86-64;
 another BLAS build may round the discounted sums differently.
 """
@@ -294,12 +298,45 @@ SUPERNUMERARY = {
         25,
         23,
     ),
+    # The seat equation adds no seat in any trial.
+    "x0": (
+        [
+            sup_config(
+                n=20, m_a=40, m_b=30, alpha=a, gamma=1.3, dist_a=Normal(30.0, 50.0), dist_b=Normal(20.0, 40.0),
+                discount_kind="dcg",
+            )
+            for a in (0.0, 0.1)
+        ],
+        40,
+        24,
+    ),
+    # alpha close to 1: from 0 to hundreds of added seats, many seat counts
+    # per block, over three blocks of 64 trials.
+    "alpha-near-1": ([sup_config(n=5, m_a=20, m_b=400, alpha=a, gamma=1.5, discount_kind="dcg") for a in (0.95, 0.99)], 130, 25),
 }
 
 SUPERNUMERARY_DIGESTS = {
     "constant": "04fd3b64e3ebd241627ba5e9a0cdb1c63c4d6e64d4846d55572662024f3685b9",
     "dcg-shifted": "78d16621677fda0b8d658844efdc3e7178670716bab8b9ad17eb0e72f83c1d1a",
     "zipf-ties": "429183954fba1ba1048417a89a164707b92fda1875cf5e7faaa569e05166a7a4",
+    "x0": "053605c46366f69a599814483cb6a8876f86728eb5f56d5ba9353434ca68ca11",
+    "alpha-near-1": "cc4d21f55b567d5b1f6cb90f0de613e919af8a0e347bd08304619491978c0f19",
+}
+
+# name -> (config, trials, master seed, the error message)
+SUPERNUMERARY_ERRORS = {
+    "seats-exceed-candidates": (sup_config(n=10, m_a=5, m_b=10, alpha=0.9), 5, 26, "50 seats but only 15 candidates"),
+    "reserved-exceed-targets": (
+        sup_config(n=10, m_a=100, m_b=5, alpha=0.5), 5, 27, "10 reserved seats but only 5 target candidates"
+    ),
+    # Trial 1 has too many reserved seats; trial 3, in the same block, too
+    # many seats, the check that comes first within a trial.
+    "first-failing-trial": (
+        sup_config(n=10, m_a=8, m_b=6, alpha=0.5, gamma=1.2, dist_b=Uniform(0, 70), discount_kind="dcg"),
+        8,
+        30,
+        "7 reserved seats but only 6 target candidates",
+    ),
 }
 
 
@@ -350,6 +387,14 @@ def test_cli_output_bytes(name, tmp_path):
 @pytest.mark.parametrize("name", sorted(SUPERNUMERARY))
 def test_supernumerary_csv_bytes(name):
     assert sha256(supernumerary_output(name)) == SUPERNUMERARY_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(SUPERNUMERARY_ERRORS))
+def test_supernumerary_error_message(name):
+    config, trials, seed, message = SUPERNUMERARY_ERRORS[name]
+    with pytest.raises(ValueError) as exc:
+        supernumerary_compare(config, trials, SeedSpec(seed))
+    assert str(exc.value) == message
 
 
 @pytest.mark.parametrize("name", sorted(ORDERSTATS_RUNS))
