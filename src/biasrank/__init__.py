@@ -16,6 +16,8 @@ The :mod:`biasrank.cli` module exposes everything as ``biasrank``
 subcommands.
 """
 
+from types import ModuleType as _ModuleType
+
 from .model import (
     BiasModel,
     DiscountDiagnostics,
@@ -79,55 +81,7 @@ from .experiments import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BiasModel",
-    "ConstraintMatrix",
-    "DiscountDiagnostics",
-    "DiscountVector",
-    "Distribution",
-    "Empirical",
-    "InfeasibleConstraintsError",
-    "Instance",
-    "LogNormal",
-    "NonDisjointGroupsError",
-    "Normal",
-    "OrderStatsReport",
-    "Ranking",
-    "SeedSpec",
-    "ShiftedScaled",
-    "SupernumeraryConfig",
-    "SupernumeraryReport",
-    "SweepReport",
-    "TrialConfig",
-    "TrialReport",
-    "Uniform",
-    "apply_score_shift",
-    "binomial_negative_moment",
-    "check_feasibility",
-    "derived_constraints",
-    "distribution_from_json",
-    "estimate_order_stats",
-    "expected_Nkb",
-    "expected_Pl",
-    "instance_from_json",
-    "instance_to_json",
-    "observed_utilities",
-    "pmf_Nkb",
-    "pmf_Pl",
-    "prefix_group_counts",
-    "rank_constrained_bruteforce",
-    "rank_constrained_greedy",
-    "rank_unconstrained",
-    "ranking_utility",
-    "run_sweep",
-    "run_trial",
-    "run_trials",
-    "satisfies",
-    "simple_constraints",
-    "supernumerary_compare",
-    "supernumerary_seats",
-    "tail_bound_Nkb",
-    "utility_with_constraints_formula",
-    "utility_without_constraints_formula",
-    "validate_discount",
-]
+# The public surface is every name imported above; submodules are not in it.
+__all__ = sorted(
+    name for name, value in globals().items() if not (name.startswith("_") or isinstance(value, _ModuleType))
+)

@@ -11,11 +11,12 @@ latent optimum.
 
 from __future__ import annotations
 
-from typing import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
 from .model import Instance, Ranking, prefix_group_counts
+from .stats import _eq_fields, _store
 
 __all__ = [
     "ConstraintMatrix",
@@ -40,6 +41,7 @@ class NonDisjointGroupsError(ValueError):
     """Operation requires disjoint groups but some item is in two or more."""
 
 
+@dataclass(frozen=True, eq=False)
 class ConstraintMatrix:
     """Nonnegative (n, p) lower bounds with nondecreasing columns.
 
@@ -47,10 +49,10 @@ class ConstraintMatrix:
     prefix of length k cannot contain more than k items.
     """
 
-    __slots__ = ("_matrix",)
+    matrix: np.ndarray
 
-    def __init__(self, matrix: Sequence[Sequence[int]] | np.ndarray):
-        arr = np.asarray(matrix, dtype=np.int64)
+    def __post_init__(self) -> None:
+        arr = np.asarray(self.matrix, dtype=np.int64)
         if arr.ndim != 2:
             raise ValueError("constraint matrix must be 2-D (n rows, p columns)")
         if arr.shape[0] == 0:
@@ -62,40 +64,27 @@ class ConstraintMatrix:
         rows = np.arange(1, arr.shape[0] + 1, dtype=np.int64)
         if np.any(arr.max(axis=1, initial=0) > rows):
             raise ValueError("a top-k prefix cannot require more than k items")
-        self._matrix = arr.copy()
-        self._matrix.setflags(write=False)
+        _store(self, matrix=arr.copy())
+
+    __eq__ = _eq_fields
 
     @classmethod
     def _unchecked(cls, arr: np.ndarray) -> "ConstraintMatrix":
         """Take ownership of an int64 matrix that is valid by construction, unchecked."""
         self = object.__new__(cls)
-        arr.setflags(write=False)
-        self._matrix = arr
+        _store(self, matrix=arr)
         return self
 
     @property
-    def matrix(self) -> np.ndarray:
-        return self._matrix
-
-    @property
     def n(self) -> int:
-        return int(self._matrix.shape[0])
+        return int(self.matrix.shape[0])
 
     @property
     def p(self) -> int:
-        return int(self._matrix.shape[1])
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, ConstraintMatrix) and np.array_equal(self._matrix, other._matrix)
-
-    def __le__(self, other: "ConstraintMatrix") -> bool:
-        return bool(np.all(self._matrix <= other._matrix))
-
-    def __repr__(self) -> str:
-        return f"ConstraintMatrix(n={self.n}, p={self.p})"
+        return int(self.matrix.shape[1])
 
     def to_json_dict(self) -> dict:
-        return {"n": self.n, "p": self.p, "L": self._matrix.tolist()}
+        return {"n": self.n, "p": self.p, "L": self.matrix.tolist()}
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "ConstraintMatrix":

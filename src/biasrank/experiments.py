@@ -500,7 +500,7 @@ def estimate_order_stats(
 def apply_score_shift(scores, gamma: float, offset: float) -> np.ndarray:
     """Affine correction ``(s + offset) * gamma - offset`` mapping reported
     scores to true scores; ``-offset`` is its fixed point."""
-    if gamma < 1.0:
+    if not (gamma >= 1.0):  # NaN fails too
         raise ValueError("gamma must be at least 1")
     s = np.asarray(scores, dtype=float)
     return (s + offset) * gamma - offset
@@ -545,7 +545,7 @@ class SupernumeraryConfig:
             raise ValueError("candidate pool must cover the base capacity")
         if not (0.0 <= self.alpha < 1.0):
             raise ValueError("alpha must lie in [0, 1)")
-        if self.gamma < 1.0:
+        if not (self.gamma >= 1.0):  # NaN fails too
             raise ValueError("gamma must be at least 1")
         if self.discount_kind not in ("constant", "dcg", "zipf"):
             raise ValueError("discount kind must be constant, dcg, or zipf")

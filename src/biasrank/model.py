@@ -10,8 +10,9 @@ into positions ``1..n`` and are scored against a nonincreasing,
 nonnegative position-discount vector; a constant vector reduces ranking
 to plain subset selection.
 
-All types are immutable after construction and all operations are pure
-functions.
+All types, and the utility distributions of :mod:`biasrank.stats`, are
+frozen dataclasses that validate in ``__post_init__``, so they are immutable
+after construction; all operations are pure functions.
 """
 
 from __future__ import annotations
@@ -22,6 +23,8 @@ from itertools import chain
 from typing import Sequence
 
 import numpy as np
+
+from .stats import _eq_fields, _store
 
 __all__ = [
     "BiasModel",
@@ -38,11 +41,6 @@ __all__ = [
 ]
 
 
-def _readonly(arr: np.ndarray) -> np.ndarray:
-    arr.setflags(write=False)
-    return arr
-
-
 # Elements one allocation may hold (1 GiB of eight-byte values).  Counts come
 # from outside, and under memory overcommit a far larger allocation can succeed
 # and the process die later while filling it, so sizes are checked first.
@@ -55,6 +53,7 @@ def check_size(what: str, elements: int) -> None:
         raise ValueError(f"{what} would hold {elements} elements, more than the limit of {MAX_ELEMENTS}")
 
 
+@dataclass(frozen=True, eq=False)
 class BiasModel:
     """Per-group multiplicative shading factors, each in ``[0, 1]``.
 
@@ -62,29 +61,22 @@ class BiasModel:
     the empty product leaves ungrouped items unshaded.
     """
 
-    __slots__ = ("_betas",)
+    betas: np.ndarray
 
-    def __init__(self, betas: Sequence[float]):
-        arr = np.asarray(betas, dtype=float).reshape(-1)
+    def __post_init__(self) -> None:
+        arr = np.asarray(self.betas, dtype=float).reshape(-1)
         if arr.size and (np.any(arr < 0.0) or np.any(arr > 1.0) or not np.all(np.isfinite(arr))):
             raise ValueError("bias factors must lie in [0, 1]")
-        self._betas = _readonly(arr)
+        _store(self, betas=arr)
 
-    @property
-    def betas(self) -> np.ndarray:
-        return self._betas
+    __eq__ = _eq_fields
 
     @property
     def p(self) -> int:
-        return int(self._betas.size)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, BiasModel) and np.array_equal(self._betas, other._betas)
-
-    def __repr__(self) -> str:
-        return f"BiasModel({self._betas.tolist()})"
+        return int(self.betas.size)
 
 
+@dataclass(frozen=True, eq=False)
 class DiscountVector:
     """Nonincreasing, nonnegative per-position weights.
 
@@ -93,10 +85,12 @@ class DiscountVector:
     the default base is e.  Zeros are allowed, positivity is not required.
     """
 
-    __slots__ = ("_values", "_kind", "_log_base")
+    values: np.ndarray
+    kind: str = "custom"
+    log_base: float | None = None
 
-    def __init__(self, values: Sequence[float], kind: str = "custom", log_base: float | None = None):
-        arr = np.asarray(values, dtype=float).copy()
+    def __post_init__(self) -> None:
+        arr = np.asarray(self.values, dtype=float).copy()
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("discount vector must be a nonempty 1-D sequence")
         if not np.all(np.isfinite(arr)):
@@ -105,11 +99,11 @@ class DiscountVector:
             raise ValueError("discount entries must be nonnegative")
         if np.any(arr[:-1] < arr[1:]):
             raise ValueError("discount vector must be nonincreasing")
-        if kind not in ("constant", "dcg", "zipf", "custom"):
-            raise ValueError(f"unknown discount kind {kind!r}")
-        self._values = _readonly(arr)
-        self._kind = kind
-        self._log_base = log_base
+        if self.kind not in ("constant", "dcg", "zipf", "custom"):
+            raise ValueError(f"unknown discount kind {self.kind!r}")
+        _store(self, values=arr)
+
+    __eq__ = _eq_fields
 
     @classmethod
     def constant(cls, n: int) -> "DiscountVector":
@@ -135,38 +129,15 @@ class DiscountVector:
     def custom(cls, values: Sequence[float]) -> "DiscountVector":
         return cls(values, kind="custom")
 
-    @property
-    def values(self) -> np.ndarray:
-        return self._values
-
-    @property
-    def kind(self) -> str:
-        return self._kind
-
-    @property
-    def log_base(self) -> float | None:
-        return self._log_base
-
     def __len__(self) -> int:
-        return int(self._values.size)
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, DiscountVector)
-            and self._kind == other._kind
-            and self._log_base == other._log_base
-            and np.array_equal(self._values, other._values)
-        )
-
-    def __repr__(self) -> str:
-        return f"DiscountVector(kind={self._kind!r}, n={len(self)})"
+        return int(self.values.size)
 
     def to_json_dict(self) -> dict:
-        d: dict = {"kind": self._kind}
-        if self._kind == "dcg" and self._log_base is not None:
-            d["log_base"] = self._log_base
-        if self._kind == "custom":
-            d["values"] = [float(x) for x in self._values]
+        d: dict = {"kind": self.kind}
+        if self.kind == "dcg" and self.log_base is not None:
+            d["log_base"] = self.log_base
+        if self.kind == "custom":
+            d["values"] = [float(x) for x in self.values]
         return d
 
     @classmethod
@@ -191,6 +162,7 @@ class DiscountVector:
         raise ValueError(f"unknown discount kind {kind!r}")
 
 
+@dataclass(frozen=True, eq=False)
 class Instance:
     """A ranking problem: m items with latent utilities and group memberships,
     n ranked positions, and a position-discount vector of length n.
@@ -201,9 +173,14 @@ class Instance:
     of True entries, so groups may overlap and items may be ungrouped.
     """
 
-    def __init__(self, latent_utilities: Sequence[float], membership, n: int, v: DiscountVector):
-        w = np.asarray(latent_utilities, dtype=float)
-        mem = np.asarray(membership, dtype=bool)
+    latent_utilities: np.ndarray
+    membership_matrix: np.ndarray
+    n: int
+    v: DiscountVector
+
+    def __post_init__(self) -> None:
+        w = np.asarray(self.latent_utilities, dtype=float)
+        mem = np.asarray(self.membership_matrix, dtype=bool)
         if w.ndim != 1:
             raise ValueError("latent utilities must be 1-D")
         if not np.all(np.isfinite(w)):
@@ -211,16 +188,14 @@ class Instance:
         m = int(w.size)
         if mem.ndim != 2 or mem.shape[0] != m:
             raise ValueError("membership must be an (m, p) matrix with one row per item")
-        if not (1 <= n <= m):
-            raise ValueError(f"need 1 <= n <= m, got n={n}, m={m}")
-        if not isinstance(v, DiscountVector):
-            v = DiscountVector(v)
-        if len(v) != n:
-            raise ValueError(f"discount vector has length {len(v)}, expected n={n}")
-        self._w = _readonly(w.copy())
-        self._mem = _readonly(mem.copy())
-        self._n = int(n)
-        self._v = v
+        if not (1 <= self.n <= m):
+            raise ValueError(f"need 1 <= n <= m, got n={self.n}, m={m}")
+        v = self.v if isinstance(self.v, DiscountVector) else DiscountVector(self.v)
+        if len(v) != self.n:
+            raise ValueError(f"discount vector has length {len(v)}, expected n={self.n}")
+        _store(self, latent_utilities=w.copy(), membership_matrix=mem.copy(), n=int(self.n), v=v)
+
+    __eq__ = _eq_fields
 
     @classmethod
     def from_arrays(
@@ -271,39 +246,11 @@ class Instance:
 
     @property
     def m(self) -> int:
-        return int(self._w.size)
-
-    @property
-    def n(self) -> int:
-        return self._n
+        return int(self.latent_utilities.size)
 
     @property
     def p(self) -> int:
-        return int(self._mem.shape[1])
-
-    @property
-    def v(self) -> DiscountVector:
-        return self._v
-
-    @property
-    def latent_utilities(self) -> np.ndarray:
-        return self._w
-
-    @property
-    def membership_matrix(self) -> np.ndarray:
-        return self._mem
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Instance)
-            and self._n == other._n
-            and self._v == other._v
-            and np.array_equal(self._w, other._w)
-            and np.array_equal(self._mem, other._mem)
-        )
-
-    def __repr__(self) -> str:
-        return f"Instance(m={self.m}, n={self.n}, p={self.p}, v={self._v.kind})"
+        return int(self.membership_matrix.shape[1])
 
 
 @dataclass(frozen=True)
@@ -317,7 +264,7 @@ class Ranking:
 
     def __post_init__(self) -> None:
         pos = tuple(map(int, self.positions))
-        object.__setattr__(self, "positions", pos)
+        _store(self, positions=pos)
         if pos and min(pos) < 0:
             raise ValueError("item ids must be nonnegative")
         if len(set(pos)) != len(pos):

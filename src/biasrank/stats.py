@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import ctypes
 import math
-from dataclasses import dataclass
-from typing import Iterator, Sequence
+from dataclasses import dataclass, fields
+from typing import Iterator
 
 import numpy as np
 
@@ -58,17 +58,44 @@ def _into(out: np.ndarray | None, values: np.ndarray) -> np.ndarray:
     return out
 
 
-class Uniform:
+def _store(obj, **values) -> None:
+    """Set fields of a frozen dataclass, from its ``__post_init__``; array
+    values are made read-only, so a value type's arrays never change."""
+    for name, value in values.items():
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+        object.__setattr__(obj, name, value)
+
+
+class _JsonFields:
+    """``to_json_dict`` of a distribution: its ``kind``, then its fields in
+    order, a nested distribution as its own dict and an array as a list."""
+
+    def to_json_dict(self) -> dict:
+        d = {"kind": self.kind}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, np.ndarray):
+                value = value.tolist()
+            elif isinstance(value, _JsonFields):
+                value = value.to_json_dict()
+            d[f.name] = value
+        return d
+
+
+@dataclass(frozen=True)
+class Uniform(_JsonFields):
     """Uniform on [a, b)."""
 
-    __slots__ = ("a", "b")
+    a: float = 0.0
+    b: float = 1.0
     kind = "uniform"
 
-    def __init__(self, a: float = 0.0, b: float = 1.0):
-        self.a = float(a)
-        self.b = float(b)
-        if not (self.a < self.b and math.isfinite(self.b - self.a)):
-            raise ValueError(f"uniform requires a < b and a finite b - a, got a={a}, b={b}")
+    def __post_init__(self) -> None:
+        a, b = float(self.a), float(self.b)
+        if not (a < b and math.isfinite(b - a)):
+            raise ValueError(f"uniform requires a < b and a finite b - a, got a={self.a}, b={self.b}")
+        _store(self, a=a, b=b)
 
     def draw(self, rng: np.random.Generator, size: int, out: np.ndarray | None = None) -> np.ndarray:
         if out is None or self.a != 0.0:
@@ -79,126 +106,86 @@ class Uniform:
             out *= self.b
         return out
 
-    def to_json_dict(self) -> dict:
-        return {"kind": self.kind, "a": self.a, "b": self.b}
 
-    def __eq__(self, other):
-        return isinstance(other, Uniform) and (self.a, self.b) == (other.a, other.b)
-
-    def __repr__(self):
-        return f"Uniform({self.a}, {self.b})"
-
-
-class LogNormal:
+@dataclass(frozen=True)
+class LogNormal(_JsonFields):
     """exp(N(mu, sigma^2))."""
 
-    __slots__ = ("mu", "sigma")
+    mu: float = 0.0
+    sigma: float = 1.0
     kind = "lognormal"
 
-    def __init__(self, mu: float = 0.0, sigma: float = 1.0):
-        if sigma <= 0:
+    def __post_init__(self) -> None:
+        if not (self.sigma > 0):  # NaN fails too
             raise ValueError("lognormal requires sigma > 0")
-        self.mu = float(mu)
-        self.sigma = float(sigma)
+        _store(self, mu=float(self.mu), sigma=float(self.sigma))
 
     def draw(self, rng: np.random.Generator, size: int, out: np.ndarray | None = None) -> np.ndarray:
         return _into(out, rng.lognormal(self.mu, self.sigma, size))
 
-    def to_json_dict(self) -> dict:
-        return {"kind": self.kind, "mu": self.mu, "sigma": self.sigma}
 
-    def __eq__(self, other):
-        return isinstance(other, LogNormal) and (self.mu, self.sigma) == (other.mu, other.sigma)
-
-    def __repr__(self):
-        return f"LogNormal({self.mu}, {self.sigma})"
-
-
-class Normal:
-    __slots__ = ("mu", "sigma")
+@dataclass(frozen=True)
+class Normal(_JsonFields):
+    mu: float = 0.0
+    sigma: float = 1.0
     kind = "normal"
 
-    def __init__(self, mu: float = 0.0, sigma: float = 1.0):
-        if sigma <= 0:
+    def __post_init__(self) -> None:
+        if not (self.sigma > 0):  # NaN fails too
             raise ValueError("normal requires sigma > 0")
-        self.mu = float(mu)
-        self.sigma = float(sigma)
+        _store(self, mu=float(self.mu), sigma=float(self.sigma))
 
     def draw(self, rng: np.random.Generator, size: int, out: np.ndarray | None = None) -> np.ndarray:
         return _into(out, rng.normal(self.mu, self.sigma, size))
 
-    def to_json_dict(self) -> dict:
-        return {"kind": self.kind, "mu": self.mu, "sigma": self.sigma}
 
-    def __eq__(self, other):
-        return isinstance(other, Normal) and (self.mu, self.sigma) == (other.mu, other.sigma)
+def _eq_fields(self, other: object) -> bool:
+    """``==`` for frozen dataclasses that hold arrays, where the generated one
+    is ambiguous: the same type and equal fields, arrays by np.array_equal."""
+    if type(other) is not type(self):
+        return False
+    pairs = ((getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+    return all(np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y for x, y in pairs)
 
-    def __repr__(self):
-        return f"Normal({self.mu}, {self.sigma})"
 
-
-class Empirical:
+@dataclass(frozen=True, eq=False)
+class Empirical(_JsonFields):
     """Uniform resampling (with replacement) from a stored sample."""
 
-    __slots__ = ("sample",)
+    sample: np.ndarray
     kind = "empirical"
 
-    def __init__(self, sample: Sequence[float]):
-        arr = np.sort(np.asarray(sample, dtype=float))
+    def __post_init__(self) -> None:
+        arr = np.sort(np.asarray(self.sample, dtype=float))
         if arr.size == 0:
             raise ValueError("empirical distribution needs a nonempty sample")
         if not np.all(np.isfinite(arr)):
             raise ValueError("empirical sample must be finite")
-        arr.setflags(write=False)
-        self.sample = arr
+        _store(self, sample=arr)
+
+    __eq__ = _eq_fields
 
     def draw(self, rng: np.random.Generator, size: int, out: np.ndarray | None = None) -> np.ndarray:
         return _into(out, self.sample[rng.integers(0, self.sample.size, size)])
 
-    def to_json_dict(self) -> dict:
-        return {"kind": self.kind, "sample": self.sample.tolist()}
 
-    def __eq__(self, other):
-        return isinstance(other, Empirical) and np.array_equal(self.sample, other.sample)
-
-    def __repr__(self):
-        return f"Empirical(size={self.sample.size})"
-
-
-class ShiftedScaled:
+@dataclass(frozen=True)
+class ShiftedScaled(_JsonFields):
     """base * scale + shift."""
 
-    __slots__ = ("base", "scale", "shift")
+    base: Distribution
+    scale: float = 1.0
+    shift: float = 0.0
     kind = "shifted_scaled"
 
-    def __init__(self, base, scale: float = 1.0, shift: float = 0.0):
-        self.base = base
-        self.scale = float(scale)
-        self.shift = float(shift)
+    def __post_init__(self) -> None:
+        _store(self, scale=float(self.scale), shift=float(self.shift))
 
     def draw(self, rng: np.random.Generator, size: int, out: np.ndarray | None = None) -> np.ndarray:
         x = self.base.draw(rng, size, out)
         x *= self.scale  # in place: the roundings of base * scale + shift
         x += self.shift
         return x
-
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "base": self.base.to_json_dict(),
-            "scale": self.scale,
-            "shift": self.shift,
-        }
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ShiftedScaled)
-            and self.base == other.base
-            and (self.scale, self.shift) == (other.scale, other.shift)
-        )
-
-    def __repr__(self):
-        return f"ShiftedScaled({self.base!r}, scale={self.scale}, shift={self.shift})"
 
 
 Distribution = Uniform | LogNormal | Normal | Empirical | ShiftedScaled

@@ -306,6 +306,11 @@ class TestExitCodes:
                 ["orderstats", "--k", "2", "--l", "1", "--ma", "5", "--mb", "5", "--dist", "d"],
                 {"d": {"kind": "shifted_scaled", "base": {"kind": "uniform"}, "scale": math.nan}},
             ),
+            (
+                ["orderstats", "--k", "2", "--l", "1", "--ma", "5", "--mb", "5", "--dist", "d"],
+                {"d": {"kind": "lognormal", "sigma": math.nan}},
+            ),
+            (["supernumerary", "cfg"], {"cfg": {**SUPERNUMERARY_CONFIG, "gamma": math.nan}}),
         ],
         ids=[
             "solve-item-without-w",
@@ -335,6 +340,8 @@ class TestExitCodes:
             "infinite-uniform-range",
             "null-orderstats-dist-parameter",
             "nan-orderstats-utilities",
+            "nan-sigma-orderstats",
+            "nan-gamma-supernumerary",
         ],
     )
     def test_malformed_json_is_one_line_parse_error(self, tmp_path, capsys, argv, files):

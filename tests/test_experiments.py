@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -215,8 +216,9 @@ class TestScoreShift:
         assert_allclose(apply_score_shift(np.array([-105.0]), 1.3, 105.0)[0], -105.0, atol=TOL)
 
     def test_gamma_below_one_rejected(self):
-        with pytest.raises(ValueError):
-            apply_score_shift(np.array([1.0]), 0.9, 105.0)
+        for gamma in (0.9, math.nan):
+            with pytest.raises(ValueError, match="gamma must be at least 1"):
+                apply_score_shift(np.array([1.0]), gamma, 105.0)
 
 
 class TestSupernumerarySeats:
@@ -345,8 +347,9 @@ class TestSupernumeraryCompare:
         assert len(lines) == 2 + 5
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            sup_config(gamma=0.99)
+        for gamma in (0.99, math.nan):
+            with pytest.raises(ValueError, match="gamma must be at least 1"):
+                sup_config(gamma=gamma)
         with pytest.raises(ValueError):
             sup_config(alpha=1.0)
         with pytest.raises(ValueError):

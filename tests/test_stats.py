@@ -241,12 +241,14 @@ class TestDistributions:
                 Uniform(a, b)
 
     def test_parameter_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="got a=1, b=1$"):
             Uniform(1, 1)
-        with pytest.raises(ValueError):
-            Normal(0, 0)
-        with pytest.raises(ValueError):
-            LogNormal(0, -1)
+        for sigma in (0, math.nan):
+            with pytest.raises(ValueError, match="^normal requires sigma > 0"):
+                Normal(0, sigma)
+        for sigma in (-1, math.nan):
+            with pytest.raises(ValueError, match="^lognormal requires sigma > 0"):
+                LogNormal(0, sigma)
         with pytest.raises(ValueError):
             Empirical([])
 
