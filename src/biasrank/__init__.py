@@ -14,74 +14,19 @@ A small numpy library with four layers:
 
 The :mod:`biasrank.cli` module exposes everything as ``biasrank``
 subcommands.
+
+The package's public surface is the union of the ``__all__`` lists of
+model, constraints, solver, stats and experiments: a name is public here
+exactly when its submodule exports it, and it is declared only there.
 """
 
-from types import ModuleType as _ModuleType
-
-from .model import (
-    BiasModel,
-    DiscountDiagnostics,
-    DiscountVector,
-    Instance,
-    Ranking,
-    instance_from_json,
-    instance_to_json,
-    observed_utilities,
-    prefix_group_counts,
-    ranking_utility,
-    validate_discount,
-)
-from .constraints import (
-    ConstraintMatrix,
-    InfeasibleConstraintsError,
-    NonDisjointGroupsError,
-    check_feasibility,
-    derived_constraints,
-    satisfies,
-    simple_constraints,
-)
-from .solver import (
-    rank_constrained_bruteforce,
-    rank_constrained_greedy,
-    rank_unconstrained,
-)
-from .stats import (
-    Distribution,
-    Empirical,
-    LogNormal,
-    Normal,
-    SeedSpec,
-    ShiftedScaled,
-    Uniform,
-    binomial_negative_moment,
-    distribution_from_json,
-    expected_Nkb,
-    expected_Pl,
-    pmf_Nkb,
-    pmf_Pl,
-    tail_bound_Nkb,
-    utility_with_constraints_formula,
-    utility_without_constraints_formula,
-)
-from .experiments import (
-    OrderStatsReport,
-    SupernumeraryConfig,
-    SupernumeraryReport,
-    SweepReport,
-    TrialConfig,
-    TrialReport,
-    apply_score_shift,
-    estimate_order_stats,
-    run_sweep,
-    run_trial,
-    run_trials,
-    supernumerary_compare,
-    supernumerary_seats,
-)
+from . import constraints, experiments, model, solver, stats
+from .model import *
+from .constraints import *
+from .solver import *
+from .stats import *
+from .experiments import *
 
 __version__ = "0.1.0"
 
-# The public surface is every name imported above; submodules are not in it.
-__all__ = sorted(
-    name for name, value in globals().items() if not (name.startswith("_") or isinstance(value, _ModuleType))
-)
+__all__ = sorted({name for mod in (model, constraints, solver, stats, experiments) for name in mod.__all__})

@@ -337,7 +337,6 @@ def ingest_scores(csv_path: str):
     Empirical and summary maps name -> {count, mean, stddev}.
     """
     by_group: dict[str, list[float]] = {}
-    order: list[str] = []
     with open(csv_path, "r", encoding="utf-8") as fh:
         header = fh.readline()
         if header.strip().replace(" ", "") != "score,group":
@@ -356,22 +355,19 @@ def ingest_scores(csv_path: str):
                 score = float(score_text)
             except ValueError as exc:
                 raise ValueError(f"line {lineno}: bad score {score_text!r}") from exc
-            if group not in by_group:
-                by_group[group] = []
-                order.append(group)
-            by_group[group].append(score)
-    if not order:
+            by_group.setdefault(group, []).append(score)
+    if not by_group:
         raise ValueError("CSV contains no data rows")
     dists = {g: Empirical(vals) for g, vals in by_group.items()}
     summary = {}
-    for g in order:
-        vals = np.asarray(by_group[g], dtype=float)
+    for g, scores in by_group.items():
+        vals = np.asarray(scores, dtype=float)
         summary[g] = {
             "count": int(vals.size),
             "mean": float(vals.mean()),
             "stddev": float(vals.std(ddof=1)) if vals.size > 1 else 0.0,
         }
-    return dists, summary, order
+    return dists, summary, list(by_group)
 
 
 def _cmd_ingest(args) -> int:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Instance, Ranking, prefix_group_counts
+from .model import Instance, Ranking, _order, prefix_group_counts
 from .stats import _eq_fields, _store
 
 __all__ = [
@@ -136,7 +136,7 @@ def derived_constraints(instance: Instance) -> ConstraintMatrix:
     recovers the optimal latent utility for any strictly-positive,
     below-one bias factors.
     """
-    order = np.argsort(-instance.latent_utilities, kind="stable")[: instance.n]
+    order = _order(instance.latent_utilities)[: instance.n]
     counts = np.cumsum(instance.membership_matrix[order], axis=0, dtype=np.int64)
     return ConstraintMatrix(counts)
 

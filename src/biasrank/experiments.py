@@ -30,13 +30,13 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from .constraints import InfeasibleConstraintsError, simple_constraints
-from .model import MAX_ELEMENTS, DiscountVector, Instance, check_size, ranking_utility
+from .model import MAX_ELEMENTS, DiscountVector, Instance, _order, check_size, ranking_utility
 from .solver import rank_constrained_greedy, rank_single_column, rank_unconstrained
 from .stats import Distribution, SeedSpec
 
@@ -78,14 +78,11 @@ ORDER_STATS_BLOCK = 256
 # 0.33 s in blocks of 16, and no less in blocks of 256.
 SUPERNUMERARY_BLOCK = 64
 
-SWEEP_CSV_COLUMNS = (
-    "alpha,beta,m_a,m_b,n,trials,mean_cons,se_cons,mean_uncons,se_uncons,mean_opt,se_opt"
-)
 SUPERNUMERARY_CSV_COLUMNS = "alpha,scheme,seats,mean_utility_per_seat,se"
 
 
 def _fmt(x: float) -> str:
-    return format(float(x), ".12g")
+    return str(x) if isinstance(x, int) else format(float(x), ".12g")
 
 
 def _mean_se(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -194,11 +191,10 @@ class SweepReport:
     rows: tuple[SweepRow, ...]
 
     def to_csv(self) -> str:
-        lines = [f"# seed={self.master_seed}", SWEEP_CSV_COLUMNS]
+        names = [f.name for f in fields(SweepRow)]
+        lines = [f"# seed={self.master_seed}", ",".join(names)]
         for r in self.rows:
-            counts = (str(r.m_a), str(r.m_b), str(r.n), str(r.trials))
-            means = (r.mean_cons, r.se_cons, r.mean_uncons, r.se_uncons, r.mean_opt, r.se_opt)
-            lines.append(",".join([_fmt(r.alpha), _fmt(r.beta), *counts, *map(_fmt, means)]))
+            lines.append(",".join([_fmt(getattr(r, name)) for name in names]))
         return "\n".join(lines) + "\n"
 
 
@@ -223,12 +219,6 @@ def _draw_blocks(seed: SeedSpec, trials: int, block: int, groups) -> Iterator[tu
             for dist, size, out in draws:
                 dist.draw(rng, size, out)
         yield slice(start, stop), buf[: stop - start]
-
-
-def _order(x: np.ndarray) -> np.ndarray:
-    """Each row's item order by descending value, ties by ascending index
-    (a stable argsort)."""
-    return np.argsort(-x, axis=1, kind="stable")
 
 
 def _kth_largest(x: np.ndarray, k: int) -> np.ndarray:
@@ -547,16 +537,14 @@ class SupernumeraryConfig:
             raise ValueError("alpha must lie in [0, 1)")
         if not (self.gamma >= 1.0):  # NaN fails too
             raise ValueError("gamma must be at least 1")
+        if not math.isfinite(self.score_offset):
+            raise ValueError(f"score offset must be finite, got {self.score_offset}")
         if self.discount_kind not in ("constant", "dcg", "zipf"):
             raise ValueError("discount kind must be constant, dcg, or zipf")
         self.discount(1)  # a bad log base fails here, before any trial is drawn
 
     def discount(self, length: int) -> DiscountVector:
-        if self.discount_kind == "dcg":
-            return DiscountVector.dcg(length, log_base=self.log_base)
-        if self.discount_kind == "zipf":
-            return DiscountVector.zipf(length)
-        return DiscountVector.constant(length)
+        return DiscountVector.from_json_dict({"kind": self.discount_kind, "log_base": self.log_base}, length)
 
 
 SUPERNUMERARY_SCHEMES = ("cons", "uncons", "sup", "cons_expanded", "uncons_expanded")
@@ -650,7 +638,8 @@ def supernumerary_compare(
     groups = ((config.dist_a, m_a), (config.dist_b, m_b))
     for part, observed in _draw_blocks(seed, trials, block, groups):
         latent = observed.copy()
-        latent[:, m_a:] = apply_score_shift(observed[:, m_a:], config.gamma, config.score_offset)
+        with np.errstate(over="ignore", invalid="ignore"):  # the finiteness check below reports it
+            latent[:, m_a:] = apply_score_shift(observed[:, m_a:], config.gamma, config.score_offset)
         order = _order(observed)
         is_t = order >= m_a
         n_f = np.count_nonzero(is_t[:, :n], axis=1)

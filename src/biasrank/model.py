@@ -53,6 +53,11 @@ def check_size(what: str, elements: int) -> None:
         raise ValueError(f"{what} would hold {elements} elements, more than the limit of {MAX_ELEMENTS}")
 
 
+def _order(x: np.ndarray) -> np.ndarray:
+    """The tie rule of every ranking: indices by descending value, ties by ascending index."""
+    return np.argsort(-x, kind="stable")
+
+
 @dataclass(frozen=True, eq=False)
 class BiasModel:
     """Per-group multiplicative shading factors, each in ``[0, 1]``.

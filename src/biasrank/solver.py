@@ -28,7 +28,7 @@ from __future__ import annotations
 import numpy as np
 
 from .constraints import ConstraintMatrix, InfeasibleConstraintsError, check_feasibility
-from .model import Instance, Ranking
+from .model import Instance, Ranking, _order
 
 __all__ = [
     "rank_constrained_bruteforce",
@@ -56,7 +56,7 @@ def rank_unconstrained(instance: Instance, weights) -> Ranking:
     Optimal for any nonincreasing discount vector.
     """
     w = _check_weights(instance, weights)
-    order = np.argsort(-w, kind="stable")[: instance.n]
+    order = _order(w)[: instance.n]
     return Ranking(tuple(int(i) for i in order))
 
 
@@ -85,7 +85,7 @@ def _greedy(labels: np.ndarray, w: np.ndarray, Lmat: np.ndarray) -> list[int]:
     the (n, p) bound matrix.  Does not check feasibility first; raises
     InfeasibleConstraintsError when the fill runs into it."""
     n, p = Lmat.shape
-    order = np.argsort(-w, kind="stable")
+    order = _order(w)
     # Items are handled by their rank in ``order``: the lowest free rank is
     # the heaviest item left, ties by ascending id.
     ordered_labels = labels[order]

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import ctypes
 import math
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from typing import Iterator
 
 import numpy as np
@@ -195,21 +195,17 @@ def distribution_from_json(d: dict) -> Distribution:
     if not isinstance(d, dict):
         raise ValueError("distribution JSON must be an object")
     kind = d.get("kind")
-    if kind == "uniform":
-        return Uniform(d.get("a", 0.0), d.get("b", 1.0))
-    if kind == "lognormal":
-        return LogNormal(d.get("mu", 0.0), d.get("sigma", 1.0))
-    if kind == "normal":
-        return Normal(d.get("mu", 0.0), d.get("sigma", 1.0))
-    if kind == "empirical":
-        if "sample" not in d:
-            raise ValueError('empirical distribution requires a "sample" array')
-        return Empirical(d["sample"])
-    if kind == "shifted_scaled":
-        if "base" not in d:
-            raise ValueError('shifted_scaled distribution requires a "base" distribution')
-        return ShiftedScaled(distribution_from_json(d["base"]), d.get("scale", 1.0), d.get("shift", 0.0))
-    raise ValueError(f"unknown distribution kind {kind!r}")
+    cls = next((c for c in Distribution.__args__ if c.kind == kind), None)
+    if cls is None:
+        raise ValueError(f"unknown distribution kind {kind!r}")
+    values = {}
+    for f in fields(cls):
+        nested = f.type == "Distribution"  # annotations are strings (postponed evaluation)
+        if f.name not in d and f.default is MISSING:
+            raise ValueError(f'{kind} distribution requires a "{f.name}" {"distribution" if nested else "array"}')
+        value = d.get(f.name, f.default)
+        values[f.name] = distribution_from_json(value) if nested else value
+    return cls(**values)
 
 
 # ---------------------------------------------------------------------------

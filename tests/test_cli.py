@@ -63,6 +63,15 @@ SUPERNUMERARY_CONFIG = {
 }
 
 
+@pytest.fixture
+def normal_draws(monkeypatch):
+    """A list that gets one entry per ``Normal.draw`` call."""
+    calls = []
+    draw = stats.Normal.draw
+    monkeypatch.setattr(stats.Normal, "draw", lambda self, *args: calls.append(1) or draw(self, *args))
+    return calls
+
+
 def write_json(tmp_path, name, doc):
     path = tmp_path / name
     path.write_text(json.dumps(doc), encoding="utf-8")
@@ -311,6 +320,9 @@ class TestExitCodes:
                 {"d": {"kind": "lognormal", "sigma": math.nan}},
             ),
             (["supernumerary", "cfg"], {"cfg": {**SUPERNUMERARY_CONFIG, "gamma": math.nan}}),
+            (["supernumerary", "cfg"], {"cfg": {**SUPERNUMERARY_CONFIG, "score_offset": math.nan}}),
+            (["supernumerary", "cfg"], {"cfg": {**SUPERNUMERARY_CONFIG, "score_offset": math.inf}}),
+            (["supernumerary", "cfg"], {"cfg": {**SUPERNUMERARY_CONFIG, "gamma": 1e308}}),
         ],
         ids=[
             "solve-item-without-w",
@@ -342,6 +354,9 @@ class TestExitCodes:
             "nan-orderstats-utilities",
             "nan-sigma-orderstats",
             "nan-gamma-supernumerary",
+            "nan-offset-supernumerary",
+            "inf-offset-supernumerary",
+            "huge-gamma-supernumerary",
         ],
     )
     def test_malformed_json_is_one_line_parse_error(self, tmp_path, capsys, argv, files):
@@ -360,13 +375,17 @@ class TestExitCodes:
         ],
         ids=["good", "unknown-kind"],
     )
-    def test_bad_supernumerary_discount_fails_before_drawing(self, tmp_path, monkeypatch, discount, code):
-        calls = []
-        draw = stats.Normal.draw
-        monkeypatch.setattr(stats.Normal, "draw", lambda self, *args: calls.append(1) or draw(self, *args))
+    def test_bad_supernumerary_discount_fails_before_drawing(self, tmp_path, normal_draws, discount, code):
         doc = {**SUPERNUMERARY_CONFIG, "discount": discount, "trials": 2}
         assert main(["supernumerary", write_json(tmp_path, "cfg.json", doc)]) == code
-        assert bool(calls) == (code == 0)
+        assert bool(normal_draws) == (code == 0)
+
+    @pytest.mark.parametrize("offset", [math.nan, math.inf], ids=["nan-offset", "inf-offset"])
+    def test_bad_score_offset_fails_before_drawing(self, tmp_path, capsys, normal_draws, offset):
+        doc = {**SUPERNUMERARY_CONFIG, "score_offset": offset}
+        assert main(["supernumerary", write_json(tmp_path, "cfg.json", doc)]) == 3
+        assert capsys.readouterr().err == f"error: score offset must be finite, got {offset}\n"
+        assert not normal_draws
 
     @pytest.mark.parametrize(
         "command, doc",

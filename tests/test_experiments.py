@@ -350,6 +350,9 @@ class TestSupernumeraryCompare:
         for gamma in (0.99, math.nan):
             with pytest.raises(ValueError, match="gamma must be at least 1"):
                 sup_config(gamma=gamma)
+        for offset in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="^score offset must be finite, got "):
+                sup_config(score_offset=offset)
         with pytest.raises(ValueError):
             sup_config(alpha=1.0)
         with pytest.raises(ValueError):

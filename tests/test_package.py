@@ -21,6 +21,14 @@ class TestPublicSurface:
             assert len(owners) == 1, name
             assert getattr(biasrank, name) is getattr(owners[0], name)
 
+    def test_all_is_the_sorted_union_of_the_submodule_alls(self):
+        assert biasrank.__all__ == sorted(set().union(*(mod.__all__ for mod in SUBMODULES)))
+        for mod in SUBMODULES:
+            for name in mod.__all__:
+                value = getattr(mod, name)  # constants and the Distribution union have no home module
+                if isinstance(value, (type, types.FunctionType)):
+                    assert value.__module__ == mod.__name__, (mod, name)
+
     def test_no_modules_and_no_private_names(self):
         assert biasrank.__all__ == sorted(set(biasrank.__all__))
         for name in biasrank.__all__:

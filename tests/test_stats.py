@@ -264,8 +264,33 @@ class TestDistributions:
             assert distribution_from_json(d.to_json_dict()) == d
 
     def test_unknown_kind(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^unknown distribution kind 'cauchy'$"):
             distribution_from_json({"kind": "cauchy"})
+
+    @pytest.mark.parametrize(
+        "d, message",
+        [
+            ({"kind": "empirical"}, 'empirical distribution requires a "sample" array'),
+            ({"kind": "shifted_scaled", "scale": 2.0}, 'shifted_scaled distribution requires a "base" distribution'),
+            ({"kind": "shifted_scaled", "base": {"kind": "empirical"}}, 'empirical distribution requires a "sample" array'),
+            ({"mu": 0.0}, "unknown distribution kind None"),
+            ({"kind": ["uniform"]}, "unknown distribution kind ['uniform']"),
+            ({"kind": {"uniform": 1}}, "unknown distribution kind {'uniform': 1}"),
+            (["uniform"], "distribution JSON must be an object"),
+        ],
+        ids=["no-sample", "no-base", "nested-no-sample", "missing-kind", "list-kind", "object-kind", "not-an-object"],
+    )
+    def test_json_error_messages(self, d, message):
+        with pytest.raises(ValueError) as info:
+            distribution_from_json(d)
+        assert str(info.value) == message
+
+    def test_json_defaults_and_unknown_keys(self):
+        assert distribution_from_json({"kind": "uniform", "b": 2, "extra": 1}) == Uniform(0.0, 2.0)
+        assert distribution_from_json({"kind": "lognormal", "sigma": 0.5}) == LogNormal(0.0, 0.5)
+        assert distribution_from_json({"kind": "normal", "mu": 3}) == Normal(3.0, 1.0)
+        d = {"kind": "shifted_scaled", "base": {"kind": "empirical", "sample": [2, 1], "x": 0}, "shift": 4}
+        assert distribution_from_json(d) == ShiftedScaled(Empirical([1.0, 2.0]), 1.0, 4.0)
 
 
 class TestSeedSpec:
