@@ -17,7 +17,7 @@ def describe(tag, ranking, inst):
 
 
 def main():
-    v = br.DiscountVector.custom([2.0, 1.0])
+    v = br.DiscountVector([2.0, 1.0])
     bias = br.BiasModel([1.0, 0.25])  # group 1 is seen at a quarter of its value
 
     print("Two items, two positions, position weights (2, 1).")

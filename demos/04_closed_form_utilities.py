@@ -13,11 +13,9 @@ import biasrank as br
 
 
 def mc_means(cfg, trials, seed):
-    uc = np.empty(trials)
-    uu = np.empty(trials)
-    for i in range(trials):
-        r = br.run_trial(cfg, i, seed)
-        uc[i], uu[i] = r.u_cons, r.u_uncons
+    reports = br.run_trials(cfg, trials, seed)
+    uc = np.array([r.u_cons for r in reports])
+    uu = np.array([r.u_uncons for r in reports])
     return uc.mean(), uu.mean()
 
 

@@ -22,7 +22,7 @@ sequentially and output never depends on it), and ``--out`` (default
 stdout).
 
 Exit codes: 0 success, 1 usage error, 2 infeasible constraints,
-3 I/O or parse error.
+3 I/O, parse or range error.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -259,6 +260,8 @@ def _cmd_simulate(args) -> int:
             "u_opt": sum(r.u_opt for r in reports) / trials,
         },
     }
+    if not all(map(math.isfinite, body["mean"].values())):
+        raise ValueError("a mean overflows the float range")
     _dump_json(body, args.out)
     return EXIT_OK
 
@@ -455,7 +458,7 @@ def main(argv=None) -> int:
     except (InfeasibleConstraintsError, NonDisjointGroupsError) as exc:
         sys.stderr.write(f"infeasible: {exc}\n")
         return EXIT_INFEASIBLE
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
+    except (OSError, json.JSONDecodeError, ValueError, RecursionError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_IO
     except MemoryError:

@@ -14,12 +14,13 @@ Trials are independent: trial i derives its own stream from
 :func:`run_trial` stays as the scalar definition and oracle.  The batched
 engines (sweeps and ``simulate``, :func:`estimate_order_stats` and
 :func:`supernumerary_compare`) draw through one helper, ``_draw_blocks``:
-it walks the trials in blocks, puts each trial's generator in the state
-``SeedSpec.rng_for_trial(i)`` defines (:meth:`SeedSpec.rngs_for_trials`),
-and has each group's distribution write its draws straight into that
-group's columns of the trial's row of one (block, m) matrix.  Each engine
-then checks, selects or sorts, and scores the whole block at once, and
-reproduces the per-trial loop bit for bit.
+it walks the trials in blocks of ``max(1, BLOCK_ELEMENTS // m)``, puts
+each trial's generator in the state ``SeedSpec.rng_for_trial(i)`` defines
+(:meth:`SeedSpec.rngs_for_trials`), and has each group's distribution
+write its draws straight into that group's columns of the trial's row of
+one (rows, m) matrix.  Each engine then checks, selects or sorts, and
+scores the whole block at once, and reproduces the per-trial loop bit for
+bit, whatever the block size.
 
 The seat-expansion comparison pits the prefix-bound intervention against
 reserving added seats for the target group when the target group's scores
@@ -36,7 +37,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .constraints import InfeasibleConstraintsError, simple_constraints
-from .model import MAX_ELEMENTS, DiscountVector, Instance, _order, check_size, ranking_utility
+from .model import DiscountVector, Instance, _order, check_size, ranking_utility
 from .solver import rank_constrained_greedy, rank_single_column, rank_unconstrained
 from .stats import Distribution, SeedSpec
 
@@ -61,35 +62,28 @@ __all__ = [
 
 CEIL_EPSILON = 1e-9
 
-# Trials drawn and ranked together by the batched engine.  At m = 1000,
-# n = 100 and 11 alphas, sweeps ran about 10% faster with blocks of 16 than
-# with 8 and no faster with 32, while the worker's peak memory grew by about
-# 0.4 MB per doubling of the block.
-BLOCK_TRIALS = 16
-
-# Trials drawn and counted together by estimate_order_stats, one row of
-# m_a + m_b utilities each (25,600 values, 200 KB, at the benchmark's
-# m = 100).  Its per-row selections and counts took 1.0 us per trial in
-# blocks of 256 rows, against 1.4 us in blocks of 64 and 2.9 us in 16.
-ORDER_STATS_BLOCK = 256
-
-# Trials drawn, sorted and scored together by supernumerary_compare.  At
-# m = 800 and n = 40, 2000 trials took about 0.26 s in blocks of 64 against
-# 0.33 s in blocks of 16, and no less in blocks of 256.
-SUPERNUMERARY_BLOCK = 64
-
-SUPERNUMERARY_CSV_COLUMNS = "alpha,scheme,seats,mean_utility_per_seat,se"
+# Utilities per block: each engine draws and scores max(1, BLOCK_ELEMENTS // m)
+# trials of m utilities at a time (32 in the sweep benchmark, m = 1000; 327 in
+# the order-statistics one, m = 100).  Keep it at most model.MAX_ELEMENTS.
+BLOCK_ELEMENTS = 2**15
 
 
-def _fmt(x: float) -> str:
-    return str(x) if isinstance(x, int) else format(float(x), ".12g")
+def _csv(seed: int, header: Sequence[str], rows) -> str:
+    """The ``# seed=`` line, the header, then a line per row: str and int cells by ``str``, others to 12 digits."""
+    lines = [f"# seed={seed}", ",".join(header)]
+    for row in rows:
+        lines.append(",".join([str(x) if isinstance(x, (int, str)) else format(float(x), ".12g") for x in row]))
+    return "\n".join(lines) + "\n"
 
 
 def _mean_se(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and standard error along the last axis, the bits of each row's 1-D forms."""
+    """Mean and standard error along the last axis, the bits of each row's 1-D forms; raises on overflow."""
     size = values.shape[-1]
-    mean = values.mean(axis=-1)
-    se = values.std(axis=-1, ddof=1) / math.sqrt(size) if size > 1 else np.zeros_like(mean)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        mean = values.mean(axis=-1)
+        se = values.std(axis=-1, ddof=1) / math.sqrt(size) if size > 1 else np.zeros_like(mean)
+    if not (np.isfinite(mean).all() and np.isfinite(se).all()):
+        raise ValueError("a mean or standard error overflows the float range")
     return mean, se
 
 
@@ -192,23 +186,24 @@ class SweepReport:
 
     def to_csv(self) -> str:
         names = [f.name for f in fields(SweepRow)]
-        lines = [f"# seed={self.master_seed}", ",".join(names)]
-        for r in self.rows:
-            lines.append(",".join([_fmt(getattr(r, name)) for name in names]))
-        return "\n".join(lines) + "\n"
+        return _csv(self.master_seed, names, ([getattr(r, name) for name in names] for r in self.rows))
 
 
-def _draw_blocks(seed: SeedSpec, trials: int, block: int, groups) -> Iterator[tuple[slice, np.ndarray]]:
-    """Trials 0..trials-1, ``block`` at a time, as ``(part, w)``: row i of
-    the (rows, m) matrix ``w`` holds trial ``part.start + i``, each
-    ``(dist, size)`` of ``groups`` in turn drawing the next ``size`` columns
-    from the trial's stream with ``dist.draw(rng, size, out=...)``.  Every
-    block reuses one buffer, so ``w`` is valid until the next is requested.
+def _draw_blocks(seed: SeedSpec, trials: int, groups) -> Iterator[tuple[slice, np.ndarray]]:
+    """Trials 0..trials-1 as ``(part, w)``, ``max(1, BLOCK_ELEMENTS // m)``
+    at a time, where m is the sum of the group sizes: row i of the (rows, m)
+    matrix ``w`` holds trial ``part.start + i``, each ``(dist, size)`` of
+    ``groups`` in turn drawing the next ``size`` columns from the trial's
+    stream with ``dist.draw(rng, size, out=...)``.  Every block reuses one
+    buffer, so ``w`` is valid until the next is requested.  Raises
+    ValueError, before allocating it, when m exceeds ``MAX_ELEMENTS``.
     """
     cols, at = [], 0
     for dist, size in groups:
         cols.append((dist, size, slice(at, at + size)))
         at += size
+    check_size("a trial's utilities", at)
+    block = max(1, BLOCK_ELEMENTS // at)
     buf = np.empty((min(block, trials), at))
     # Each row's group views, made once for all blocks.
     rows = [[(dist, size, row[col]) for dist, size, col in cols] for row in buf]
@@ -312,7 +307,6 @@ def _run_grid(
     bounds = np.array(columns, dtype=np.int64).reshape(len(alphas), n)
     if bounds[:, -1].max(initial=0) > (m_b if t == 1 else m_a):
         raise InfeasibleConstraintsError("no ranking satisfies the constraint matrix")
-    check_size("a block of utilities", min(BLOCK_TRIALS, trials) * (m_a + m_b))
     check_size("the trial results", trials * max(len(betas), 1) * max(len(alphas), 1))
     groups = (slice(0, m_a), slice(m_a, m_a + m_b))
     c = (min(m_a, n), min(m_b, n))
@@ -324,7 +318,7 @@ def _run_grid(
     n_b_uncons = np.empty((len(betas), trials), dtype=np.int64)
     u_cons = np.empty((len(betas), len(alphas), trials))
     n_b_cons = np.empty((len(betas), len(alphas), trials), dtype=np.int64)
-    for part, w in _draw_blocks(seed, trials, BLOCK_TRIALS, ((base.dist_a, m_a), (base.dist_b, m_b))):
+    for part, w in _draw_blocks(seed, trials, ((base.dist_a, m_a), (base.dist_b, m_b))):
         if not np.all(np.isfinite(w)):
             raise ValueError("latent utilities must be finite")
         row = np.arange(len(w))[:, None]
@@ -446,8 +440,8 @@ def estimate_order_stats(
     """Sample the top-k target count and the position of the l-th target
     item in the utility-sorted ranking of m_a + m_b i.i.d. utilities.
 
-    Trials are drawn in blocks of ``ORDER_STATS_BLOCK``, trial i's m_a +
-    m_b utilities in one row of a matrix.  The ranking is by descending
+    Trials are drawn in blocks (see ``_draw_blocks``), trial i's m_a + m_b
+    utilities in one row of a matrix.  The ranking is by descending
     utility, ties by ascending id, so group A (ids below m_a) wins ties,
     but no row is sorted.  With ``t`` a row's k-th largest value, the top
     k holds every item above ``t``, then the tied ones, A's first:
@@ -461,12 +455,10 @@ def estimate_order_stats(
         raise ValueError(f"need 1 <= l <= m_b, got l={l}")
     if trials < 1:
         raise ValueError("trials must be positive")
-    m = m_a + m_b
-    check_size("a block of utilities", min(ORDER_STATS_BLOCK, trials) * m)
     check_size("the trial results", trials)
     nkb = np.empty(trials, dtype=np.int64)
     pl = np.empty(trials, dtype=np.int64)
-    for part, x in _draw_blocks(seed, trials, ORDER_STATS_BLOCK, ((dist, m),)):
+    for part, x in _draw_blocks(seed, trials, ((dist, m_a + m_b),)):
         if np.isnan(x).any():
             raise ValueError("utilities must not be NaN")
         a, b = x[:, :m_a], x[:, m_a:]
@@ -575,15 +567,9 @@ class SupernumeraryReport:
 def supernumerary_csv(reports: Sequence[SupernumeraryReport]) -> str:
     if not reports:
         raise ValueError("no reports to serialize")
-    lines = [f"# seed={reports[0].master_seed}", SUPERNUMERARY_CSV_COLUMNS]
-    for rep in reports:
-        for s in rep.schemes:
-            lines.append(
-                ",".join(
-                    [_fmt(rep.alpha), s.scheme, _fmt(s.mean_seats), _fmt(s.mean_utility_per_seat), _fmt(s.se)]
-                )
-            )
-    return "\n".join(lines) + "\n"
+    header = ("alpha", "scheme", "seats", "mean_utility_per_seat", "se")
+    rows = ((r.alpha, s.scheme, s.mean_seats, s.mean_utility_per_seat, s.se) for r in reports for s in r.schemes)
+    return _csv(reports[0].master_seed, header, rows)
 
 
 def supernumerary_compare(
@@ -608,24 +594,19 @@ def supernumerary_compare(
     list.  Latent utility under the config's discount, divided by the
     scheme's seat count, is reported.
 
-    Trials run in blocks of ``SUPERNUMERARY_BLOCK`` (fewer for huge m), with
-    one stable sort and one :func:`rank_single_column` call per block.  Each
-    trial is checked for too many seats, then too many reserved seats, then a
-    non-finite shifted utility; as in a per-trial loop, the first failing
-    trial raises its error.
+    Trials run in blocks (see ``_draw_blocks``), with one stable sort and
+    one :func:`rank_single_column` call per block.  Each trial is checked for
+    too many seats, then too many reserved seats, then a non-finite shifted
+    utility; as in a per-trial loop, the first failing trial raises its error.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
     m_a, m_b, n, alpha = config.m_a, config.m_b, config.n, config.alpha
     m = m_a + m_b
-    check_size("a trial's utilities", m)
     check_size("the trial results", trials)
-    block = max(1, min(SUPERNUMERARY_BLOCK, MAX_ELEMENTS // m))
     # one row per scheme, in SUPERNUMERARY_SCHEMES order
     per_seat = np.empty((len(SUPERNUMERARY_SCHEMES), trials))
     seats = np.empty((len(SUPERNUMERARY_SCHEMES), trials))
-    target = np.zeros(m, dtype=bool)
-    target[m_a:] = True
 
     @functools.cache
     def discount_for(length: int) -> np.ndarray:
@@ -635,8 +616,7 @@ def supernumerary_compare(
     def bound_for(length: int) -> np.ndarray:
         return simple_constraints(alpha, 1, length, 2).matrix[:, 1]
 
-    groups = ((config.dist_a, m_a), (config.dist_b, m_b))
-    for part, observed in _draw_blocks(seed, trials, block, groups):
+    for part, observed in _draw_blocks(seed, trials, ((config.dist_a, m_a), (config.dist_b, m_b))):
         latent = observed.copy()
         with np.errstate(over="ignore", invalid="ignore"):  # the finiteness check below reports it
             latent[:, m_a:] = apply_score_shift(observed[:, m_a:], config.gamma, config.score_offset)
@@ -670,7 +650,7 @@ def supernumerary_compare(
         # longer one's, and so is the closed form's ranking under them: one
         # call at the block's most seats gives every row's cons and
         # cons_expanded as prefixes.
-        cons = rank_single_column(order, target, bound_for(int(n_sup.max())))[0]
+        cons = rank_single_column(order, np.arange(m) >= m_a, bound_for(int(n_sup.max())))[0]
         ids = np.stack([cons[:, :n], order[:, :n]], axis=1)
         per_seat[:2, part] = _utilities(latent, ids, discount_for(n)).T / n
         seats[:2, part] = n

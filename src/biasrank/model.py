@@ -130,10 +130,6 @@ class DiscountVector:
     def zipf(cls, n: int) -> "DiscountVector":
         return cls(1.0 / np.arange(1, n + 1, dtype=float), kind="zipf")
 
-    @classmethod
-    def custom(cls, values: Sequence[float]) -> "DiscountVector":
-        return cls(values, kind="custom")
-
     def __len__(self) -> int:
         return int(self.values.size)
 
@@ -151,20 +147,16 @@ class DiscountVector:
             raise ValueError("discount must be a JSON object")
         check_size("the discount vector", n)
         kind = d.get("kind")
-        if kind == "constant":
-            return cls.constant(n)
-        if kind == "dcg":
-            return cls.dcg(n, log_base=d.get("log_base"))
-        if kind == "zipf":
-            return cls.zipf(n)
-        if kind == "custom":
-            values = d.get("values")
-            if values is None:
-                raise ValueError('custom discount requires a "values" array')
-            if len(values) != n:
-                raise ValueError(f"discount has {len(values)} values but n={n}")
-            return cls.custom(values)
-        raise ValueError(f"unknown discount kind {kind!r}")
+        if kind in ("constant", "dcg", "zipf"):
+            return cls.dcg(n, log_base=d.get("log_base")) if kind == "dcg" else getattr(cls, kind)(n)
+        if kind != "custom":
+            raise ValueError(f"unknown discount kind {kind!r}")
+        values = d.get("values")
+        if values is None:
+            raise ValueError('custom discount requires a "values" array')
+        if len(values) != n:
+            raise ValueError(f"discount has {len(values)} values but n={n}")
+        return cls(values)
 
 
 @dataclass(frozen=True, eq=False)

@@ -302,7 +302,7 @@ def test_c09_pmf_normalization_and_moments():
 
 
 def test_c10_fixed_constraints_cannot_serve_both_utility_vectors():
-    v = DiscountVector.custom([2.0, 1.0])
+    v = DiscountVector([2.0, 1.0])
     inst_w = Instance.from_arrays([2.0, 1.0], [[0], [1]], 2, v, p=2)
     inst_wp = Instance.from_arrays([1.0, 2.0], [[0], [1]], 2, v, p=2)
     betas = BiasModel([1.0, 0.25])

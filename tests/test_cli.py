@@ -63,6 +63,20 @@ SUPERNUMERARY_CONFIG = {
 }
 
 
+# Utilities near the float maximum: finite draws whose means or standard
+# errors overflow.
+HUGE_TRIAL_CONFIG = {
+    **TRIAL_CONFIG,
+    "m_a": 20,
+    "m_b": 20,
+    "n": 5,
+    "dist_a": {"kind": "normal", "mu": 1e307, "sigma": 1},
+    "dist_b": {"kind": "normal", "mu": 1e307, "sigma": 1},
+    "discount": {"kind": "constant"},
+}
+HUGE_SPREAD = {"kind": "normal", "mu": 1e307, "sigma": 1e306}
+
+
 @pytest.fixture
 def normal_draws(monkeypatch):
     """A list that gets one entry per ``Normal.draw`` call."""
@@ -323,6 +337,12 @@ class TestExitCodes:
             (["supernumerary", "cfg"], {"cfg": {**SUPERNUMERARY_CONFIG, "score_offset": math.nan}}),
             (["supernumerary", "cfg"], {"cfg": {**SUPERNUMERARY_CONFIG, "score_offset": math.inf}}),
             (["supernumerary", "cfg"], {"cfg": {**SUPERNUMERARY_CONFIG, "gamma": 1e308}}),
+            (["sweep", "cfg"], {"cfg": {**HUGE_TRIAL_CONFIG, "alphas": [0.0], "betas": [0.5], "trials": 4}}),
+            (
+                ["supernumerary", "cfg"],
+                {"cfg": {**SUPERNUMERARY_CONFIG, "dist_a": HUGE_SPREAD, "dist_b": HUGE_SPREAD, "trials": 50}},
+            ),
+            (["simulate", "cfg", "--trials", "4"], {"cfg": HUGE_TRIAL_CONFIG}),
         ],
         ids=[
             "solve-item-without-w",
@@ -357,6 +377,9 @@ class TestExitCodes:
             "nan-offset-supernumerary",
             "inf-offset-supernumerary",
             "huge-gamma-supernumerary",
+            "overflowing-means-sweep",
+            "overflowing-means-supernumerary",
+            "overflowing-means-simulate",
         ],
     )
     def test_malformed_json_is_one_line_parse_error(self, tmp_path, capsys, argv, files):
@@ -366,6 +389,19 @@ class TestExitCodes:
         assert code == 3
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("depth, code", [(900, 0), (2000, 3)], ids=["900-levels", "2000-levels"])
+    def test_deeply_nested_json(self, tmp_path, capsys, depth, code):
+        # json.dumps recurses as deeply as json.load, so the chain is written as text
+        path = tmp_path / "dist.json"
+        path.write_text('{"kind": "shifted_scaled", "base": ' * depth + '{"kind": "uniform"}' + "}" * depth)
+        argv = ["orderstats", "--k", "2", "--l", "1", "--ma", "5", "--mb", "5", "--trials", "10", "--dist", str(path)]
+        assert main(argv) == code
+        err = capsys.readouterr().err
+        if code:
+            assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        else:
+            assert err == ""
 
     @pytest.mark.parametrize(
         "discount, code",

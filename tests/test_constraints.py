@@ -87,7 +87,7 @@ class TestDerivedConstraints:
         assert L.matrix[:, 0].tolist() == [1, 2, 3]
 
     def test_two_item_counterexample_target_column(self):
-        inst = Instance.from_arrays([2.0, 1.0], [[0], [1]], 2, DiscountVector.custom([2.0, 1.0]), p=2)
+        inst = Instance.from_arrays([2.0, 1.0], [[0], [1]], 2, DiscountVector([2.0, 1.0]), p=2)
         L = derived_constraints(inst)
         assert L.matrix[:, 1].tolist() == [0, 1]
         assert L.matrix[:, 0].tolist() == [1, 1]

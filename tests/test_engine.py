@@ -7,12 +7,14 @@ closed-form single-column placement must equal the greedy solver.
 Block seeding must put every trial's generator in the state
 ``rng_for_trial`` gives it, every distribution must draw the same bits
 into a block row as into a new array, ``estimate_order_stats`` must
-return the same report whatever its block size, and
-``supernumerary_compare`` must equal the per-trial loop, errors included.
+return the same report whatever its block size,
+``supernumerary_compare`` must equal the per-trial loop, errors included,
+and every engine must follow the one block rule of ``_draw_blocks``.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import re
 from dataclasses import replace
@@ -46,7 +48,7 @@ from biasrank import (
     supernumerary_compare,
     supernumerary_seats,
 )
-from biasrank import experiments, stats
+from biasrank import experiments, model, stats
 from biasrank.solver import rank_single_column
 
 # Uniform draws into a block row take rng.random when a is 0 (signed zero
@@ -81,7 +83,16 @@ def feasible(cfg: TrialConfig, alpha: float) -> bool:
 
 # Engine blocks of 1, 3 and 7 trials put block edges inside short trial
 # ranges, so the oracle's cost does not grow with the production block.
-ENGINE_BLOCKS = st.sampled_from([1, 3, 7, experiments.BLOCK_TRIALS])
+BLOCK_ROWS = (1, 3, 7)
+ENGINE_BLOCKS = st.sampled_from([*BLOCK_ROWS, None])
+
+
+def blocks_of(rows, m):
+    """Engine blocks of ``rows`` trials of m utilities each, or of the
+    production size when ``rows`` is None."""
+    if rows is None:
+        return contextlib.nullcontext()
+    return mock.patch.object(experiments, "BLOCK_ELEMENTS", rows * m)
 
 
 class TestEngineMatchesRunTrial:
@@ -95,7 +106,7 @@ class TestEngineMatchesRunTrial:
             with pytest.raises(InfeasibleConstraintsError):
                 run_trials(cfg, trials, spec)
             return
-        with mock.patch.object(experiments, "BLOCK_TRIALS", block):
+        with blocks_of(block, cfg.m_a + cfg.m_b):
             reports = run_trials(cfg, trials, spec)
         assert reports == [run_trial(cfg, i, spec) for i in range(trials)]
 
@@ -111,7 +122,7 @@ class TestEngineMatchesRunTrial:
     def test_sweep_means_equal_per_trial_loop(self, cfg, alphas, betas, trials, seed, block):
         alphas = [a for a in alphas if feasible(cfg, a)] or [0.0]
         spec = SeedSpec(seed)
-        with mock.patch.object(experiments, "BLOCK_TRIALS", block):
+        with blocks_of(block, cfg.m_a + cfg.m_b):
             rows = iter(run_sweep(cfg, alphas, betas, trials, spec).rows)
         for beta in betas:
             for alpha in alphas:
@@ -135,7 +146,8 @@ class TestEngineMatchesRunTrial:
             dist_a=Uniform(0, 1), dist_b=Uniform(0, 1), discount=DiscountVector.constant(100),
         )
         spec = SeedSpec(seed)
-        trials = 2 * experiments.BLOCK_TRIALS + 1
+        # two production blocks of 2m utilities per trial, and one trial more
+        trials = 2 * (experiments.BLOCK_ELEMENTS // (2 * m)) + 1
         assert run_trials(cfg, trials, spec) == [run_trial(cfg, i, spec) for i in range(trials)]
 
 
@@ -469,9 +481,6 @@ ORDER_STATS_DISTS = FIVE_KINDS + UNIFORMS + [
     LogNormal(800.0, 1.0),
     ShiftedScaled(LogNormal(709.0, 2.0), -1.0, 0.0),
 ]
-# Engine blocks of 1, 7 and 12 trials put block edges inside short trial
-# ranges, so the oracle's cost does not grow with the production block.
-ORDER_STATS_BLOCKS = (1, 7, 12)
 
 
 @st.composite
@@ -495,18 +504,18 @@ class TestOrderStatsEngine:
         k, l, m_a, m_b, dist, trials = problem
         spec = SeedSpec(seed)
         reports = []
-        for block in (*ORDER_STATS_BLOCKS, experiments.ORDER_STATS_BLOCK):
-            with mock.patch.object(experiments, "ORDER_STATS_BLOCK", block):
+        for block in (*BLOCK_ROWS, None):
+            with blocks_of(block, m_a + m_b):
                 reports.append(report_fields(estimate_order_stats(k, l, m_a, m_b, dist, trials, spec)))
         assert all(r == reports[0] for r in reports)
 
-    @given(problem=order_stats_problems(), seed=SEEDS, block=st.sampled_from(ORDER_STATS_BLOCKS))
+    @given(problem=order_stats_problems(), seed=SEEDS, block=st.sampled_from(BLOCK_ROWS))
     @settings(max_examples=60, deadline=None)
     def test_equals_per_trial_loop(self, problem, seed, block):
         k, l, m_a, m_b, dist, trials = problem
         spec = SeedSpec(seed)
         nkb, pl = per_trial_order_stats(k, l, m_a, m_b, dist, trials, spec)
-        with mock.patch.object(experiments, "ORDER_STATS_BLOCK", block):
+        with blocks_of(block, m_a + m_b):
             rep = estimate_order_stats(k, l, m_a, m_b, dist, trials, spec)
 
         def mean_se(x):
@@ -583,13 +592,13 @@ class TestSupernumeraryEngine:
         ),
         trials=8,
         seed=30,
-        block=64,
+        block=None,
     )
-    @given(config=supernumerary_problems(), trials=st.integers(1, 20), seed=SEEDS, block=st.sampled_from([1, 3, 7, 64]))
+    @given(config=supernumerary_problems(), trials=st.integers(1, 20), seed=SEEDS, block=ENGINE_BLOCKS)
     @settings(max_examples=80, deadline=None)
     def test_equals_per_trial_loop(self, config, trials, seed, block):
         spec = SeedSpec(seed)
-        with mock.patch.object(experiments, "SUPERNUMERARY_BLOCK", block):
+        with blocks_of(block, config.m_a + config.m_b):
             try:
                 report = supernumerary_compare(config, trials, spec)
             except ValueError as exc:
@@ -602,3 +611,51 @@ class TestSupernumeraryEngine:
             se = values.std(ddof=1) / math.sqrt(trials) if trials > 1 else 0.0
             assert (stats_.mean_utility_per_seat, stats_.se) == (values.mean(), se)
             assert stats_.mean_seats == seats[s].mean()
+
+
+class TestOneBlockRule:
+    """With ``model.MAX_ELEMENTS`` lowered to the block budget, every engine
+    refuses a trial of one utility more, before drawing, with one message,
+    and runs a trial of exactly that many in blocks of one."""
+
+    ENGINES = ("sweep", "orderstats", "supernumerary")
+
+    def run(self, engine, m, dist):
+        m_b = m // 2
+        seed = SeedSpec(0)
+        if engine == "sweep":
+            cfg = TrialConfig(
+                m_a=m - m_b, m_b=m_b, n=2, beta=0.5, alpha=0.5,
+                dist_a=dist, dist_b=dist, discount=DiscountVector.constant(2),
+            )
+            run_sweep(cfg, [0.5], [0.5], 3, seed)
+        elif engine == "orderstats":
+            estimate_order_stats(1, 1, m - m_b, m_b, dist, 3, seed)
+        else:
+            cfg = SupernumeraryConfig(n=2, m_a=m - m_b, m_b=m_b, alpha=0.2, gamma=1.0, dist_a=dist, dist_b=dist)
+            supernumerary_compare(cfg, 3, seed)
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_refuses_a_trial_above_the_limit(self, engine):
+        limit = experiments.BLOCK_ELEMENTS
+        dist = CountingUniform()
+        message = f"a trial's utilities would hold {limit + 1} elements, more than the limit of {limit}"
+        with mock.patch.object(model, "MAX_ELEMENTS", limit):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                self.run(engine, limit + 1, dist)
+        assert dist.calls == 0
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_runs_a_trial_at_the_limit_in_blocks_of_one(self, engine):
+        limit = experiments.BLOCK_ELEMENTS
+        draw_blocks = experiments._draw_blocks
+        shapes = []
+
+        def spy(*args):
+            for part, w in draw_blocks(*args):
+                shapes.append(w.shape)
+                yield part, w
+
+        with mock.patch.object(model, "MAX_ELEMENTS", limit), mock.patch.object(experiments, "_draw_blocks", spy):
+            self.run(engine, limit, Uniform(0, 1))
+        assert shapes == [(1, limit)] * 3

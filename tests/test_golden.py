@@ -102,7 +102,7 @@ SWEEPS = {
     ),
     "custom-discount": (
         trial_config(
-            5, 5, 6, DiscountVector.custom([3.0, 2.0, 2.0, 1.0, 0.0, 0.0]),
+            5, 5, 6, DiscountVector([3.0, 2.0, 2.0, 1.0, 0.0, 0.0]),
             LogNormal(0, 0.5), ShiftedScaled(LogNormal(0, 0.5), 0.5, 0.1),
         ),
         [0.0, 0.5, 0.8],
@@ -122,7 +122,8 @@ SWEEPS = {
     "empirical-ties-m200": (
         trial_config(120, 80, 50, DiscountVector.dcg(50), TIES_A, TIES_B), [0.0, 0.3, 0.5], [0.5, 1.0], 40, 36
     ),
-    # 2 * 16 + 1 trials: two full blocks of the sweep engine and one more trial.
+    # 2 * 16 + 1 trials: two full blocks and one more trial of the sweep
+    # engine's 16-trial blocks, before blocks were sized by BLOCK_ELEMENTS.
     "block-edge": (trial_config(300, 200, 50), [0.0, 0.4], [0.5], 33, 37),
     # One position, so every ranking's utility is a one-term sum.
     "n1": (trial_config(6, 5, 1), [0.0, 1.0], [0.2, 1.0], 40, 38),
@@ -311,7 +312,7 @@ SUPERNUMERARY = {
         24,
     ),
     # alpha close to 1: from 0 to hundreds of added seats, many seat counts
-    # per block, over three blocks of 64 trials.
+    # per block, over more than one block.
     "alpha-near-1": ([sup_config(n=5, m_a=20, m_b=400, alpha=a, gamma=1.5, discount_kind="dcg") for a in (0.95, 0.99)], 130, 25),
 }
 

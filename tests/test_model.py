@@ -62,7 +62,7 @@ class TestObservedUtilities:
 class TestRankingUtility:
     def test_two_position_example(self):
         r = Ranking((0, 1))
-        assert ranking_utility(r, DiscountVector.custom([2.0, 1.0]), [2.0, 1.0]) == 5.0
+        assert ranking_utility(r, DiscountVector([2.0, 1.0]), [2.0, 1.0]) == 5.0
 
     def test_zero_weights(self):
         r = Ranking((2, 0, 1))

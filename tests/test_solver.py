@@ -30,7 +30,7 @@ TOL = 1e-9
 
 
 def counterexample_instance(w0, w1):
-    return Instance.from_arrays([w0, w1], [[0], [1]], 2, DiscountVector.custom([2.0, 1.0]), p=2)
+    return Instance.from_arrays([w0, w1], [[0], [1]], 2, DiscountVector([2.0, 1.0]), p=2)
 
 
 class TestRankUnconstrained:
@@ -192,7 +192,7 @@ class TestBruteForce:
             [3.0, 2.0, 1.0],
             [[0, 1], [0], [1]],
             2,
-            DiscountVector.custom([2.0, 1.0]),
+            DiscountVector([2.0, 1.0]),
             p=2,
         )
         L = ConstraintMatrix([[0, 1], [1, 1]])
@@ -431,7 +431,7 @@ class TestGreedyMatchesDP:
             labels[np.flatnonzero(labels == 1)[20:]] = -1
         if tied:  # integer weights, and a discount that is flat in blocks of ten
             w = rng.integers(0, 30, m).astype(float)
-            v = DiscountVector.custom(np.repeat(np.linspace(1.0, 0.1, n // 10), 10))
+            v = DiscountVector(np.repeat(np.linspace(1.0, 0.1, n // 10), 10))
         else:
             w = rng.uniform(0.0, 1.0, m)
             v = DiscountVector.dcg(n)

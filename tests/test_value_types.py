@@ -47,7 +47,7 @@ def one_of_each():
 @pytest.mark.parametrize(
     "a, b",
     [
-        (DiscountVector.custom([1, 1]), DiscountVector.constant(2)),
+        (DiscountVector([1, 1]), DiscountVector.constant(2)),
         (DiscountVector.dcg(3), DiscountVector.dcg(3, log_base=math.e)),
         (instance(), instance(w=(3.0, 2.0, 0.5))),
         (instance(), instance(mem=[[True, False], [False, True], [True, True]])),
