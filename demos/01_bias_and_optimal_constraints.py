@@ -22,14 +22,14 @@ def main():
 
     print("Two items, two positions, position weights (2, 1).")
     print("Item 0 (group 0) has utility 2; item 1 (group 1) has utility 1.\n")
-    inst = br.Instance.from_arrays([2.0, 1.0], [[0], [1]], 2, v, p=2)
+    inst = br.Instance.from_arrays([2.0, 1.0], np.eye(2, dtype=bool), 2, v)
     observed = br.observed_utilities(inst, bias)
     print(f"Observed utilities under bias 0.25 on group 1: {observed.tolist()}")
     describe("unconstrained", br.rank_unconstrained(inst, observed), inst)
     print("  Bias did not matter here; the stronger item was unshaded.\n")
 
     print("Swap the utilities: item 1 (group 1) now deserves the top spot.")
-    inst2 = br.Instance.from_arrays([1.0, 2.0], [[0], [1]], 2, v, p=2)
+    inst2 = br.Instance.from_arrays([1.0, 2.0], np.eye(2, dtype=bool), 2, v)
     observed2 = br.observed_utilities(inst2, bias)
     print(f"Observed utilities: {observed2.tolist()}  (2.0 shrank to 0.5)")
     describe("unconstrained", br.rank_unconstrained(inst2, observed2), inst2)
@@ -57,7 +57,7 @@ def main():
         m, n, p = 6, 4, 2
         mem = rng.random((m, p)) < 0.4
         w = rng.uniform(0, 1, m)
-        inst = br.Instance.from_arrays(w, mem, n, br.DiscountVector(np.sort(rng.uniform(0, 1, n))[::-1]), p=p)
+        inst = br.Instance.from_arrays(w, mem, n, br.DiscountVector(np.sort(rng.uniform(0, 1, n))[::-1]))
         betas = br.BiasModel(rng.uniform(0.1, 0.9, p))
         obs = br.observed_utilities(inst, betas)
         got = br.ranking_utility(

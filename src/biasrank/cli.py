@@ -49,6 +49,7 @@ from .model import (
     instance_from_json,
     observed_utilities,
     ranking_utility,
+    whole_numbers,
 )
 from .solver import (
     BRUTEFORCE_MAX_ITEMS,
@@ -172,17 +173,17 @@ def _config_error(what: str, exc: Exception) -> ValueError:
 
 def _trial_config_from_json(d: dict) -> TrialConfig:
     try:
-        n = int(d["n"])
+        n = int(whole_numbers(d["n"], "n"))
         return TrialConfig(
-            m_a=int(d["m_a"]),
-            m_b=int(d["m_b"]),
+            m_a=int(whole_numbers(d["m_a"], "m_a")),
+            m_b=int(whole_numbers(d["m_b"], "m_b")),
             n=n,
             beta=float(d["beta"]),
             alpha=float(d.get("alpha", 0.0)),
             dist_a=distribution_from_json(d["dist_a"]),
             dist_b=distribution_from_json(d["dist_b"]),
             discount=DiscountVector.from_json_dict(d.get("discount", {"kind": "constant"}), n),
-            target_group=int(d.get("target_group", 1)),
+            target_group=int(whole_numbers(d.get("target_group", 1), "target_group")),
         )
     except (KeyError, TypeError, OverflowError) as exc:
         raise _config_error("trial config", exc) from exc
@@ -194,9 +195,9 @@ def _supernumerary_config_from_json(d: dict, alpha: float) -> SupernumeraryConfi
         raise ValueError("discount must be a JSON object")
     try:
         return SupernumeraryConfig(
-            n=int(d["n"]),
-            m_a=int(d["m_a"]),
-            m_b=int(d["m_b"]),
+            n=int(whole_numbers(d["n"], "n")),
+            m_a=int(whole_numbers(d["m_a"], "m_a")),
+            m_b=int(whole_numbers(d["m_b"], "m_b")),
             alpha=float(alpha),
             gamma=float(d["gamma"]),
             dist_a=distribution_from_json(d["dist_a"]),
@@ -273,7 +274,7 @@ def _cmd_sweep(args) -> int:
     try:
         alphas = [float(a) for a in d["alphas"]]
         betas = [float(b) for b in d["betas"]]
-        trials = args.trials if args.trials is not None else int(d.get("trials", 1000))
+        trials = args.trials if args.trials is not None else int(whole_numbers(d.get("trials", 1000), "trials"))
     except (TypeError, OverflowError) as exc:
         raise _config_error("sweep config", exc) from exc
     base = _trial_config_from_json({**d, "alpha": alphas[0], "beta": betas[0]})
@@ -322,7 +323,7 @@ def _cmd_supernumerary(args) -> int:
     if not alphas or not isinstance(alphas, list):
         raise ValueError('supernumerary config needs "alpha" or a nonempty "alphas" list')
     try:
-        trials = args.trials if args.trials is not None else int(d.get("trials", 1000))
+        trials = args.trials if args.trials is not None else int(whole_numbers(d.get("trials", 1000), "trials"))
     except (TypeError, OverflowError) as exc:
         raise _config_error("supernumerary config", exc) from exc
     seed = SeedSpec(args.seed)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Instance, Ranking, _order, prefix_group_counts
+from .model import Instance, Ranking, _order, prefix_group_counts, whole_numbers
 from .stats import _eq_fields, _store
 
 __all__ = [
@@ -91,8 +91,8 @@ class ConstraintMatrix:
         if not isinstance(d, dict):
             raise ValueError("constraint JSON must be an object")
         try:
-            n, p = int(d["n"]), int(d["p"])
-            arr = np.asarray(d["L"], dtype=np.int64)
+            n, p = int(whole_numbers(d["n"], "n")), int(whole_numbers(d["p"], "p"))
+            arr = whole_numbers(d["L"], "constraint bound")
         except KeyError as exc:
             raise ValueError(f"constraint JSON missing key {exc}") from exc
         except (TypeError, OverflowError) as exc:

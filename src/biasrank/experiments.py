@@ -37,7 +37,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .constraints import InfeasibleConstraintsError, simple_constraints
-from .model import DiscountVector, Instance, _order, check_size, ranking_utility
+from .model import BiasModel, DiscountVector, Instance, _order, check_size, observed_utilities, ranking_utility
 from .solver import rank_constrained_greedy, rank_single_column, rank_unconstrained
 from .stats import Distribution, SeedSpec
 
@@ -133,26 +133,19 @@ def run_trial(config: TrialConfig, trial_index: int, seed: SeedSpec) -> TrialRep
     and evaluate all three by latent utility."""
     rng = seed.rng_for_trial(trial_index)
     w = np.concatenate([config.dist_a.draw(rng, config.m_a), config.dist_b.draw(rng, config.m_b)])
-    labels = np.zeros(config.m_a + config.m_b, dtype=np.int64)
-    labels[config.m_a :] = 1
-    instance = Instance.from_arrays(w, labels, config.n, config.discount, p=2)
+    is_b = np.arange(config.m_a + config.m_b) >= config.m_a
+    instance = Instance.from_arrays(w, np.stack([~is_b, is_b], axis=1), config.n, config.discount)
+    target = config.target_group
+    observed = observed_utilities(instance, BiasModel(np.where(np.arange(2) == target, config.beta, 1.0)))
 
-    observed = w.copy()
-    if config.target_group == 1:
-        observed[config.m_a :] *= config.beta
-    else:
-        observed[: config.m_a] *= config.beta
-
-    L = simple_constraints(config.alpha, config.target_group, config.n, 2)
+    L = simple_constraints(config.alpha, target, config.n, 2)
     opt = rank_unconstrained(instance, w)
     uncons = rank_unconstrained(instance, observed)
     cons = rank_constrained_greedy(instance, observed, L)
-
     v = config.discount
-    target = config.target_group
 
     def count_target(r) -> int:
-        return int((labels[np.asarray(r.positions, dtype=np.intp)] == target).sum())
+        return int(instance.membership_matrix[np.asarray(r.positions, dtype=np.intp), target].sum())
 
     return TrialReport(
         u_cons=ranking_utility(cons, v, w),

@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain
-from typing import Sequence
 
 import numpy as np
 
@@ -51,6 +50,17 @@ def check_size(what: str, elements: int) -> None:
     """Raise ValueError when ``what`` would hold more than MAX_ELEMENTS elements."""
     if elements > MAX_ELEMENTS:
         raise ValueError(f"{what} would hold {elements} elements, more than the limit of {MAX_ELEMENTS}")
+
+
+def whole_numbers(x, what: str) -> np.ndarray:
+    """``x`` as int64 values, where a whole float such as 5.0 is its integer; raises
+    ValueError naming ``what`` when a value is not a whole number in the int64 range."""
+    a = np.asarray(x)
+    if a.dtype.kind in "fu":
+        bad = ~((a == np.floor(a)) & (np.abs(a) < 2.0**63))
+        if bad.any():
+            raise ValueError(f"{what} must be a whole number, got {a[bad].flat[0]}")
+    return a.astype(np.int64)
 
 
 def _order(x: np.ndarray) -> np.ndarray:
@@ -167,7 +177,9 @@ class Instance:
     Every item has a dense 0-based integer id, and every per-item vector is
     id-indexed.  Group membership is a boolean (m, p) matrix whose entry
     (i, s) is True iff item i belongs to group s; rows may hold any number
-    of True entries, so groups may overlap and items may be ungrouped.
+    of True entries, so groups may overlap and items may be ungrouped.  It
+    is the only membership encoding: any other dtype or shape raises
+    ValueError.
     """
 
     latent_utilities: np.ndarray
@@ -177,14 +189,17 @@ class Instance:
 
     def __post_init__(self) -> None:
         w = np.asarray(self.latent_utilities, dtype=float)
-        mem = np.asarray(self.membership_matrix, dtype=bool)
+        try:
+            mem = np.asarray(self.membership_matrix)
+        except ValueError:  # ragged per-item group lists
+            mem = np.empty(0)
         if w.ndim != 1:
             raise ValueError("latent utilities must be 1-D")
         if not np.all(np.isfinite(w)):
             raise ValueError("latent utilities must be finite")
         m = int(w.size)
-        if mem.ndim != 2 or mem.shape[0] != m:
-            raise ValueError("membership must be an (m, p) matrix with one row per item")
+        if mem.dtype != bool or mem.ndim != 2 or mem.shape[0] != m:
+            raise ValueError("membership must be a boolean (m, p) matrix with one row per item")
         if not (1 <= self.n <= m):
             raise ValueError(f"need 1 <= n <= m, got n={self.n}, m={m}")
         v = self.v if isinstance(self.v, DiscountVector) else DiscountVector(self.v)
@@ -195,51 +210,9 @@ class Instance:
     __eq__ = _eq_fields
 
     @classmethod
-    def from_arrays(
-        cls,
-        latent_utilities: Sequence[float],
-        groups,
-        n: int,
-        v: DiscountVector,
-        p: int | None = None,
-    ) -> "Instance":
-        """Build an instance from any of three membership encodings.
-
-        ``groups`` may be a (m, p) boolean membership matrix, a length-m
-        integer label vector (-1 marks ungrouped items), or a length-m
-        sequence of per-item group-id collections.
-        """
-        w = np.asarray(latent_utilities, dtype=float)
-        m = int(w.size)
-        per_item_sets = isinstance(groups, (list, tuple)) and any(
-            isinstance(g, (set, frozenset, list, tuple)) for g in groups
-        )
-        if per_item_sets:
-            if len(groups) != m:
-                raise ValueError("per-item group list length must equal number of items")
-            width = p if p is not None else max((max(map(int, gi), default=-1) for gi in groups), default=-1) + 1
-            cols, rows = _flatten_ids(groups, width, "group id")
-            mem = np.zeros((m, width), dtype=bool)
-            mem[rows, cols] = True
-        else:
-            g = np.asarray(groups)
-            if g.ndim == 2:
-                mem = g
-                if p is not None and p != mem.shape[1]:
-                    raise ValueError("explicit p contradicts membership matrix width")
-            elif g.ndim == 1:
-                lab = g.astype(np.int64)
-                if lab.size != m:
-                    raise ValueError("label vector length must equal number of items")
-                width = p if p is not None else int(lab.max(initial=-1)) + 1
-                if lab.max(initial=-1) >= width:
-                    raise ValueError("label exceeds group count")
-                mem = np.zeros((m, width), dtype=bool)
-                sel = lab >= 0
-                mem[np.nonzero(sel)[0], lab[sel]] = True
-            else:
-                raise ValueError("groups must be a membership matrix, label vector, or per-item sets")
-        return cls(w, mem, n, v)
+    def from_arrays(cls, latent_utilities, membership, n: int, v: DiscountVector) -> "Instance":
+        """``Instance(latent_utilities, membership, n, v)``; perfbench's tracing wraps this name."""
+        return cls(latent_utilities, membership, n, v)
 
     @property
     def m(self) -> int:
@@ -362,7 +335,7 @@ def _flatten_ids(lists, bound: int, what: str) -> tuple[np.ndarray, np.ndarray]:
     owner[k] is the index of the list that values[k] came from; every value
     must lie in [0, bound)."""
     lens = [len(xs) for xs in lists]
-    values = np.fromiter(map(int, chain.from_iterable(lists)), np.int64, count=sum(lens))
+    values = whole_numbers(np.fromiter(chain.from_iterable(lists), float, count=sum(lens)), what)
     owner = np.repeat(np.arange(len(lens)), lens)
     bad = (values < 0) | (values >= bound)
     if bad.any():
@@ -381,11 +354,11 @@ def instance_from_json(d: dict) -> Instance:
     if not isinstance(d, dict):
         raise ValueError("instance JSON must be an object")
     try:
-        n = int(d["n"])
+        n = int(whole_numbers(d["n"], "n"))
         group_lists = d["groups"]
         item_dicts = d["items"]
         v = DiscountVector.from_json_dict(d["v"], n)
-        ids = np.array([int(it["id"]) for it in item_dicts], dtype=np.int64)
+        ids = whole_numbers([it["id"] for it in item_dicts], "item id")
         w_listed = np.array([it["w"] for it in item_dicts], dtype=float)
         p = len(group_lists)
         m = ids.size

@@ -83,7 +83,7 @@ def test_c02_derived_constraints_recover_latent_optimum():
             v = DiscountVector.constant(n)
         else:
             v = DiscountVector(np.sort(rng.uniform(0.0, 1.0, n))[::-1])
-        inst = Instance.from_arrays(w, mem, n, v, p=p)
+        inst = Instance.from_arrays(w, mem, n, v)
         betas = BiasModel(rng.uniform(0.05, 0.95, p))
         observed = observed_utilities(inst, betas)
         L = derived_constraints(inst)
@@ -303,8 +303,8 @@ def test_c09_pmf_normalization_and_moments():
 
 def test_c10_fixed_constraints_cannot_serve_both_utility_vectors():
     v = DiscountVector([2.0, 1.0])
-    inst_w = Instance.from_arrays([2.0, 1.0], [[0], [1]], 2, v, p=2)
-    inst_wp = Instance.from_arrays([1.0, 2.0], [[0], [1]], 2, v, p=2)
+    inst_w = Instance.from_arrays([2.0, 1.0], np.eye(2, dtype=bool), 2, v)
+    inst_wp = Instance.from_arrays([1.0, 2.0], np.eye(2, dtype=bool), 2, v)
     betas = BiasModel([1.0, 0.25])
     L = derived_constraints(inst_w)
 

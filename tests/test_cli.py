@@ -321,6 +321,11 @@ class TestExitCodes:
                 {"inst": FACT_INSTANCE_W, "L": {"n": 2, "p": 2, "L": [[1, 0], [float("inf"), 1]]}},
             ),
             (
+                ["solve", "inst", "--constraints", "L"],
+                {"inst": FACT_INSTANCE_W, "L": {"n": 2, "p": 2, "L": [[1, 0], [1.5, 1]]}},
+            ),
+            (["solve", "inst", "--constraints", "L"], {"inst": FACT_INSTANCE_W, "L": {"n": 2.5, "p": 2, "L": [[1, 0], [1, 1]]}}),
+            (
                 ["sweep", "cfg"],
                 {"cfg": {**TRIAL_CONFIG, "alphas": [0.0], "betas": [0.5], "dist_a": {"kind": "uniform", "a": -math.inf}}},
             ),
@@ -369,6 +374,8 @@ class TestExitCodes:
             "null-n-constraints",
             "null-bound",
             "infinite-bound",
+            "fractional-bound",
+            "fractional-n-constraints",
             "infinite-uniform-range",
             "null-orderstats-dist-parameter",
             "nan-orderstats-utilities",
@@ -432,6 +439,15 @@ class TestExitCodes:
             ("sweep", {**TRIAL_CONFIG, "alphas": [0.0], "betas": [0.5], "trials": [3]}),
             ("supernumerary", {**SUPERNUMERARY_CONFIG, "gamma": [0.5]}),
             ("sweep", {**TRIAL_CONFIG, "alphas": {"0.5": 1}, "betas": [0.5]}),
+            ("solve", {**FACT_INSTANCE_W, "n": 1.5, "v": {"kind": "constant"}}),
+            ("solve", {**FACT_INSTANCE_W, "items": [{"id": 0.7, "w": 2.0, "groups": [0]}, {"id": 1, "w": 1.0, "groups": [1]}]}),
+            ("solve", {**FACT_INSTANCE_W, "items": [{"id": 0, "w": 2.0, "groups": [0.2]}, {"id": 1, "w": 1.0, "groups": [1]}]}),
+            ("solve", {**FACT_INSTANCE_W, "groups": [[0.2], [1]]}),
+            ("simulate", {**TRIAL_CONFIG, "m_b": 20.9}),
+            ("simulate", {**TRIAL_CONFIG, "n": 5.5}),
+            ("simulate", {**TRIAL_CONFIG, "target_group": 0.5}),
+            ("sweep", {**TRIAL_CONFIG, "alphas": [0.0], "betas": [0.5], "trials": 2.5}),
+            ("supernumerary", {**SUPERNUMERARY_CONFIG, "m_a": 30.5}),
         ],
         ids=[
             "number-alphas-sweep",
@@ -440,6 +456,15 @@ class TestExitCodes:
             "list-trials",
             "list-gamma",
             "object-alphas",
+            "fractional-n-instance",
+            "fractional-item-id",
+            "fractional-group-id",
+            "fractional-group-member",
+            "fractional-m_b-simulate",
+            "fractional-n-simulate",
+            "fractional-target-group",
+            "fractional-trials-sweep",
+            "fractional-m_a-supernumerary",
         ],
     )
     def test_wrong_json_type_is_one_line_parse_error(self, tmp_path, capsys, command, doc):

@@ -71,29 +71,25 @@ class TestSimpleConstraints:
 class TestDerivedConstraints:
     def test_counts_from_sorted_order(self):
         inst = Instance.from_arrays(
-            [5.0, 4.0, 3.0, 2.0, 1.0],
-            [[0], [1], [0], [1], [0]],
-            3,
-            DiscountVector.constant(3),
-            p=2,
+            [5.0, 4.0, 3.0, 2.0, 1.0], membership(5, [{0, 2, 4}, {1, 3}]), 3, DiscountVector.constant(3)
         )
         L = derived_constraints(inst)
         assert L.matrix[:, 0].tolist() == [1, 1, 2]
         assert L.matrix[:, 1].tolist() == [0, 1, 1]
 
     def test_single_group_with_all_items(self):
-        inst = Instance.from_arrays([3.0, 1.0, 2.0], [[0], [0], [0]], 3, DiscountVector.constant(3), p=1)
+        inst = Instance.from_arrays([3.0, 1.0, 2.0], np.ones((3, 1), dtype=bool), 3, DiscountVector.constant(3))
         L = derived_constraints(inst)
         assert L.matrix[:, 0].tolist() == [1, 2, 3]
 
     def test_two_item_counterexample_target_column(self):
-        inst = Instance.from_arrays([2.0, 1.0], [[0], [1]], 2, DiscountVector([2.0, 1.0]), p=2)
+        inst = Instance.from_arrays([2.0, 1.0], np.eye(2, dtype=bool), 2, DiscountVector([2.0, 1.0]))
         L = derived_constraints(inst)
         assert L.matrix[:, 1].tolist() == [0, 1]
         assert L.matrix[:, 0].tolist() == [1, 1]
 
     def test_ties_break_by_ascending_id(self):
-        inst = Instance.from_arrays([1.0, 1.0], [[0], [1]], 1, DiscountVector.constant(1), p=2)
+        inst = Instance.from_arrays([1.0, 1.0], np.eye(2, dtype=bool), 1, DiscountVector.constant(1))
         L = derived_constraints(inst)
         assert L.matrix[0].tolist() == [1, 0]
 
@@ -235,6 +231,13 @@ class TestConstraintMatrixType:
         L = simple_constraints(0.5, 1, 4, 2)
         again = ConstraintMatrix.from_json_dict(L.to_json_dict())
         assert L == again
+
+    def test_json_counts_and_bounds_are_whole_numbers(self):
+        doc = {"n": 2.0, "p": 1.0, "L": [[0.0], [1.0]]}
+        assert ConstraintMatrix.from_json_dict(doc) == ConstraintMatrix([[0], [1]])
+        for key, value in (("n", 2.5), ("p", 0.5), ("L", [[0], [1.5]])):
+            with pytest.raises(ValueError, match="must be a whole number"):
+                ConstraintMatrix.from_json_dict({**doc, key: value})
 
     def test_json_shape_mismatch(self):
         with pytest.raises(ValueError):

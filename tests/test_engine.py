@@ -50,6 +50,7 @@ from biasrank import (
 )
 from biasrank import experiments, model, stats
 from biasrank.solver import rank_single_column
+from conftest import dp_optimum
 
 # Uniform draws into a block row take rng.random when a is 0 (signed zero
 # included) and rng.uniform otherwise; each must give rng.uniform's bits.
@@ -268,8 +269,9 @@ class TestClosedFormPlacement:
             ids, count = rank_single_column(order, labels == target, [L.matrix[:, target] for L in Ls])
         except InfeasibleConstraintsError:
             ids = None
+        mem = labels[:, None] == np.arange(2)
         for r, row in enumerate(w):
-            inst = Instance.from_arrays(row, labels, n, DiscountVector.constant(n), p=2)
+            inst = Instance.from_arrays(row, mem, n, DiscountVector.constant(n))
             for a, L in enumerate(Ls):
                 if ids is None:
                     # one infeasible bound fails the whole batch
@@ -280,6 +282,21 @@ class TestClosedFormPlacement:
                 expected = rank_constrained_greedy(inst, row, L).positions
                 assert tuple(ids[r, a].tolist()) == expected
                 assert count[r, a] == np.count_nonzero(labels[list(expected)] == target)
+
+    @pytest.mark.parametrize("beta", [0.5, 0.9])
+    def test_whole_batches_are_optimal(self, beta):
+        # the C6 shape: m_a = m_b = 500, n=100, DCG, floor(alpha*k) on the shaded group
+        m_a, m_b, n, alphas = 500, 500, 100, [0.1, 0.3, 0.5]
+        rng = np.random.default_rng(int(beta * 10))
+        labels = np.repeat([0, 1], [m_a, m_b])
+        w = rng.uniform(0.0, 1.0, (4, m_a + m_b)) * np.where(labels == 1, beta, 1.0)
+        v = DiscountVector.dcg(n).values
+        bounds = [simple_constraints(a, 1, n, 2).matrix for a in alphas]
+        ids, _ = rank_single_column(np.argsort(-w, axis=1, kind="stable"), labels == 1, [L[:, 1] for L in bounds])
+        for r, row in enumerate(w):
+            for a, L in enumerate(bounds):
+                best, _ = dp_optimum(labels, row, v, L)
+                assert row[ids[r, a]] @ v == pytest.approx(best, rel=1e-12)
 
     def test_single_order_and_bound_drop_their_axes(self):
         order = np.array([3, 0, 1, 2])

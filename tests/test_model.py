@@ -25,36 +25,36 @@ from conftest import membership
 TOL = 1e-9
 
 
-def make_instance(ws, groups, n=None, v=None, p=None):
+def make_instance(ws, mem, n=None, v=None):
     n = n if n is not None else len(ws)
     v = v if v is not None else DiscountVector.constant(n)
-    return Instance.from_arrays(ws, groups, n, v, p=p)
+    return Instance.from_arrays(ws, mem, n, v)
 
 
 class TestObservedUtilities:
     def test_empty_group_set_is_unshaded(self):
-        inst = make_instance([1.0, 2.0], [[], [0]], p=1)
+        inst = make_instance([1.0, 2.0], membership(2, [{1}]))
         obs = observed_utilities(inst, BiasModel([0.5]))
         assert obs[0] == 1.0
 
     def test_single_group_factor(self):
-        inst = make_instance([2.0, 1.0], [[1], [0]], p=2)
+        inst = make_instance([2.0, 1.0], membership(2, [{1}, {0}]))
         obs = observed_utilities(inst, BiasModel([1.0, 0.25]))
         assert_allclose(obs, [0.5, 1.0], atol=TOL)
 
     def test_intersection_multiplies_factors(self):
-        inst = make_instance([1.0, 1.0], [[1, 2], []], p=3)
+        inst = make_instance([1.0, 1.0], membership(2, [set(), {0}, {0}]))
         obs = observed_utilities(inst, BiasModel([1.0, 0.5, 0.5]))
         assert_allclose(obs[0], 0.25, atol=TOL)
         assert obs[1] == 1.0
 
     def test_dimension_mismatch(self):
-        inst = make_instance([1.0, 1.0], [[0], [1]], p=2)
+        inst = make_instance([1.0, 1.0], np.eye(2, dtype=bool))
         with pytest.raises(ValueError):
             observed_utilities(inst, BiasModel([0.5]))
 
     def test_all_ones_is_identity(self):
-        inst = make_instance([3.0, -1.0, 0.5], [[0], [1], [0, 1]], p=2)
+        inst = make_instance([3.0, -1.0, 0.5], membership(3, [{0, 2}, {1, 2}]))
         obs = observed_utilities(inst, BiasModel([1.0, 1.0]))
         assert np.array_equal(obs, inst.latent_utilities)
 
@@ -144,7 +144,7 @@ class TestModelInvariants:
     def test_observed_never_exceeds_latent(self, ws, betas, seed):
         rng = np.random.default_rng(seed)
         labels = rng.integers(-1, 2, size=len(ws))
-        inst = make_instance(ws, labels, p=2)
+        inst = make_instance(ws, labels[:, None] == np.arange(2))
         obs = observed_utilities(inst, BiasModel(betas))
         assert np.all(obs <= inst.latent_utilities + TOL)
         n = max(1, len(ws) // 2)
@@ -163,7 +163,7 @@ class TestModelInvariants:
         rng = np.random.default_rng(seed)
         m = 6
         labels = rng.integers(-1, 2, size=m)
-        inst = make_instance(rng.uniform(0, 10, m), labels, p=2)
+        inst = make_instance(rng.uniform(0, 10, m), labels[:, None] == np.arange(2))
         obs_hi = observed_utilities(inst, BiasModel([1.0, beta_hi]))
         obs_lo = observed_utilities(inst, BiasModel([1.0, beta_lo]))
         in_group = inst.membership_matrix[:, 1]
@@ -184,8 +184,9 @@ class TestModelInvariants:
         rng = np.random.default_rng(seed)
         n = max(1, len(ws) - 1)
         v = DiscountVector(np.sort(rng.uniform(0, 1, n))[::-1])
-        inst = make_instance([float(x) for x in ws], [[] for _ in ws], n=n, v=v, p=0)
-        scaled = make_instance([float(x) * c for x in ws], [[] for _ in ws], n=n, v=v, p=0)
+        ungrouped = np.zeros((len(ws), 0), dtype=bool)
+        inst = make_instance([float(x) for x in ws], ungrouped, n=n, v=v)
+        scaled = make_instance([float(x) * c for x in ws], ungrouped, n=n, v=v)
         r1 = rank_unconstrained(inst, inst.latent_utilities)
         r2 = rank_unconstrained(scaled, scaled.latent_utilities)
         assert r1.positions == r2.positions
@@ -196,7 +197,7 @@ class TestModelInvariants:
 
 def edited_json(edit) -> dict:
     """JSON of a valid overlapping-group instance after ``edit`` mutates it."""
-    inst = Instance.from_arrays([3.0, 1.0, 2.0], [[0], [0, 1], []], 2, DiscountVector.zipf(2), p=2)
+    inst = Instance.from_arrays([3.0, 1.0, 2.0], membership(3, [{0, 1}, {1}]), 2, DiscountVector.zipf(2))
     doc = instance_to_json(inst)
     assert instance_from_json(doc) == inst
     if edit is not None:
@@ -211,7 +212,7 @@ class TestTypesAndJson:
             with pytest.raises(ValueError):
                 instance_from_json(edited_json(edit))
         with pytest.raises(ValueError):
-            Instance([0.0, float("nan")], np.zeros((2, 0)), 1, DiscountVector.constant(1))
+            Instance([0.0, float("nan")], np.zeros((2, 0), dtype=bool), 1, DiscountVector.constant(1))
 
     def test_ranking_validation(self):
         with pytest.raises(ValueError):
@@ -246,27 +247,54 @@ class TestTypesAndJson:
 
     def test_instance_n_bounds(self):
         with pytest.raises(ValueError):
-            make_instance([1.0], [[]], n=2, v=DiscountVector.constant(2), p=0)
+            make_instance([1.0], np.zeros((1, 0), dtype=bool), n=2, v=DiscountVector.constant(2))
 
     def test_discount_length_must_match_n(self):
         with pytest.raises(ValueError):
-            make_instance([1.0, 2.0], [[], []], n=2, v=DiscountVector.constant(1), p=0)
+            make_instance([1.0, 2.0], np.zeros((2, 0), dtype=bool), n=2, v=DiscountVector.constant(1))
 
-    def test_groups_layout_from_items(self):
+    def test_membership_is_a_boolean_matrix(self):
         v = DiscountVector.constant(1)
-        inst = Instance.from_arrays([1.0, 2.0], [[0], [0, 1]], 1, v)
-        assert inst.membership_matrix.tolist() == [[True, False], [True, True]]
-        assert inst == Instance([1.0, 2.0], [[1, 0], [1, 1]], 1, v)
-        assert inst == Instance.from_arrays([1.0, 2.0], np.array([[True, False], [True, True]]), 1, v)
+        mem = [[True, False], [True, True]]
+        inst = Instance.from_arrays([1.0, 2.0], mem, 1, v)
+        assert inst.membership_matrix.tolist() == mem
+        assert inst == Instance([1.0, 2.0], np.array(mem), 1, v)
         with pytest.raises(NonDisjointGroupsError):
             check_feasibility(ConstraintMatrix.zeros(1, 2), inst.membership_matrix)
-        with pytest.raises(ValueError):
-            Instance([1.0, 2.0], [[True, False]], 1, v)
-        with pytest.raises(ValueError):
-            Instance.from_arrays([1.0, 2.0], [[0], [-1]], 1, v)
+
+    @pytest.mark.parametrize(
+        "groups",
+        [
+            [[0], [1]],  # per-item group lists of equal length would read as a (2, 1) integer matrix
+            [[0], [0, 1]],
+            [{0}, {0, 1}],
+            [[], []],
+            [0, 1],
+            np.array([0, -1]),
+            [[1, 0], [1, 1]],
+            np.zeros((2, 2)),
+            [[True, False]],
+            np.ones((2, 1, 1), dtype=bool),
+        ],
+        ids=[
+            "per-item-lists-one-each",
+            "per-item-lists-ragged",
+            "per-item-sets",
+            "per-item-lists-empty",
+            "labels",
+            "labels-with-ungrouped",
+            "int-matrix",
+            "float-matrix",
+            "bool-matrix-too-few-rows",
+            "bool-3d",
+        ],
+    )
+    def test_other_membership_encodings_are_rejected(self, groups):
+        with pytest.raises(ValueError, match=r"membership must be a boolean \(m, p\) matrix"):
+            Instance.from_arrays([1.0, 2.0], groups, 1, DiscountVector.constant(1))
 
     def test_items_materialize_from_arrays(self):
-        inst = Instance.from_arrays([2.5, 1.5], [[1], []], 1, DiscountVector.constant(1), p=2)
+        inst = Instance.from_arrays([2.5, 1.5], membership(2, [set(), {0}]), 1, DiscountVector.constant(1))
         doc = instance_to_json(inst)
         assert doc["items"] == [{"id": 0, "w": 2.5, "groups": [1]}, {"id": 1, "w": 1.5, "groups": []}]
         assert doc["groups"] == [[], [0]]
@@ -302,6 +330,23 @@ class TestTypesAndJson:
             (lambda d: d["groups"][1].append(5), "outside"),
         ):
             with pytest.raises(ValueError, match=match):
+                instance_from_json(edited_json(edit))
+
+    def test_json_counts_and_ids_are_whole_numbers(self):
+        def whole_floats(d):
+            d["n"] = float(d["n"])
+            d["groups"] = [[float(i) for i in g] for g in d["groups"]]
+            for it in d["items"]:
+                it.update(id=float(it["id"]), groups=[float(s) for s in it["groups"]])
+
+        assert instance_from_json(edited_json(whole_floats)) == instance_from_json(edited_json(None))
+        for edit, field in (
+            (lambda d: d.update(n=1.5), "n"),
+            (lambda d: d["items"][0].update(id=0.7), "item id"),
+            (lambda d: d["items"][0].update(groups=[0.2]), "group id"),
+            (lambda d: d["groups"][0].__setitem__(0, 0.2), "group member"),
+        ):
+            with pytest.raises(ValueError, match=f"^{field} must be a whole number"):
                 instance_from_json(edited_json(edit))
 
     def test_json_discount_kinds(self):

@@ -13,6 +13,9 @@ from biasrank import cli, constraints, experiments, model, solver, stats
 
 SUBMODULES = (model, constraints, solver, stats, experiments)
 
+# The lines of src/biasrank/*.py, as ``wc -l`` counts them.
+SRC_LINE_BUDGET = 2542
+
 
 class TestPublicSurface:
     def test_every_name_is_its_defining_submodules_object(self):
@@ -40,6 +43,15 @@ class TestPublicSurface:
         exec("from biasrank import *", namespace)
         del namespace["__builtins__"]
         assert sorted(namespace) == biasrank.__all__
+
+
+def test_src_line_budget():
+    src = Path(__file__).resolve().parents[1] / "src" / "biasrank"
+    lines = sum(path.read_bytes().count(b"\n") for path in src.glob("*.py"))
+    assert lines <= SRC_LINE_BUDGET, (
+        f"src/biasrank/*.py has {lines} lines, over the budget of {SRC_LINE_BUDGET}: "
+        "raise SRC_LINE_BUDGET in the same diff and say why in CHANGES.md"
+    )
 
 
 def load_tracing():

@@ -10,6 +10,7 @@ from biasrank import (
     InfeasibleConstraintsError,
     Instance,
     NonDisjointGroupsError,
+    Ranking,
     derived_constraints,
     observed_utilities,
     rank_constrained_bruteforce,
@@ -20,7 +21,9 @@ from biasrank import (
 )
 from biasrank.solver import _greedy
 from conftest import (
+    dp_optimum,
     enumerate_best_feasible,
+    membership,
     random_disjoint_instance,
     random_feasible_constraints,
     two_group_instance,
@@ -30,7 +33,7 @@ TOL = 1e-9
 
 
 def counterexample_instance(w0, w1):
-    return Instance.from_arrays([w0, w1], [[0], [1]], 2, DiscountVector([2.0, 1.0]), p=2)
+    return Instance.from_arrays([w0, w1], np.eye(2, dtype=bool), 2, DiscountVector([2.0, 1.0]))
 
 
 class TestRankUnconstrained:
@@ -53,7 +56,7 @@ class TestRankUnconstrained:
         assert_allclose(best, 5.0, atol=TOL)
 
     def test_ties_break_by_ascending_id(self):
-        inst = Instance.from_arrays([1.0] * 5, [[]] * 5, 3, DiscountVector.constant(3), p=0)
+        inst = Instance.from_arrays([1.0] * 5, np.zeros((5, 0), dtype=bool), 3, DiscountVector.constant(3))
         assert rank_unconstrained(inst, inst.latent_utilities).positions == (0, 1, 2)
 
     def test_weight_length_checked(self):
@@ -104,13 +107,7 @@ class TestGreedy:
 
     def test_lookahead_spans_multiple_groups(self):
         # both groups owe one item by position 3, so position 2 is already pinned
-        inst = Instance.from_arrays(
-            [1.0, 0.9, 0.8, 0.7],
-            [[], [], [0], [1]],
-            3,
-            DiscountVector.constant(3),
-            p=2,
-        )
+        inst = Instance.from_arrays([1.0, 0.9, 0.8, 0.7], membership(4, [{2}, {3}]), 3, DiscountVector.constant(3))
         L = ConstraintMatrix([[0, 0], [0, 0], [1, 1]])
         r = rank_constrained_greedy(inst, inst.latent_utilities, L)
         assert satisfies(r, L, inst.membership_matrix)
@@ -124,7 +121,7 @@ class TestGreedy:
             rank_constrained_greedy(inst, inst.latent_utilities, L)
 
     def test_non_disjoint_rejected(self):
-        inst = Instance.from_arrays([1.0, 2.0], [[0, 1], [1]], 1, DiscountVector.constant(1), p=2)
+        inst = Instance.from_arrays([1.0, 2.0], membership(2, [{0}, {0, 1}]), 1, DiscountVector.constant(1))
         with pytest.raises(NonDisjointGroupsError):
             rank_constrained_greedy(inst, inst.latent_utilities, ConstraintMatrix.zeros(1, 2))
 
@@ -172,7 +169,7 @@ class TestBruteForce:
         assert_allclose(latent, 5.0, atol=TOL)
 
     def test_size_guard(self):
-        inst = Instance.from_arrays(np.ones(11), [[]] * 11, 3, DiscountVector.constant(3), p=0)
+        inst = Instance.from_arrays(np.ones(11), np.zeros((11, 0), dtype=bool), 3, DiscountVector.constant(3))
         with pytest.raises(ValueError):
             rank_constrained_bruteforce(inst, inst.latent_utilities, ConstraintMatrix.zeros(3, 0))
 
@@ -183,18 +180,12 @@ class TestBruteForce:
             rank_constrained_bruteforce(inst, inst.latent_utilities, L)
 
     def test_lexicographic_tie_break(self):
-        inst = Instance.from_arrays([1.0, 1.0, 1.0], [[]] * 3, 2, DiscountVector.constant(2), p=0)
+        inst = Instance.from_arrays([1.0, 1.0, 1.0], np.zeros((3, 0), dtype=bool), 2, DiscountVector.constant(2))
         r = rank_constrained_bruteforce(inst, inst.latent_utilities, ConstraintMatrix.zeros(2, 0))
         assert r.positions == (0, 1)
 
     def test_handles_intersectional_groups(self):
-        inst = Instance.from_arrays(
-            [3.0, 2.0, 1.0],
-            [[0, 1], [0], [1]],
-            2,
-            DiscountVector([2.0, 1.0]),
-            p=2,
-        )
+        inst = Instance.from_arrays([3.0, 2.0, 1.0], membership(3, [{0, 1}, {0, 2}]), 2, DiscountVector([2.0, 1.0]))
         L = ConstraintMatrix([[0, 1], [1, 1]])
         r = rank_constrained_bruteforce(inst, inst.latent_utilities, L)
         assert satisfies(r, L, inst.membership_matrix)
@@ -293,7 +284,8 @@ class TestGreedyMatchesRescan:
     @settings(max_examples=150, deadline=None)
     def test_feasible_bounds(self, problem):
         labels, w, L = problem
-        inst = Instance.from_arrays(w, labels, L.shape[0], DiscountVector.constant(L.shape[0]), p=L.shape[1])
+        mem = labels[:, None] == np.arange(L.shape[1])
+        inst = Instance.from_arrays(w, mem, L.shape[0], DiscountVector.constant(L.shape[0]))
         r = rank_constrained_greedy(inst, w, ConstraintMatrix(L))
         assert list(r.positions) == rescan_greedy(labels, w, L)
 
@@ -368,52 +360,6 @@ class TestLookaheadPathsAtScale:
         assert _greedy(labels, w, L) == rescan_greedy(labels, w, L)
 
 
-def dp_optimum(labels, w, v, L):
-    """Exact optimum for two disjoint groups (labels 0 and 1) plus ungrouped
-    items (-1) under prefix lower bounds ``L`` and a nonincreasing discount
-    ``v``: (utility, ranked ids), or None when no ranking meets the bounds.
-
-    By an exchange argument each class ranks its members in weight order
-    (ties by ascending id), so only the interleaving is free.  After j
-    positions, ``V[a, b]`` is the best utility with a items of group 0 and b
-    of group 1 placed, the other j - a - b ungrouped: n steps over an
-    (n+1)^2 table (the constant-p DP of Celis, Straszak & Vishnoi)."""
-    n = len(v)
-    ids = [np.flatnonzero(labels == c) for c in (0, 1, -1)]
-    ids = [i[np.argsort(-w[i], kind="stable")] for i in ids]
-    sizes = [len(i) for i in ids]
-    # class weights in rank order, zero-padded so that every count indexes them
-    wa, wb, wu = (np.concatenate([w[i], np.zeros(n)])[:n] for i in ids)
-    a, b = np.ogrid[: n + 1, : n + 1]
-    V = np.full((n + 1, n + 1), -np.inf)
-    V[0, 0] = 0.0
-    moves = np.empty((n, n + 1, n + 1), dtype=np.int8)  # class placed at position j
-    cand = np.empty((3, n + 1, n + 1))
-    for j in range(1, n + 1):
-        u = j - a - b
-        cand.fill(-np.inf)
-        cand[0, 1:] = V[:-1] + wa[:, None] * v[j - 1]
-        cand[1, :, 1:] = V[:, :-1] + wb * v[j - 1]
-        cand[2] = V + wu[np.clip(u - 1, 0, n - 1)] * v[j - 1]
-        moves[j - 1] = cand.argmax(axis=0)
-        ok = (a <= sizes[0]) & (b <= sizes[1]) & (u >= 0) & (u <= sizes[2])
-        ok &= (a >= L[j - 1, 0]) & (b >= L[j - 1, 1])
-        V = np.where(ok, cand.max(axis=0), -np.inf)
-    if V.max() == -np.inf:
-        return None
-    ca, cb = np.unravel_index(V.argmax(), V.shape)
-    classes = []
-    for j in range(n, 0, -1):
-        c = int(moves[j - 1, ca, cb])
-        classes.append(c)
-        ca, cb = ca - (c == 0), cb - (c == 1)
-    heads, ranked = [0, 0, 0], []
-    for c in reversed(classes):
-        ranked.append(int(ids[c][heads[c]]))
-        heads[c] += 1
-    return float(V.max()), ranked
-
-
 class TestGreedyMatchesDP:
     """The greedy's value equals the exact DP optimum at the Monte Carlo
     scale (m=1000, n up to 200), and the two agree on infeasibility."""
@@ -435,7 +381,7 @@ class TestGreedyMatchesDP:
         else:
             w = rng.uniform(0.0, 1.0, m)
             v = DiscountVector.dcg(n)
-        inst = Instance.from_arrays(w, labels, n, v, p=2)
+        inst = Instance.from_arrays(w, labels[:, None] == np.arange(2), n, v)
         if kind == "derived":  # solve the shaded instance under the latent optimum's prefix counts
             top = np.argsort(-w, kind="stable")[:n]
             L = ConstraintMatrix(np.cumsum(labels[top, None] == np.arange(2), axis=0))
@@ -466,10 +412,27 @@ class TestExactRepairAtScale:
         rng = np.random.default_rng(seed)
         n, m, p = 400, 1600, 3
         labels = rng.integers(-1, p, m)
-        inst = Instance.from_arrays(rng.uniform(0.0, 1.0, m), labels, n, DiscountVector.dcg(n), p=p)
+        mem = labels[:, None] == np.arange(p)
+        inst = Instance.from_arrays(rng.uniform(0.0, 1.0, m), mem, n, DiscountVector.dcg(n))
         observed = observed_utilities(inst, BiasModel(rng.uniform(0.05, 0.95, p)))
         best = rank_unconstrained(inst, inst.latent_utilities)
         r = rank_constrained_greedy(inst, observed, derived_constraints(inst))
         assert r.positions == best.positions
         assert ranking_utility(r, inst.v, inst.latent_utilities) == ranking_utility(best, inst.v, inst.latent_utilities)
         assert rank_unconstrained(inst, observed).positions != best.positions
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_dp_on_shaded_weights_recovers_latent_optimum(self, seed):
+        # Two groups plus ungrouped items, so the exact DP checks the claim
+        # without the greedy; n=400 would cost the DP about 2.5 s per instance.
+        rng = np.random.default_rng(seed)
+        n, m = 200, 1000
+        labels = rng.integers(-1, 2, m)
+        mem = labels[:, None] == np.arange(2)
+        inst = Instance.from_arrays(rng.uniform(0.0, 1.0, m), mem, n, DiscountVector.dcg(n))
+        observed = observed_utilities(inst, BiasModel(rng.uniform(0.05, 0.95, 2)))
+        _, ranked = dp_optimum(labels, observed, inst.v.values, derived_constraints(inst).matrix)
+        best = rank_unconstrained(inst, inst.latent_utilities)
+        latent = ranking_utility(Ranking(ranked), inst.v, inst.latent_utilities)
+        assert latent == pytest.approx(ranking_utility(best, inst.v, inst.latent_utilities), rel=1e-12)
+        assert ranked == list(best.positions)  # uniform draws: the weights are distinct
