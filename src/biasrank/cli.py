@@ -171,6 +171,14 @@ def _config_error(what: str, exc: Exception) -> ValueError:
     return ValueError(f"{what} {problem} {exc}")
 
 
+def _trials(args, d: dict, default: int, what: str) -> int:
+    """``--trials`` if given, else the config's whole-number ``"trials"``, else ``default``."""
+    try:
+        return args.trials if args.trials is not None else int(whole_numbers(d.get("trials", default), "trials"))
+    except (TypeError, OverflowError) as exc:
+        raise _config_error(what, exc) from exc
+
+
 def _trial_config_from_json(d: dict) -> TrialConfig:
     try:
         n = int(whole_numbers(d["n"], "n"))
@@ -247,9 +255,10 @@ def _cmd_derive_constraints(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    cfg = _trial_config_from_json(_load_object(args.config, "trial config"))
+    d = _load_object(args.config, "trial config")
+    cfg = _trial_config_from_json(d)
     seed = SeedSpec(args.seed)
-    trials = args.trials if args.trials is not None else 1
+    trials = _trials(args, d, 1, "trial config")
     reports = run_trials(cfg, trials, seed)
     body = {
         "seed": seed.master_seed,
@@ -274,9 +283,9 @@ def _cmd_sweep(args) -> int:
     try:
         alphas = [float(a) for a in d["alphas"]]
         betas = [float(b) for b in d["betas"]]
-        trials = args.trials if args.trials is not None else int(whole_numbers(d.get("trials", 1000), "trials"))
     except (TypeError, OverflowError) as exc:
         raise _config_error("sweep config", exc) from exc
+    trials = _trials(args, d, 1000, "sweep config")
     base = _trial_config_from_json({**d, "alpha": alphas[0], "beta": betas[0]})
     report = run_sweep(base, alphas, betas, trials, SeedSpec(args.seed))
     _write_output(report.to_csv(), args.out)
@@ -322,10 +331,7 @@ def _cmd_supernumerary(args) -> int:
         alphas = [d["alpha"]] if "alpha" in d else None
     if not alphas or not isinstance(alphas, list):
         raise ValueError('supernumerary config needs "alpha" or a nonempty "alphas" list')
-    try:
-        trials = args.trials if args.trials is not None else int(whole_numbers(d.get("trials", 1000), "trials"))
-    except (TypeError, OverflowError) as exc:
-        raise _config_error("supernumerary config", exc) from exc
+    trials = _trials(args, d, 1000, "supernumerary config")
     seed = SeedSpec(args.seed)
     configs = [_supernumerary_config_from_json(d, a) for a in alphas]
     reports = [supernumerary_compare(c, trials, seed) for c in configs]

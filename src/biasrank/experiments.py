@@ -272,14 +272,18 @@ def _run_grid(
     cell's config for each trial index, computed block by block.
 
     Only each group's best ``min(size, n)`` items can reach a ranking of n
-    positions, so each block keeps those candidates per group (:func:`_top`
-    on the latent values once, and on the shaded group's scaled values per
-    beta), group 0 first.  One stable sort of the candidates' values then
-    orders them as the full stable sort orders its first n items, and
-    :func:`rank_single_column` runs on candidate-local indices: a target's
-    candidate position equals its full-order position whenever either is
-    at most n, and otherwise both exceed n, which is all the closed form
-    needs to know.
+    positions, so each block keeps those candidates per group, group 0
+    first, by :func:`_top` on the latent values.  Scaling by beta keeps the
+    shaded group's order, so every beta reuses its candidates, keyed
+    ``latent * beta``, unless two adjacent scaled values among its latent
+    top ``c + 1`` tie in some row (by rounding, at the cut, or at beta = 0)
+    and it selects by ``_top`` on its scaled values.  One stable sort of
+    all slots' keys (latent for opt, then each beta's) orders each slot's
+    candidates as the full sort orders its first n, and one
+    :func:`rank_single_column` call places them on candidate-local indices:
+    a target's candidate position equals its full-order position whenever
+    either is at most n, and otherwise both exceed n, which is all the
+    closed form needs.
 
     Returns ``u_opt`` (trials,), ``u_uncons`` and ``n_b_uncons`` (betas,
     trials), and ``u_cons`` and ``n_b_cons`` (betas, alphas, trials).
@@ -305,6 +309,9 @@ def _run_grid(
     c = (min(m_a, n), min(m_b, n))
     # Candidate-local target mask: group 0's candidates come first.
     target = np.repeat([t == 0, t == 1], c)
+    # Slot 0 keys the candidates by latent value (opt), slot b by the observed one at beta b - 1.
+    scale = np.array([1.0, *betas], dtype=float)
+    factor = np.where(target, scale[:, None], 1.0)[:, None, :]
     v = base.discount.values
     u_opt = np.empty(trials)
     u_uncons = np.empty((len(betas), trials))
@@ -315,24 +322,22 @@ def _run_grid(
         if not np.all(np.isfinite(w)):
             raise ValueError("latent utilities must be finite")
         row = np.arange(len(w))[:, None]
-        ids = [_top(w[:, g], size) + g.start for g, size in zip(groups, c)]
-        keys = [w[row, i] for i in ids]
-        cand = np.concatenate(ids, axis=1)
-        local = _order(np.concatenate(keys, axis=1))
-        u_opt[part] = _utilities(w, cand[row, local[:, :n]], v)
-        for b, beta in enumerate(betas):
-            scaled = w[:, groups[t]] * float(beta)
-            top = _top(scaled, c[t])
-            keys[t] = scaled[row, top]
-            ids[t] = top + groups[t].start
-            cand = np.concatenate(ids, axis=1)
-            local = _order(np.concatenate(keys, axis=1))
-            u_uncons[b, part] = _utilities(w, cand[row, local[:, :n]], v)
-            n_b_uncons[b, part] = target[local[:, :n]].sum(axis=1)
-            local_ids, count = rank_single_column(local, target, bounds)
-            ranked = cand[row[:, :, None], local_ids]
-            n_b_cons[b, :, part] = count.T
-            u_cons[b, :, part] = _utilities(w, ranked, v).T
+        # The shaded group keeps one candidate more, to see a tie at the cut.
+        ids = [_top(w[:, g], size + (s == t)) + g.start for s, (g, size) in enumerate(zip(groups, c))]
+        lat = w[row, np.concatenate([ids[0][:, : c[0]], ids[1][:, : c[1]]], axis=1)]
+        lat = np.repeat(lat[None], len(scale), axis=0)  # each slot's candidates' latent values
+        scaled = w[row, ids[t]] * scale[1:, None, None]
+        for b in np.flatnonzero((scaled[:, :, 1:] == scaled[:, :, :-1]).any(axis=(1, 2))) + 1:
+            lat[b][:, target] = w[row, _top(w[:, groups[t]] * scale[b], c[t]) + groups[t].start]
+        local = _order((lat * factor).reshape(-1, lat.shape[2]))
+        lat = lat.reshape(local.shape)
+        u = _utilities(lat, local[:, :n], v).reshape(len(scale), len(w))
+        u_opt[part], u_uncons[:, part] = u[0], u[1:]
+        n_b_uncons[:, part] = target[local[len(w) :, :n]].sum(axis=1).reshape(len(betas), len(w))
+        local_ids, count = rank_single_column(local[len(w) :], target, bounds)
+        cells = (len(betas), len(w), len(alphas))
+        n_b_cons[:, :, part] = count.reshape(cells).transpose(0, 2, 1)
+        u_cons[:, :, part] = _utilities(lat[len(w) :], local_ids, v).reshape(cells).transpose(0, 2, 1)
     return u_opt, u_uncons, n_b_uncons, u_cons, n_b_cons
 
 

@@ -335,7 +335,10 @@ def _flatten_ids(lists, bound: int, what: str) -> tuple[np.ndarray, np.ndarray]:
     owner[k] is the index of the list that values[k] came from; every value
     must lie in [0, bound)."""
     lens = [len(xs) for xs in lists]
-    values = whole_numbers(np.fromiter(chain.from_iterable(lists), float, count=sum(lens)), what)
+    values = np.fromiter(chain.from_iterable(lists), float, count=sum(lens))
+    if np.isnan(values).any() and None in chain.from_iterable(lists):  # fromiter reads null as nan
+        raise ValueError(f"{what} must be a whole number, got null")
+    values = whole_numbers(values, what)
     owner = np.repeat(np.arange(len(lens)), lens)
     bad = (values < 0) | (values >= bound)
     if bad.any():

@@ -20,7 +20,8 @@ groups too, but only on small instances; it is the greedy's oracle.
 When only one group is bounded and its bound grows by at most one per
 position (every ``floor(alpha * k)`` matrix), the greedy has a closed form
 that :func:`rank_single_column` evaluates for a whole batch of observed
-orders at once.
+orders at once, as a prefix-count maximum (see Celis, Straszak & Vishnoi,
+ICALP 2018, on ranking under prefix constraints).
 """
 
 from __future__ import annotations
@@ -141,60 +142,45 @@ def rank_single_column(order, target, bounds) -> tuple[np.ndarray, np.ndarray]:
     starts at 0 or 1 and grows by at most 1 per position, and its entry
     k-1 is the least number of target items in the top k.
 
-    Targets and the other items each keep their observed order, so the
-    greedy places the c-th best target (0-based) at position
-    ``min(d_c, u_c)``: ``d_c`` is the first k with ``bound[k-1] >= c+1``
-    and ``u_c`` is the target's 1-based position in its order; the other
-    items fill the remaining positions in order.  This is what
-    :func:`rank_constrained_greedy` returns for the same column.
+    Targets and the other items each keep their observed order, and the
+    greedy places the c-th best target (0-based) at ``min(d_c, u_c)``, the
+    first k with ``bound[k-1] >= c+1`` or its 1-based observed position,
+    as :func:`rank_constrained_greedy` does for the same column.  Both
+    increase with c, so the top p holds ``T_p = max(bound[p-1], U_p)``
+    targets, U_p being those in the observed top p.  T steps by 0 or 1:
+    position p holds target ``T_p - 1`` where it rises, and else the
+    ``(p - T_p)``-th best other item.
 
     Returns ``(ids, count)`` for every (order, bound) pair: the ranked item
-    ids, shape ``order.shape[:-1] + bounds.shape[:-1] + (n,)``, and the
-    number of target items among them.  Raises InfeasibleConstraintsError
-    when n exceeds m or a bound asks for more target items than exist.
+    ids, shape ``order.shape[:-1] + bounds.shape[:-1] + (n,)``, and their
+    int64 target counts.  Raises InfeasibleConstraintsError when n exceeds
+    m or a bound asks for more target items than exist.
     """
     order = np.asarray(order)
     target = np.asarray(target, dtype=bool)
     bounds = np.asarray(bounds, dtype=np.int64)
     m, n = order.shape[-1], bounds.shape[-1]
     shape = order.shape[:-1] + bounds.shape[:-1]
-    order = order.reshape(-1, m)
-    bounds = bounds.reshape(-1, n)
-    rows, cols = order.shape[0], bounds.shape[0]
+    order, bounds = order.reshape(-1, m), bounds.reshape(-1, n)
+    rows = len(order)
     m_t = int(np.count_nonzero(target))
     if n > m or bounds[:, -1].max(initial=0) > m_t:
         raise InfeasibleConstraintsError("no ranking satisfies the constraint matrix")
     steps = np.diff(bounds, axis=1, prepend=0)
     if np.any((steps < 0) | (steps > 1)):
         raise ValueError("bounds must be nondecreasing with steps of at most 1")
-    k = min(m_t, n)
-    # Deadline of target c under each bound: the position where the bound
-    # first reaches c + 1, or n + 1 when it never does.
-    deadline = np.full((cols, k), n + 1, dtype=np.int64)
-    col, j = np.nonzero(steps)
-    deadline[col, bounds[col, j] - 1] = j + 1
-    # Flat indices into ``order`` of the best k targets and the best n other
-    # items of each row, each in observed order.
     flat = order.ravel()
     is_t = target[flat]
-    t_at = np.flatnonzero(is_t).reshape(rows, m_t)[:, :k]
-    o_at = np.flatnonzero(~is_t).reshape(rows, m - m_t)[:, :n]
-    t_rank = t_at - (np.arange(rows) * m)[:, None] + 1
-    pos = np.minimum(t_rank[:, None, :], deadline)
-    placed = pos <= n
-    count = placed.sum(axis=2).ravel()
-    # Mark each row's target slots; column n collects the targets left out.
-    np.minimum(pos, n + 1, out=pos)
-    pos += (np.arange(rows * cols) * (n + 1) - 1).reshape(rows, cols, 1)
-    slot = np.zeros((rows * cols, n + 1), dtype=bool)
-    slot.ravel()[pos] = True
-    slot = slot[:, :n]
-    ids = np.empty((rows * cols, n), dtype=order.dtype)
-    ids[slot] = np.broadcast_to(flat[t_at][:, None, :], pos.shape)[placed]
-    others = flat[o_at]
-    take = np.arange(others.shape[1]) < (n - count).reshape(rows, cols, 1)
-    ids[~slot] = np.broadcast_to(others[:, None, :], take.shape)[take]
-    return ids.reshape(shape + (n,)), count.reshape(shape)
+    k = min(m_t, n)
+    t_ids = flat[np.flatnonzero(is_t).reshape(rows, m_t)[:, :k]]
+    o_ids = flat[np.flatnonzero(~is_t).reshape(rows, m - m_t)[:, :n]]
+    best = np.concatenate([t_ids, o_ids], axis=1)  # per row: best k targets, then best n others
+    U = np.cumsum(is_t.reshape(rows, m)[:, :n], axis=1, dtype=np.int32)
+    T = np.maximum(U[:, None, :], bounds.astype(np.int32))  # targets in each top j + 1
+    rise = np.diff(T, axis=2, prepend=np.int32(0)) > 0
+    at = np.where(rise, T - 1, k + np.arange(n, dtype=np.int32) - T)
+    ids = best.ravel().take(at + (np.arange(rows) * best.shape[1])[:, None, None])
+    return ids.reshape(shape + (n,)), T[..., -1].astype(np.int64).reshape(shape)
 
 
 def rank_constrained_bruteforce(instance: Instance, weights, L: ConstraintMatrix) -> Ranking:

@@ -148,6 +148,11 @@ class TestSimulate:
         assert main(["simulate", cfg, "--seed", "42", "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_config_trials_unless_the_flag_overrides(self, tmp_path):
+        cfg = write_json(tmp_path, "cfg.json", {**TRIAL_CONFIG, "trials": 2.0})
+        assert run_to_json(tmp_path, ["simulate", cfg])["trials"] == 2
+        assert run_to_json(tmp_path, ["simulate", cfg, "--trials", "3"])["trials"] == 3
+
     def test_report_fields(self, tmp_path):
         cfg = write_json(tmp_path, "cfg.json", TRIAL_CONFIG)
         doc = run_to_json(tmp_path, ["simulate", cfg, "--seed", "1", "--trials", "3"])
@@ -293,6 +298,11 @@ class TestExitCodes:
             (["solve", "inst"], {"inst": ITEM_WITHOUT_W}),
             (["derive-constraints", "inst"], {"inst": ITEM_WITHOUT_W}),
             (["solve", "inst"], {"inst": {**FACT_INSTANCE_W, "n": None}}),
+            (
+                ["solve", "inst"],
+                {"inst": {**FACT_INSTANCE_W, "items": [{"id": 0, "w": 2.0, "groups": [None]}, FACT_INSTANCE_W["items"][1]]}},
+            ),
+            (["solve", "inst"], {"inst": {**FACT_INSTANCE_W, "groups": [[None], [1]]}}),
             (["solve", "inst"], {"inst": [FACT_INSTANCE_W]}),
             (["solve", "inst", "--constraints", "L"], {"inst": FACT_INSTANCE_W, "L": [[1, 0], [1, 1]]}),
             (["sweep", "cfg"], {"cfg": {**TRIAL_CONFIG, "alphas": [], "betas": [0.5]}}),
@@ -353,6 +363,8 @@ class TestExitCodes:
             "solve-item-without-w",
             "derive-item-without-w",
             "null-n",
+            "null-group-id",
+            "null-group-member",
             "list-instance",
             "list-constraints",
             "no-alphas",
@@ -447,6 +459,7 @@ class TestExitCodes:
             ("simulate", {**TRIAL_CONFIG, "n": 5.5}),
             ("simulate", {**TRIAL_CONFIG, "target_group": 0.5}),
             ("sweep", {**TRIAL_CONFIG, "alphas": [0.0], "betas": [0.5], "trials": 2.5}),
+            ("simulate", {**TRIAL_CONFIG, "trials": 2.5}),
             ("supernumerary", {**SUPERNUMERARY_CONFIG, "m_a": 30.5}),
         ],
         ids=[
@@ -464,6 +477,7 @@ class TestExitCodes:
             "fractional-n-simulate",
             "fractional-target-group",
             "fractional-trials-sweep",
+            "fractional-trials-simulate",
             "fractional-m_a-supernumerary",
         ],
     )

@@ -96,6 +96,23 @@ def blocks_of(rows, m):
     return mock.patch.object(experiments, "BLOCK_ELEMENTS", rows * m)
 
 
+def assert_sweep_equals_loop(cfg, alphas, betas, trials, spec, block):
+    """``run_sweep``'s means and standard errors equal those of ``run_trial``
+    over each (beta, alpha) cell, bit for bit."""
+    with blocks_of(block, cfg.m_a + cfg.m_b):
+        rows = iter(run_sweep(cfg, alphas, betas, trials, spec).rows)
+    for beta in betas:
+        for alpha in alphas:
+            cell = replace(cfg, alpha=alpha, beta=beta)
+            reports = [run_trial(cell, i, spec) for i in range(trials)]
+            row = next(rows)
+            for field in ("cons", "uncons", "opt"):
+                values = np.array([getattr(r, f"u_{field}") for r in reports])
+                se = values.std(ddof=1) / math.sqrt(trials) if trials > 1 else 0.0
+                assert getattr(row, f"mean_{field}") == values.mean()
+                assert getattr(row, f"se_{field}") == se
+
+
 class TestEngineMatchesRunTrial:
     @given(cfg=trial_configs(), trials=st.integers(1, 17), seed=st.integers(0, 2**64 - 1), block=ENGINE_BLOCKS)
     @settings(max_examples=80, deadline=None)
@@ -122,19 +139,41 @@ class TestEngineMatchesRunTrial:
     @settings(max_examples=40, deadline=None)
     def test_sweep_means_equal_per_trial_loop(self, cfg, alphas, betas, trials, seed, block):
         alphas = [a for a in alphas if feasible(cfg, a)] or [0.0]
-        spec = SeedSpec(seed)
-        with blocks_of(block, cfg.m_a + cfg.m_b):
-            rows = iter(run_sweep(cfg, alphas, betas, trials, spec).rows)
-        for beta in betas:
-            for alpha in alphas:
-                cell = replace(cfg, alpha=alpha, beta=beta)
-                reports = [run_trial(cell, i, spec) for i in range(trials)]
-                row = next(rows)
-                for field in ("cons", "uncons", "opt"):
-                    values = np.array([getattr(r, f"u_{field}") for r in reports])
-                    se = values.std(ddof=1) / math.sqrt(trials) if trials > 1 else 0.0
-                    assert getattr(row, f"mean_{field}") == values.mean()
-                    assert getattr(row, f"se_{field}") == se
+        assert_sweep_equals_loop(cfg, alphas, betas, trials, SeedSpec(seed), block)
+
+    # A beta reuses the shaded group's latent candidates unless two adjacent
+    # scaled values among them tie, and then selects anew.  Only a tie that
+    # the scaling makes (the first two cases) needs the new selection.
+    @pytest.mark.parametrize("block", [*BLOCK_ROWS, None])
+    @pytest.mark.parametrize(
+        "dist_b, n, betas",
+        [
+            (Empirical([0.9226872211976584, 0.9226872211976586]), 1, [0.9, 0.5]),  # 0.9 maps both to one float
+            (Uniform(0, 1), 4, [0.0, 0.5]),
+            (Empirical([0.0, 1.0, 1.0, 2.0]), 4, [0.5, 1.0]),  # latent ties at the cut
+        ],
+        ids=["scaling-tie", "beta-zero", "latent-tie-at-cut"],
+    )
+    def test_candidate_reuse_falls_back_on_ties(self, dist_b, n, betas, block):
+        cfg = TrialConfig(
+            m_a=5, m_b=9, n=n, beta=betas[0], alpha=0.0,
+            dist_a=Uniform(0, 0.5), dist_b=dist_b, discount=DiscountVector.dcg(n),
+        )
+        assert_sweep_equals_loop(cfg, [0.0, 0.5, 1.0], betas, 20, SeedSpec(41), block)
+
+    @pytest.mark.parametrize("betas, fallbacks", [([0.25, 0.5], 0), ([0.0, 0.5], 1)])
+    @pytest.mark.parametrize("block", [7, None])
+    def test_one_selection_per_group_and_block(self, betas, fallbacks, block):
+        # perfbench's sweep: m=1000, m_b=250, n=100, DCG, 11 alphas, 30 trials
+        cfg = TrialConfig(
+            m_a=750, m_b=250, n=100, beta=betas[0], alpha=0.0,
+            dist_a=Uniform(0, 1), dist_b=Uniform(0, 1), discount=DiscountVector.dcg(100),
+        )
+        alphas = [round(0.05 * i, 2) for i in range(11)]
+        with blocks_of(block, 1000), mock.patch.object(experiments, "_top", wraps=experiments._top) as top:
+            run_sweep(cfg, alphas, betas, 30, SeedSpec(0))
+        blocks = math.ceil(30 / (block or experiments.BLOCK_ELEMENTS // 1000))
+        assert top.call_count == blocks * (2 + fallbacks)
 
     # Acceptance C5 (two trial sets) and C7 take their reports from
     # run_trials; the scalar oracle checks their configs on the first trials.
@@ -297,6 +336,22 @@ class TestClosedFormPlacement:
             for a, L in enumerate(bounds):
                 best, _ = dp_optimum(labels, row, v, L)
                 assert row[ids[r, a]] @ v == pytest.approx(best, rel=1e-12)
+
+    def test_count_switches_between_observed_and_bound(self):
+        # Observed order T T O O O O O T T T T T T T under floor(k/2) at n=12:
+        # the top p holds its observed targets U_p for p <= 3, the bound's
+        # for 6 <= p <= 8 (U_p = 2 or 3 < L), and U_p again from p = 11.
+        labels = np.array([1, 1, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1, 1])
+        w = np.linspace(1.0, 0.1, labels.size)
+        n, L = 12, simple_constraints(0.5, 1, 12, 2)
+        U, bound = np.cumsum(labels[:n]), L.matrix[:, 1]
+        assert (U > bound)[:3].all() and (U < bound)[5:8].all() and (U > bound)[10:].all()
+        ids, count = rank_single_column(np.argsort(-w, kind="stable"), labels == 1, bound)
+        inst = Instance.from_arrays(w, labels[:, None] == np.arange(2), n, DiscountVector.constant(n))
+        expected = rank_constrained_greedy(inst, w, L).positions
+        assert expected == (0, 1, 2, 3, 4, 7, 5, 8, 6, 9, 10, 11)
+        assert tuple(ids.tolist()) == expected
+        assert count.dtype == np.int64 and count == 7
 
     def test_single_order_and_bound_drop_their_axes(self):
         order = np.array([3, 0, 1, 2])

@@ -348,6 +348,12 @@ class TestTypesAndJson:
         ):
             with pytest.raises(ValueError, match=f"^{field} must be a whole number"):
                 instance_from_json(edited_json(edit))
+        for edit, field in (
+            (lambda d: d["items"][0].update(groups=[None]), "group id"),
+            (lambda d: d["groups"][0].__setitem__(0, None), "group member"),
+        ):
+            with pytest.raises(ValueError, match=f"^{field} must be a whole number, got null$"):
+                instance_from_json(edited_json(edit))
 
     def test_json_discount_kinds(self):
         for kind in ({"kind": "constant"}, {"kind": "zipf"}, {"kind": "dcg"}, {"kind": "dcg", "log_base": 2.0}):
