@@ -18,9 +18,9 @@ it walks the trials in blocks of ``max(1, BLOCK_ELEMENTS // m)``, puts
 each trial's generator in the state ``SeedSpec.rng_for_trial(i)`` defines
 (:meth:`SeedSpec.rngs_for_trials`), and has each group's distribution
 write its draws straight into that group's columns of the trial's row of
-one (rows, m) matrix.  Each engine then checks, selects or sorts, and
-scores the whole block at once, and reproduces the per-trial loop bit for
-bit, whatever the block size.
+one (rows, m) matrix.  Each engine then checks, selects by partition and
+sorts at most the selected candidates, scores the whole block at once, and
+reproduces the per-trial loop bit for bit, whatever the block size.
 
 The seat-expansion comparison pits the prefix-bound intervention against
 reserving added seats for the target group when the target group's scores
@@ -273,32 +273,27 @@ def _run_grid(
 
     Only each group's best ``min(size, n)`` items can reach a ranking of n
     positions, so each block keeps those candidates per group, group 0
-    first, by :func:`_top` on the latent values.  Scaling by beta keeps the
-    shaded group's order, so every beta reuses its candidates, keyed
-    ``latent * beta``, unless two adjacent scaled values among its latent
-    top ``c + 1`` tie in some row (by rounding, at the cut, or at beta = 0)
-    and it selects by ``_top`` on its scaled values.  One stable sort of
-    all slots' keys (latent for opt, then each beta's) orders each slot's
-    candidates as the full sort orders its first n, and one
-    :func:`rank_single_column` call places them on candidate-local indices:
-    a target's candidate position equals its full-order position whenever
-    either is at most n, and otherwise both exceed n, which is all the
-    closed form needs.
+    first, by :func:`_top` on the latent values, and the shaded group's next
+    one where it has one, to see a tie at the cut; n candidates precede it,
+    so it ranks nowhere.  Scaling by beta keeps the shaded group's order, so
+    every beta reuses its candidates, keyed ``latent * beta``, unless two
+    adjacent scaled values among them tie in some row (by rounding, at the
+    cut, or at beta = 0) and it selects by ``_top`` on its scaled values.
+    One stable sort of all slots' keys (latent for opt, then each beta's)
+    orders each slot's candidates as the full sort orders its first n, and
+    one :func:`rank_single_column` call places them on candidate-local
+    indices: a target's candidate position equals its full-order position
+    whenever either is at most n, and otherwise both exceed n, which is all
+    the closed form needs.
 
     Returns ``u_opt`` (trials,), ``u_uncons`` and ``n_b_uncons`` (betas,
     trials), and ``u_cons`` and ``n_b_cons`` (betas, alphas, trials).
     """
     if trials < 1:
         raise ValueError("trials must be positive")
-    if len(alphas) and len(betas):
-        # A cell's config fails on its beta before its alpha, so over the
-        # cells in grid order the first error is the first cell's, then the
-        # first bad alpha's, then the first bad beta's.
-        replace(base, alpha=float(alphas[0]), beta=float(betas[0]))
-        for alpha in alphas[1:]:
-            replace(base, alpha=float(alpha))
-        for beta in betas[1:]:
-            replace(base, beta=float(beta))
+    for beta in betas:
+        for alpha in alphas:
+            replace(base, alpha=float(alpha), beta=float(beta))
     m_a, m_b, n, t = base.m_a, base.m_b, base.n, base.target_group
     columns = [simple_constraints(float(a), t, n, 2).matrix[:, t] for a in alphas]
     bounds = np.array(columns, dtype=np.int64).reshape(len(alphas), n)
@@ -306,7 +301,7 @@ def _run_grid(
         raise InfeasibleConstraintsError("no ranking satisfies the constraint matrix")
     check_size("the trial results", trials * max(len(betas), 1) * max(len(alphas), 1))
     groups = (slice(0, m_a), slice(m_a, m_a + m_b))
-    c = (min(m_a, n), min(m_b, n))
+    c = [min(size, n + (s == t)) for s, size in enumerate((m_a, m_b))]
     # Candidate-local target mask: group 0's candidates come first.
     target = np.repeat([t == 0, t == 1], c)
     # Slot 0 keys the candidates by latent value (opt), slot b by the observed one at beta b - 1.
@@ -322,9 +317,8 @@ def _run_grid(
         if not np.all(np.isfinite(w)):
             raise ValueError("latent utilities must be finite")
         row = np.arange(len(w))[:, None]
-        # The shaded group keeps one candidate more, to see a tie at the cut.
-        ids = [_top(w[:, g], size + (s == t)) + g.start for s, (g, size) in enumerate(zip(groups, c))]
-        lat = w[row, np.concatenate([ids[0][:, : c[0]], ids[1][:, : c[1]]], axis=1)]
+        ids = [_top(w[:, g], size) + g.start for g, size in zip(groups, c)]
+        lat = w[row, np.concatenate(ids, axis=1)]
         lat = np.repeat(lat[None], len(scale), axis=0)  # each slot's candidates' latent values
         scaled = w[row, ids[t]] * scale[1:, None, None]
         for b in np.flatnonzero((scaled[:, :, 1:] == scaled[:, :, :-1]).any(axis=(1, 2))) + 1:
@@ -592,15 +586,20 @@ def supernumerary_compare(
     list.  Latent utility under the config's discount, divided by the
     scheme's seat count, is reported.
 
-    Trials run in blocks (see ``_draw_blocks``), with one stable sort and
-    one :func:`rank_single_column` call per block.  Each trial is checked for
-    too many seats, then too many reserved seats, then a non-finite shifted
-    utility; as in a per-trial loop, the first failing trial raises its error.
+    Trials run in blocks (see ``_draw_blocks``), ranked on candidates as
+    ``_run_grid`` ranks them.  x falls as n_f rises, so with ``x_max =
+    supernumerary_seats(n, 0, alpha)`` every scheme ranks a best-first
+    prefix of each group, of n + x_max items at most: a reserved target
+    deep in the observed order is still among its group's best n_f + x.
+    One sort of each group's best ``min(size, n + x_max)`` by :func:`_top`
+    and one :func:`rank_single_column` call on their local ids serve the
+    block.  Each trial is checked for too many seats, then too many
+    reserved seats, then a non-finite shifted utility in its whole row; as
+    in a per-trial loop, the first failing trial raises its error.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
     m_a, m_b, n, alpha = config.m_a, config.m_b, config.n, config.alpha
-    m = m_a + m_b
     check_size("the trial results", trials)
     # one row per scheme, in SUPERNUMERARY_SCHEMES order
     per_seat = np.empty((len(SUPERNUMERARY_SCHEMES), trials))
@@ -610,45 +609,45 @@ def supernumerary_compare(
     def discount_for(length: int) -> np.ndarray:
         return config.discount(length).values
 
-    @functools.cache
-    def bound_for(length: int) -> np.ndarray:
-        return simple_constraints(alpha, 1, length, 2).matrix[:, 1]
-
+    x_max = supernumerary_seats(n, 0, alpha)
+    c = (min(m_a, n + x_max), min(m_b, n + x_max))
     for part, observed in _draw_blocks(seed, trials, ((config.dist_a, m_a), (config.dist_b, m_b))):
         latent = observed.copy()
         with np.errstate(over="ignore", invalid="ignore"):  # the finiteness check below reports it
             latent[:, m_a:] = apply_score_shift(observed[:, m_a:], config.gamma, config.score_offset)
-        order = _order(observed)
+        row = np.arange(len(observed))[:, None]
+        cand = np.concatenate([_top(observed[:, :m_a], c[0]), _top(observed[:, m_a:], c[1]) + m_a], axis=1)
+        local = _order(observed[row, cand])
+        order = cand[row, local]
         is_t = order >= m_a
         n_f = np.count_nonzero(is_t[:, :n], axis=1)
         x = supernumerary_seats(n, n_f, alpha)  # float, so a huge x is checked before any cast
         # each trial's checks in order; the first failing trial raises
-        bad = np.stack([n + x > m, n_f + x > m_b, ~np.isfinite(latent).all(axis=1)])
+        bad = np.stack([n + x > m_a + m_b, n_f + x > m_b, ~np.isfinite(latent).all(axis=1)])
         if bad.any():
             i = int(bad.any(axis=0).argmax())
-            raise ValueError(
-                (
-                    f"{n + int(x[i])} seats but only {m} candidates",
-                    f"{int(n_f[i]) + int(x[i])} reserved seats but only {m_b} target candidates",
-                    "latent utilities must be finite",
-                )[int(bad[:, i].argmax())]
+            messages = (
+                f"{n + int(x[i])} seats but only {m_a + m_b} candidates",
+                f"{int(n_f[i]) + int(x[i])} reserved seats but only {m_b} target candidates",
+                "latent utilities must be finite",
             )
+            raise ValueError(messages[int(bad[:, i].argmax())])
         n_sup, reserved = n + x.astype(np.int64), n_f + x.astype(np.int64)
 
-        # Reserved seats go to the best reserved-count target candidates by
-        # observed score; open seats then take the best n - n_f of everyone
-        # else, so an item's open rank is its position less the reserved
-        # targets at or above it.  Placement is unconstrained, so the
-        # admitted set keeps its observed order.
+        # Reserved seats go to the best reserved-count targets by observed
+        # score; open seats then take the best n - n_f of everyone else, so an
+        # item's open rank is its position less the reserved targets at or
+        # above it (among the candidates, off only for items neither admits).
+        # Placement is unconstrained, so the admitted set keeps its order.
         t_rank = np.cumsum(is_t, axis=1)
-        open_rank = np.arange(1, m + 1) - np.minimum(t_rank, reserved[:, None])
+        open_rank = np.arange(1, sum(c) + 1) - np.minimum(t_rank, reserved[:, None])
         admitted = (is_t & (t_rank <= reserved[:, None])) | (open_rank <= (n - n_f)[:, None])
 
-        # The floor(alpha * k) bounds of a shorter ranking are a prefix of a
-        # longer one's, and so is the closed form's ranking under them: one
-        # call at the block's most seats gives every row's cons and
-        # cons_expanded as prefixes.
-        cons = rank_single_column(order, np.arange(m) >= m_a, bound_for(int(n_sup.max())))[0]
+        # The floor(alpha * k) bounds of a shorter ranking, and the closed
+        # form's ranking under them, are prefixes of a longer one's: one call
+        # at the block's most seats gives every row's cons and cons_expanded.
+        bound = simple_constraints(alpha, 1, int(n_sup.max()), 2).matrix[:, 1]
+        cons = cand[row, rank_single_column(local, np.arange(sum(c)) >= c[0], bound)[0]]
         ids = np.stack([cons[:, :n], order[:, :n]], axis=1)
         per_seat[:2, part] = _utilities(latent, ids, discount_for(n)).T / n
         seats[:2, part] = n

@@ -637,6 +637,17 @@ def per_trial_supernumerary(config, trials, seed):
     return per_seat, seats
 
 
+def assert_report_is_loops(report, per_seat, seats):
+    """Each scheme's mean, standard error and mean seats equal those of the
+    per-trial loop's rows, bit for bit."""
+    trials = per_seat.shape[1]
+    for s, stats_ in enumerate(report.schemes):
+        values = per_seat[s]
+        se = values.std(ddof=1) / math.sqrt(trials) if trials > 1 else 0.0
+        assert (stats_.mean_utility_per_seat, stats_.se) == (values.mean(), se)
+        assert stats_.mean_seats == seats[s].mean()
+
+
 @st.composite
 def supernumerary_problems(draw):
     m_a = draw(st.integers(0, 30))
@@ -677,12 +688,41 @@ class TestSupernumeraryEngine:
                 with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
                     per_trial_supernumerary(config, trials, spec)
                 return
-        per_seat, seats = per_trial_supernumerary(config, trials, spec)
-        for s, stats_ in enumerate(report.schemes):
-            values = per_seat[s]
-            se = values.std(ddof=1) / math.sqrt(trials) if trials > 1 else 0.0
-            assert (stats_.mean_utility_per_seat, stats_.se) == (values.mean(), se)
-            assert stats_.mean_seats == seats[s].mean()
+        assert_report_is_loops(report, *per_trial_supernumerary(config, trials, spec))
+
+    # The pool of the timed supernumerary config, m_a = m_b = 400 and n=40,
+    # where the candidates are each group's best n + x_max = 48 at alpha 0.15
+    # and its best 40 at alpha 0.  The target sample (36 values 11 times
+    # each, then three single ones at the top) ties at the cut of 48 in 73
+    # of the 81 rows.  n_f runs from 0 to 6, so reserved targets sit as deep
+    # as observed position 74, and 3 rows rank the 48th privileged item.
+    @pytest.mark.parametrize("alpha", [0.15, 0.0])
+    def test_production_size_with_ties_at_the_cut(self, alpha):
+        config = SupernumeraryConfig(
+            n=40, m_a=400, m_b=400, alpha=alpha, gamma=1.5, dist_a=Uniform(0, 100),
+            dist_b=Empirical(np.append(np.repeat(np.arange(0.0, 90.0, 2.5), 11), [92.5, 95.0, 97.5])),
+            discount_kind="dcg",
+        )
+        spec = SeedSpec(7)
+        trials = 2 * (experiments.BLOCK_ELEMENTS // 800) + 1
+        loops = per_trial_supernumerary(config, trials, spec)
+        for block in [*BLOCK_ROWS, None]:
+            with blocks_of(block, 800):
+                assert_report_is_loops(supernumerary_compare(config, trials, spec), *loops)
+
+    def test_sorts_only_the_candidates(self):
+        config = SupernumeraryConfig(
+            n=40, m_a=400, m_b=400, alpha=0.15, gamma=1.5, dist_a=Uniform(0, 100), dist_b=Uniform(0, 100),
+        )
+        order, widths = experiments._order, []
+
+        def spy(x):
+            widths.append(x.shape[-1])
+            return order(x)
+
+        with mock.patch.object(experiments, "_order", spy):
+            supernumerary_compare(config, 100, SeedSpec(7))
+        assert widths and max(widths) <= 2 * 48  # c = n + x_max = 40 + 8 per group
 
 
 class TestOneBlockRule:
