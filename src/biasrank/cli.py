@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import math
 import sys
@@ -453,6 +454,9 @@ def _build_parser() -> _Parser:
 
 def main(argv=None) -> int:
     parser = _build_parser()
+    # json.load builds acyclic trees that reference counting frees: pause the cyclic collector.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         args = parser.parse_args(argv)
         if not getattr(args, "command", None):
@@ -471,6 +475,9 @@ def main(argv=None) -> int:
     except MemoryError:
         sys.stderr.write("error: out of memory\n")
         return EXIT_IO
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def entry() -> None:

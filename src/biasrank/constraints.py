@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Instance, Ranking, _order, prefix_group_counts, whole_numbers
+from .model import Instance, Ranking, _top, prefix_group_counts, whole_numbers
 from .stats import _eq_fields, _store
 
 __all__ = [
@@ -136,7 +136,7 @@ def derived_constraints(instance: Instance) -> ConstraintMatrix:
     recovers the optimal latent utility for any strictly-positive,
     below-one bias factors.
     """
-    order = _order(instance.latent_utilities)[: instance.n]
+    order = _top(instance.latent_utilities[None], instance.n)[0]
     counts = np.cumsum(instance.membership_matrix[order], axis=0, dtype=np.int64)
     return ConstraintMatrix(counts)
 

@@ -37,7 +37,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .constraints import InfeasibleConstraintsError, simple_constraints
-from .model import BiasModel, DiscountVector, Instance, _order, check_size, observed_utilities, ranking_utility
+from .model import BiasModel, DiscountVector, Instance, _order, _top, check_size, observed_utilities, ranking_utility
 from .solver import rank_constrained_greedy, rank_single_column, rank_unconstrained
 from .stats import Distribution, SeedSpec
 
@@ -215,36 +215,6 @@ def _kth_largest(x: np.ndarray, k: int) -> np.ndarray:
     return np.partition(x, cut, axis=1)[:, cut]
 
 
-def _top(x: np.ndarray, c: int) -> np.ndarray:
-    """The first ``c`` columns of ``_order(x)``, by selection; ``c`` is at
-    least 1 or at least the row width.
-
-    ``argpartition`` finds each row's ``c`` largest values; their ids,
-    sorted ascending and then stable-sorted by value, keep the tie order of
-    the full sort.  When some row's c-th largest value is not above its
-    (c+1)-th, a tie straddles the cut and the partition may have picked the
-    wrong tied ids.  Then every row takes its ids above its c-th largest
-    value and the lowest ids equal to it until it holds ``c``, as the full
-    sort would.
-    """
-    rows, width = x.shape
-    if c >= width:
-        return _order(x)[:, :c]
-    neg = -x
-    part = np.argpartition(neg, c, axis=1)
-    win = np.sort(part[:, :c], axis=1)
-    row = np.arange(rows)[:, None]
-    key = neg[row, win]
-    kth = key.max(axis=1)[:, None]  # minus each row's c-th largest value
-    if np.any(kth >= neg[row, part[:, c : c + 1]]):
-        above = neg < kth
-        tied = neg == kth
-        room = c - np.count_nonzero(above, axis=1)[:, None]
-        win = np.nonzero(above | tied & (np.cumsum(tied, axis=1) <= room))[1].reshape(rows, c)
-        key = neg[row, win]
-    return win[row, np.argsort(key, axis=1, kind="stable")]
-
-
 def _utilities(w: np.ndarray, ids: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Latent utility ``w[r, ids[r, ...]] @ v`` of every ranking in ``ids``,
     shape (rows, ..., n), by one stacked ``matmul`` of (1, n) @ (n, 1)
@@ -262,11 +232,7 @@ def _utilities(w: np.ndarray, ids: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def _run_grid(
-    base: TrialConfig,
-    alphas: Sequence[float],
-    betas: Sequence[float],
-    trials: int,
-    seed: SeedSpec,
+    base: TrialConfig, alphas: Sequence[float], betas: Sequence[float], trials: int, seed: SeedSpec
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Every trial of every (beta, alpha) cell, equal to ``run_trial`` of the
     cell's config for each trial index, computed block by block.
@@ -340,26 +306,13 @@ def run_trials(config: TrialConfig, trials: int, seed: SeedSpec) -> list[TrialRe
     ``run_trial(config, i, seed)``."""
     # A report costs about 2 KB of Python objects and output JSON.
     check_size("the trial reports", trials * 256)
-    grid = _run_grid(config, [config.alpha], [config.beta], trials, seed)
-    u_opt, u_uncons, n_b_uncons, u_cons, n_b_cons = grid
-    return [
-        TrialReport(
-            u_cons=float(u_cons[0, 0, i]),
-            u_uncons=float(u_uncons[0, i]),
-            u_opt=float(u_opt[i]),
-            n_b_cons=int(n_b_cons[0, 0, i]),
-            n_b_uncons=int(n_b_uncons[0, i]),
-        )
-        for i in range(trials)
-    ]
+    u_opt, u_uncons, n_b_uncons, u_cons, n_b_cons = _run_grid(config, [config.alpha], [config.beta], trials, seed)
+    columns = (u_cons[0, 0], u_uncons[0], u_opt, n_b_cons[0, 0], n_b_uncons[0])  # in TrialReport's field order
+    return [TrialReport(*row) for row in zip(*(c.tolist() for c in columns))]
 
 
 def run_sweep(
-    base: TrialConfig,
-    alphas: Sequence[float],
-    betas: Sequence[float],
-    trials: int,
-    seed: SeedSpec,
+    base: TrialConfig, alphas: Sequence[float], betas: Sequence[float], trials: int, seed: SeedSpec
 ) -> SweepReport:
     """Grid of trial means over (beta, alpha) cells.
 
@@ -421,13 +374,7 @@ class OrderStatsReport:
 
 
 def estimate_order_stats(
-    k: int,
-    l: int,
-    m_a: int,
-    m_b: int,
-    dist: Distribution,
-    trials: int,
-    seed: SeedSpec,
+    k: int, l: int, m_a: int, m_b: int, dist: Distribution, trials: int, seed: SeedSpec
 ) -> OrderStatsReport:
     """Sample the top-k target count and the position of the l-th target
     item in the utility-sorted ranking of m_a + m_b i.i.d. utilities.
@@ -564,11 +511,7 @@ def supernumerary_csv(reports: Sequence[SupernumeraryReport]) -> str:
     return _csv(reports[0].master_seed, header, rows)
 
 
-def supernumerary_compare(
-    config: SupernumeraryConfig,
-    trials: int,
-    seed: SeedSpec,
-) -> SupernumeraryReport:
+def supernumerary_compare(config: SupernumeraryConfig, trials: int, seed: SeedSpec) -> SupernumeraryReport:
     """Mean latent utility per seat for five admission schemes.
 
     Per trial with observed scores s and true (shifted) target scores:

@@ -17,6 +17,7 @@ after construction; all operations are pure functions.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from itertools import chain
@@ -52,10 +53,22 @@ def check_size(what: str, elements: int) -> None:
         raise ValueError(f"{what} would hold {elements} elements, more than the limit of {MAX_ELEMENTS}")
 
 
+def _json_numbers(x, what: str, kind: str = "a number") -> np.ndarray:
+    """``x`` as an array of JSON numbers; raises ValueError naming ``what`` on
+    true, false, a string or null, which a float cast would read as numbers or
+    nan.  Only arrays whose dtype is not numeric are scanned."""
+    a = np.asarray(x)
+    if a.dtype.kind not in "fiu":  # an object array may hold integers past 64 bits
+        for v in a.ravel().tolist():
+            if type(v) not in (int, float):
+                raise ValueError(f"{what} must be {kind}, got {'a string' if isinstance(v, str) else json.dumps(v)}")
+    return a
+
+
 def whole_numbers(x, what: str) -> np.ndarray:
     """``x`` as int64 values, where a whole float such as 5.0 is its integer; raises
     ValueError naming ``what`` when a value is not a whole number in the int64 range."""
-    a = np.asarray(x)
+    a = _json_numbers(x, what, "a whole number")
     if a.dtype.kind in "fu":
         bad = ~((a == np.floor(a)) & (np.abs(a) < 2.0**63))
         if bad.any():
@@ -66,6 +79,36 @@ def whole_numbers(x, what: str) -> np.ndarray:
 def _order(x: np.ndarray) -> np.ndarray:
     """The tie rule of every ranking: indices by descending value, ties by ascending index."""
     return np.argsort(-x, kind="stable")
+
+
+def _top(x: np.ndarray, c: int) -> np.ndarray:
+    """The first ``c`` columns of ``_order(x)``, by selection; ``c`` is at
+    least 1 or at least the row width.
+
+    ``argpartition`` finds each row's ``c`` largest values; their ids,
+    sorted ascending and then stable-sorted by value, keep the tie order of
+    the full sort.  When some row's c-th largest value is not above its
+    (c+1)-th, a tie straddles the cut and the partition may have picked the
+    wrong tied ids.  Then every row takes its ids above its c-th largest
+    value and the lowest ids equal to it until it holds ``c``, as the full
+    sort would.
+    """
+    rows, width = x.shape
+    if c >= width:
+        return _order(x)[:, :c]
+    neg = -x
+    part = np.argpartition(neg, c, axis=1)
+    win = np.sort(part[:, :c], axis=1)
+    row = np.arange(rows)[:, None]
+    key = neg[row, win]
+    kth = key.max(axis=1)[:, None]  # minus each row's c-th largest value
+    if np.any(kth >= neg[row, part[:, c : c + 1]]):
+        above = neg < kth
+        tied = neg == kth
+        room = c - np.count_nonzero(above, axis=1)[:, None]
+        win = np.nonzero(above | tied & (np.cumsum(tied, axis=1) <= room))[1].reshape(rows, c)
+        key = neg[row, win]
+    return win[row, np.argsort(key, axis=1, kind="stable")]
 
 
 @dataclass(frozen=True, eq=False)
@@ -335,10 +378,7 @@ def _flatten_ids(lists, bound: int, what: str) -> tuple[np.ndarray, np.ndarray]:
     owner[k] is the index of the list that values[k] came from; every value
     must lie in [0, bound)."""
     lens = [len(xs) for xs in lists]
-    values = np.fromiter(chain.from_iterable(lists), float, count=sum(lens))
-    if np.isnan(values).any() and None in chain.from_iterable(lists):  # fromiter reads null as nan
-        raise ValueError(f"{what} must be a whole number, got null")
-    values = whole_numbers(values, what)
+    values = whole_numbers(list(chain.from_iterable(lists)), what)
     owner = np.repeat(np.arange(len(lens)), lens)
     bad = (values < 0) | (values >= bound)
     if bad.any():
@@ -362,7 +402,7 @@ def instance_from_json(d: dict) -> Instance:
         item_dicts = d["items"]
         v = DiscountVector.from_json_dict(d["v"], n)
         ids = whole_numbers([it["id"] for it in item_dicts], "item id")
-        w_listed = np.array([it["w"] for it in item_dicts], dtype=float)
+        w_listed = _json_numbers([it["w"] for it in item_dicts], "item w").astype(float)
         p = len(group_lists)
         m = ids.size
         item_groups, rows = _flatten_ids([it.get("groups", ()) for it in item_dicts], p, "group id")

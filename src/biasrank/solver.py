@@ -2,20 +2,19 @@
 exhaustive oracle.
 
 The unconstrained optimum for a nonincreasing discount is simply the top-n
-items by weight.  Under prefix lower bounds with disjoint groups, a greedy
-pass fills positions in order, placing the heaviest item whose placement
-keeps every remaining prefix bound satisfiable; the lookahead is the
-earliest-deadline feasibility test from scheduling.  With c_s items of
-group s placed, it keeps ``slack[k-1] = sum_s max(0, L[k-1, s] - c_s) - k``
-for every prefix k.  Position j is pinned by the first k >= j where the
-unmet demand fills all k - j + 1 open positions, ``slack[k-1] == 1 - j``.
-Feasible bounds keep all later slack at most 1 - j, so that k is the tail's
-first maximum (one above 1 - j means infeasible bounds), or j itself when
-``slack[j-1]`` is tight, as at every forced position under derived bounds.
-The (c+1)-th group-s item lowers slack from its due prefix on, the first
-with ``L[k-1, s] >= c + 1``, read from per-group tables built per solve.
-The brute-force solver enumerates ordered subsets and works for overlapping
-groups too, but only on small instances; it is the greedy's oracle.
+items by weight, found by selection.  Under prefix lower bounds with
+disjoint groups, a greedy pass fills positions in order, placing the
+heaviest item whose placement keeps every remaining prefix bound
+satisfiable; the lookahead is the earliest-deadline feasibility test from
+scheduling.  With c_s items of group s placed, ``slack[k-1] = sum_s max(0,
+L[k-1, s] - c_s) - k``, and position j is pinned by the first k >= j whose
+unmet demand fills its k - j + 1 open positions: the slack tail's first
+maximum.  Where the bound-row sums S step by at most 1 at j and ``S_k - k
+<= S_j - j`` for all k >= j, no later prefix is tighter than j, and j needs
+neither slack nor scan; that is every position under derived and
+``floor(alpha * k)`` bounds.  The brute-force solver enumerates ordered
+subsets and works for overlapping groups too, but only on small instances;
+it is the greedy's oracle.
 
 When only one group is bounded and its bound grows by at most one per
 position (every ``floor(alpha * k)`` matrix), the greedy has a closed form
@@ -29,7 +28,7 @@ from __future__ import annotations
 import numpy as np
 
 from .constraints import ConstraintMatrix, InfeasibleConstraintsError, check_feasibility
-from .model import Instance, Ranking, _order
+from .model import Instance, Ranking, _order, _top
 
 __all__ = [
     "rank_constrained_bruteforce",
@@ -57,8 +56,8 @@ def rank_unconstrained(instance: Instance, weights) -> Ranking:
     Optimal for any nonincreasing discount vector.
     """
     w = _check_weights(instance, weights)
-    order = _order(w)[: instance.n]
-    return Ranking(tuple(int(i) for i in order))
+    order = _order(w) if np.isnan(w).any() else _top(w[None], instance.n)[0]  # NaN would upset _top's cut
+    return Ranking(tuple(order[: instance.n].tolist()))
 
 
 def rank_constrained_greedy(instance: Instance, weights, L: ConstraintMatrix) -> Ranking:
@@ -84,7 +83,12 @@ def rank_constrained_greedy(instance: Instance, weights, L: ConstraintMatrix) ->
 def _greedy(labels: np.ndarray, w: np.ndarray, Lmat: np.ndarray) -> list[int]:
     """The greedy on plain arrays: item group ids (-1 for none), weights and
     the (n, p) bound matrix.  Does not check feasibility first; raises
-    InfeasibleConstraintsError when the fill runs into it."""
+    InfeasibleConstraintsError when the fill runs into it.
+
+    Each position leaves its prefix met, so the unmet demand at j is at most
+    S's step there.  At ``lazy`` positions (see the module docstring) j takes
+    the owing group's heaviest item, or the heaviest free one when no group
+    owes; only the others bring ``slack`` up to date and scan its tail."""
     n, p = Lmat.shape
     order = _order(w)
     # Items are handled by their rank in ``order``: the lowest free rank is
@@ -94,21 +98,26 @@ def _greedy(labels: np.ndarray, w: np.ndarray, Lmat: np.ndarray) -> list[int]:
     group_of = ordered_labels.tolist()
     # due[s][c]: index of the first prefix whose bound on group s reaches c + 1, else n
     due = [np.searchsorted(col, np.arange(1, n + 2)).tolist() for col in Lmat.T]
-    slack = Lmat.sum(axis=1) - np.arange(1, n + 1)
+    slack = Lmat.sum(axis=1) - np.arange(1, n + 1)  # S_k - k until the first placement
+    lazy = ((np.diff(slack, prepend=0) <= 0) & (slack >= np.maximum.accumulate(slack[::-1])[::-1])).tolist()
     taken = bytearray(len(group_of))
     counts, heads = [0] * p, [0] * p
     free = 0
     ranks: list[int] = []
+    queued: list[int] = []  # due prefixes of placements not yet taken off slack
 
     for j in range(1, n + 1):
-        k, over = j, 0  # j is tight when its unmet demand fills its one open position
-        if slack[j - 1] != 1 - j:
-            k = int(slack[j - 1 :].argmax()) + j  # else the first maximum of the tail
+        k, over = j, 0
+        if not lazy[j - 1]:
+            for d in queued:
+                slack[d:] -= 1
+            queued.clear()
+            k = int(slack[j - 1 :].argmax()) + j  # the first maximum of the tail
             over = int(slack[k - 1]) + j - 1  # unmet demand at k minus its k - j + 1 open positions
             if over > 0:
                 raise InfeasibleConstraintsError(f"unmet demand exceeds open positions by {over} at prefix {k}")
+        r = len(taken)
         if over == 0:
-            r = len(taken)
             for s, d in enumerate(due):
                 if d[counts[s]] >= k:  # the bound at k asks for no more group-s items
                     continue
@@ -119,14 +128,14 @@ def _greedy(labels: np.ndarray, w: np.ndarray, Lmat: np.ndarray) -> list[int]:
                     raise InfeasibleConstraintsError(f"group {s} ran out of items at position {j}")
                 heads[s] = h
                 r = min(r, q[h])
-        else:
+        if r == len(taken):  # no group is forced at j
             while taken[free]:
                 free += 1
             r = free
         taken[r] = 1
         g = group_of[r]
         if g >= 0:
-            slack[due[g][counts[g]] :] -= 1
+            queued.append(due[g][counts[g]])
             counts[g] += 1
         ranks.append(r)
     return order[ranks].tolist()

@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import gc
 import io
 import json
 import math
@@ -8,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -461,6 +463,17 @@ class TestExitCodes:
             ("sweep", {**TRIAL_CONFIG, "alphas": [0.0], "betas": [0.5], "trials": 2.5}),
             ("simulate", {**TRIAL_CONFIG, "trials": 2.5}),
             ("supernumerary", {**SUPERNUMERARY_CONFIG, "m_a": 30.5}),
+            # JSON strings and booleans, which a float or int cast reads as numbers
+            ("solve", {**FACT_INSTANCE_W, "items": [{"id": 0, "w": "0.5", "groups": [0]}, {"id": 1, "w": 1.0, "groups": [1]}]}),
+            ("solve", {**FACT_INSTANCE_W, "items": [{"id": 0, "w": True, "groups": [0]}, {"id": 1, "w": False, "groups": [1]}]}),
+            ("solve", {**FACT_INSTANCE_W, "items": [{"id": "0", "w": 2.0, "groups": [0]}, {"id": 1, "w": 1.0, "groups": [1]}]}),
+            ("solve", {**FACT_INSTANCE_W, "items": [{"id": 0, "w": 2.0, "groups": ["0"]}, {"id": 1, "w": 1.0, "groups": [1]}]}),
+            ("solve", {**FACT_INSTANCE_W, "groups": [["0"], [1]]}),
+            ("solve", {**FACT_INSTANCE_W, "n": True, "v": {"kind": "constant"}}),
+            ("solve", {"n": 2, "p": 2, "L": [["1", 0], [1, 1]]}),
+            ("solve", {"n": "2", "p": 2, "L": [[1, 0], [1, 1]]}),
+            ("solve", {"n": 2, "p": 2, "L": [[True, False], [True, True]]}),
+            ("simulate", {**TRIAL_CONFIG, "m_b": "12"}),
         ],
         ids=[
             "number-alphas-sweep",
@@ -479,14 +492,60 @@ class TestExitCodes:
             "fractional-trials-sweep",
             "fractional-trials-simulate",
             "fractional-m_a-supernumerary",
+            "string-w",
+            "boolean-w",
+            "string-item-id",
+            "string-group-id",
+            "string-group-member",
+            "boolean-n-instance",
+            "string-bound",
+            "string-n-constraints",
+            "boolean-bound",
+            "string-m_b-simulate",
         ],
     )
     def test_wrong_json_type_is_one_line_parse_error(self, tmp_path, capsys, command, doc):
-        code = main([command, write_json(tmp_path, "cfg.json", doc)])
+        argv = [command, write_json(tmp_path, "cfg.json", doc)]
+        if "L" in doc:  # a constraint document, for the fact instance
+            argv = ["solve", write_json(tmp_path, "inst.json", FACT_INSTANCE_W), "--constraints", argv[1]]
+        code = main(argv)
         err = capsys.readouterr().err
         assert code == 3
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
         assert "Traceback" not in err
+
+
+class TestCollectorPause:
+    """``main`` runs each command with the cyclic garbage collector paused,
+    and leaves it as the caller had it, whatever the exit code."""
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    def test_main_restores_the_collector_state(self, tmp_path, capsys, enabled):
+        inst = write_json(tmp_path, "inst.json", FACT_INSTANCE_W)
+        overfull = write_json(tmp_path, "bounds.json", {"n": 2, "p": 2, "L": [[1, 1], [1, 1]]})
+        runs = [
+            (["derive-constraints", inst, "--out", str(tmp_path / "out.json")], 0),
+            (["solve", inst, "--constraints", overfull], 2),
+            (["solve", str(tmp_path / "missing.json")], 3),
+            (["solve"], 1),
+        ]
+        derive, during = cli.derived_constraints, []
+
+        def record(instance):
+            during.append(gc.isenabled())
+            return derive(instance)
+
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            with mock.patch.object(cli, "derived_constraints", record):
+                for argv, code in runs:
+                    assert main(argv) == code
+                    assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+        capsys.readouterr()
+        assert during == [False]
 
 
 class TestSeedRange:

@@ -238,6 +238,9 @@ class TestConstraintMatrixType:
         for key, value in (("n", 2.5), ("p", 0.5), ("L", [[0], [1.5]])):
             with pytest.raises(ValueError, match="must be a whole number"):
                 ConstraintMatrix.from_json_dict({**doc, key: value})
+        for key, value, got in (("n", "2", "a string"), ("p", True, "true"), ("L", [[False], [True]], "false")):
+            with pytest.raises(ValueError, match=f"must be a whole number, got {got}$"):
+                ConstraintMatrix.from_json_dict({**doc, key: value})
 
     def test_json_shape_mismatch(self):
         with pytest.raises(ValueError):

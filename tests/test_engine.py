@@ -211,7 +211,7 @@ class TestTopSelection:
         """Whether some row's c-th and (c+1)-th largest values tie, after
         checking ``_top(x, c)`` against the full sort with ``_order`` made
         to raise."""
-        with mock.patch.object(experiments, "_order", side_effect=AssertionError("full sort")):
+        with mock.patch.object(model, "_order", side_effect=AssertionError("full sort")):
             top = experiments._top(x, c)
         assert top.tolist() == np.argsort(-x, axis=1, kind="stable")[:, :c].tolist()
         desc = -np.sort(-x, axis=1)

@@ -355,6 +355,22 @@ class TestTypesAndJson:
             with pytest.raises(ValueError, match=f"^{field} must be a whole number, got null$"):
                 instance_from_json(edited_json(edit))
 
+    def test_json_strings_booleans_and_null_are_not_numbers(self):
+        for edit, message in (
+            (lambda d: d["items"][0].update(w="3.0"), "item w must be a number, got a string"),
+            (lambda d: d["items"][0].update(w=None), "item w must be a number, got null"),
+            (lambda d: [it.update(w=True) for it in d["items"]], "item w must be a number, got true"),
+            (lambda d: d.update(n=True), "n must be a whole number, got true"),
+            (lambda d: d["items"][0].update(id="0"), "item id must be a whole number, got a string"),
+            (lambda d: d["items"][0].update(groups=["0", 1]), "group id must be a whole number, got a string"),
+            (lambda d: d["groups"][0].__setitem__(0, "0"), "group member must be a whole number, got a string"),
+        ):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                instance_from_json(edited_json(edit))
+        # an integer past 64 bits is still a JSON number
+        huge = instance_from_json(edited_json(lambda d: d["items"][0].update(w=2**70)))
+        assert huge.latent_utilities.tolist() == [2.0**70, 1.0, 2.0]
+
     def test_json_discount_kinds(self):
         for kind in ({"kind": "constant"}, {"kind": "zipf"}, {"kind": "dcg"}, {"kind": "dcg", "log_base": 2.0}):
             v = DiscountVector.from_json_dict(kind, 4)

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,6 +21,7 @@ from biasrank import (
     ranking_utility,
     satisfies,
 )
+from biasrank import model, solver
 from biasrank.solver import _greedy
 from conftest import (
     dp_optimum,
@@ -58,6 +61,22 @@ class TestRankUnconstrained:
     def test_ties_break_by_ascending_id(self):
         inst = Instance.from_arrays([1.0] * 5, np.zeros((5, 0), dtype=bool), 3, DiscountVector.constant(3))
         assert rank_unconstrained(inst, inst.latent_utilities).positions == (0, 1, 2)
+
+    def test_top_n_and_derived_bounds_select_without_a_full_sort(self):
+        rng = np.random.default_rng(3)
+        w = rng.uniform(0.0, 1.0, 50)
+        mem = rng.integers(-1, 2, 50)[:, None] == np.arange(2)
+        inst = Instance.from_arrays(w, mem, 10, DiscountVector.constant(10))
+        top = np.argsort(-w, kind="stable")[:10]
+        raises = {"side_effect": AssertionError("full sort")}
+        with mock.patch.object(model, "_order", **raises), mock.patch.object(solver, "_order", **raises):
+            assert list(rank_unconstrained(inst, w).positions) == top.tolist()
+            assert derived_constraints(inst) == ConstraintMatrix(np.cumsum(inst.membership_matrix[top], axis=0))
+
+    def test_nan_weights_rank_last_by_ascending_id(self):
+        inst = Instance.from_arrays([1.0] * 5, np.zeros((5, 0), dtype=bool), 4, DiscountVector.constant(4))
+        w = np.array([np.nan, 2.0, np.nan, 1.0, 0.5])
+        assert rank_unconstrained(inst, w).positions == (1, 3, 4, 0)
 
     def test_weight_length_checked(self):
         inst = counterexample_instance(1.0, 2.0)
@@ -245,10 +264,13 @@ def rescan_greedy(labels, w, L) -> list[int]:
 @st.composite
 def greedy_problems(draw, feasible: bool):
     """Disjoint groups (p = 1..4) plus ungrouped items, weights with or
-    without ties, and bound columns that often jump by 2 or more.  With
+    without ties, and bound columns that often jump by 2 or more, or rows
+    whose total grows by at most 1 per position, as under derived and
+    ``floor(alpha * k)`` bounds, where the greedy never scans.  With
     ``feasible`` false, rows may ask for more than k items in total or for
     more items than a group has, so the fill can break down midway."""
     p = draw(st.integers(1, 4))
+    unit = draw(st.booleans())
     m = draw(st.integers(1, 100))
     n = draw(st.integers(1, min(m, 80)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -260,6 +282,8 @@ def greedy_problems(draw, feasible: bool):
     row = np.zeros(p, dtype=np.int64)
     for k in range(1, n + 1):
         budget = k - row.sum() if feasible else 3
+        if unit:
+            budget = min(budget, 1)
         for s in rng.permutation(p):
             cap = min(sizes[s], k) if feasible else k
             while budget > 0 and row[s] < cap and rng.random() < grow:
@@ -301,6 +325,7 @@ class TestGreedyMatchesRescan:
             [[0, 0], [1, 1], [2, 2]],  # four items owed by position 3
             [[0, 1], [0, 2], [0, 3]],  # group 1 has two members
             [[0, 0], [0, 2], [1, 3]],  # group 1 runs out after a jump of 2
+            [[1, 1]],  # two items owed by position 1
         ],
     )
     def test_mid_fill_failures_raise(self, L):
