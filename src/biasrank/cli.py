@@ -59,7 +59,7 @@ from .solver import (
     rank_constrained_greedy,
     rank_unconstrained,
 )
-from .stats import Distribution, Empirical, SeedSpec, distribution_from_json, expected_Nkb, expected_Pl
+from .stats import Distribution, Empirical, SeedSpec, _json_numbers, distribution_from_json, expected_Nkb, expected_Pl
 from .experiments import (
     SupernumeraryConfig,
     TrialConfig,
@@ -187,8 +187,8 @@ def _trial_config_from_json(d: dict) -> TrialConfig:
             m_a=int(whole_numbers(d["m_a"], "m_a")),
             m_b=int(whole_numbers(d["m_b"], "m_b")),
             n=n,
-            beta=float(d["beta"]),
-            alpha=float(d.get("alpha", 0.0)),
+            beta=float(_json_numbers(d["beta"], "beta").tolist()),
+            alpha=float(_json_numbers(d.get("alpha", 0.0), "alpha").tolist()),
             dist_a=distribution_from_json(d["dist_a"]),
             dist_b=distribution_from_json(d["dist_b"]),
             discount=DiscountVector.from_json_dict(d.get("discount", {"kind": "constant"}), n),
@@ -207,13 +207,13 @@ def _supernumerary_config_from_json(d: dict, alpha: float) -> SupernumeraryConfi
             n=int(whole_numbers(d["n"], "n")),
             m_a=int(whole_numbers(d["m_a"], "m_a")),
             m_b=int(whole_numbers(d["m_b"], "m_b")),
-            alpha=float(alpha),
-            gamma=float(d["gamma"]),
+            alpha=float(_json_numbers(alpha, "alpha").tolist()),
+            gamma=float(_json_numbers(d["gamma"], "gamma").tolist()),
             dist_a=distribution_from_json(d["dist_a"]),
             dist_b=distribution_from_json(d["dist_b"]),
-            score_offset=float(d.get("score_offset", 105.0)),
+            score_offset=float(_json_numbers(d.get("score_offset", 105.0), "score_offset").tolist()),
             discount_kind=discount.get("kind", "constant"),
-            log_base=discount.get("log_base"),
+            log_base=None if (base := discount.get("log_base")) is None else _json_numbers(base, "log_base").tolist(),
         )
     except (KeyError, TypeError, OverflowError) as exc:
         raise _config_error("supernumerary config", exc) from exc
@@ -282,8 +282,8 @@ def _cmd_sweep(args) -> int:
     if not all(isinstance(d.get(key), list) and d[key] for key in ("alphas", "betas")):
         raise ValueError('sweep config needs nonempty "alphas" and "betas" lists')
     try:
-        alphas = [float(a) for a in d["alphas"]]
-        betas = [float(b) for b in d["betas"]]
+        alphas = [float(_json_numbers(a, "alpha").tolist()) for a in d["alphas"]]
+        betas = [float(_json_numbers(b, "beta").tolist()) for b in d["betas"]]
     except (TypeError, OverflowError) as exc:
         raise _config_error("sweep config", exc) from exc
     trials = _trials(args, d, 1000, "sweep config")

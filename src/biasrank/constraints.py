@@ -68,13 +68,6 @@ class ConstraintMatrix:
 
     __eq__ = _eq_fields
 
-    @classmethod
-    def _unchecked(cls, arr: np.ndarray) -> "ConstraintMatrix":
-        """Take ownership of an int64 matrix that is valid by construction, unchecked."""
-        self = object.__new__(cls)
-        _store(self, matrix=arr)
-        return self
-
     @property
     def n(self) -> int:
         return int(self.matrix.shape[0])
@@ -113,19 +106,20 @@ def simple_constraints(alpha: float, target_group: int, n: int, p: int) -> Const
     top-k prefix; all other groups are unconstrained.
 
     Floor (with a tiny epsilon) is used rather than ceil so the bound never
-    exceeds the prefix length for any alpha in [0, 1].  The columns are then
-    nonnegative, nondecreasing and at most k, so the matrix is not checked
-    again.
+    exceeds the prefix length for any alpha in [0, 1].
     """
     if not (0.0 <= alpha <= 1.0):
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
     if not (0 <= target_group < p):
         raise ValueError(f"target group {target_group} outside [0, {p})")
-    if n < 1:
-        raise ValueError("constraint matrix needs at least one row")
     L = np.zeros((n, p), dtype=np.int64)
-    L[:, target_group] = np.floor(alpha * np.arange(1, n + 1) + FLOOR_EPSILON)
-    return ConstraintMatrix._unchecked(L)
+    L[:, target_group] = _floor_bounds(alpha, n)
+    return ConstraintMatrix(L)
+
+
+def _floor_bounds(alphas, n: int) -> np.ndarray:
+    """``floor(alpha * k)`` for k = 1..n, an int64 row per float alpha (one row for a scalar)."""
+    return np.floor(np.multiply.outer(alphas, np.arange(1, n + 1)) + FLOOR_EPSILON).astype(np.int64)
 
 
 def derived_constraints(instance: Instance) -> ConstraintMatrix:

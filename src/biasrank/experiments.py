@@ -36,9 +36,9 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .constraints import InfeasibleConstraintsError, simple_constraints
+from .constraints import InfeasibleConstraintsError, _floor_bounds, simple_constraints
 from .model import BiasModel, DiscountVector, Instance, _order, _top, check_size, observed_utilities, ranking_utility
-from .solver import rank_constrained_greedy, rank_single_column, rank_unconstrained
+from .solver import _single_column_slots, rank_constrained_greedy, rank_single_column, rank_unconstrained
 from .stats import Distribution, SeedSpec
 
 __all__ = [
@@ -247,22 +247,22 @@ def _run_grid(
     cut, or at beta = 0) and it selects by ``_top`` on its scaled values.
     One stable sort of all slots' keys (latent for opt, then each beta's)
     orders each slot's candidates as the full sort orders its first n, and
-    one :func:`rank_single_column` call places them on candidate-local
-    indices: a target's candidate position equals its full-order position
-    whenever either is at most n, and otherwise both exceed n, which is all
-    the closed form needs.
+    one ``_single_column_slots`` call places them on candidate-local indices:
+    a target's candidate position equals its full-order position whenever
+    either is at most n, and otherwise both exceed n, which is all the closed
+    form needs.  Its slots score the constrained rankings, the latent values
+    in each row's ``best`` order indexed by ``at``, with no id matrix built.
 
     Returns ``u_opt`` (trials,), ``u_uncons`` and ``n_b_uncons`` (betas,
     trials), and ``u_cons`` and ``n_b_cons`` (betas, alphas, trials).
     """
     if trials < 1:
         raise ValueError("trials must be positive")
-    for beta in betas:
-        for alpha in alphas:
-            replace(base, alpha=float(alpha), beta=float(beta))
+    # A cell checks its alpha and beta alone: the first beta's cells, then the first alpha's, fail as all would.
+    for beta, alpha in [(b, a) for b in betas[:1] for a in alphas] + [(b, a) for b in betas[1:] for a in alphas[:1]]:
+        replace(base, alpha=float(alpha), beta=float(beta))
     m_a, m_b, n, t = base.m_a, base.m_b, base.n, base.target_group
-    columns = [simple_constraints(float(a), t, n, 2).matrix[:, t] for a in alphas]
-    bounds = np.array(columns, dtype=np.int64).reshape(len(alphas), n)
+    bounds = _floor_bounds(np.asarray(alphas, dtype=float), n)
     if bounds[:, -1].max(initial=0) > (m_b if t == 1 else m_a):
         raise InfeasibleConstraintsError("no ranking satisfies the constraint matrix")
     check_size("the trial results", trials * max(len(betas), 1) * max(len(alphas), 1))
@@ -294,10 +294,10 @@ def _run_grid(
         u = _utilities(lat, local[:, :n], v).reshape(len(scale), len(w))
         u_opt[part], u_uncons[:, part] = u[0], u[1:]
         n_b_uncons[:, part] = target[local[len(w) :, :n]].sum(axis=1).reshape(len(betas), len(w))
-        local_ids, count = rank_single_column(local[len(w) :], target, bounds)
+        best, at, count = _single_column_slots(local[len(w) :], target, bounds)
+        cons = _utilities(np.take_along_axis(lat[len(w) :], best, 1), at, v)
         cells = (len(betas), len(w), len(alphas))
-        n_b_cons[:, :, part] = count.reshape(cells).transpose(0, 2, 1)
-        u_cons[:, :, part] = _utilities(lat[len(w) :], local_ids, v).reshape(cells).transpose(0, 2, 1)
+        n_b_cons[:, :, part], u_cons[:, :, part] = (x.reshape(cells).transpose(0, 2, 1) for x in (count, cons))
     return u_opt, u_uncons, n_b_uncons, u_cons, n_b_cons
 
 
@@ -475,7 +475,8 @@ class SupernumeraryConfig:
         self.discount(1)  # a bad log base fails here, before any trial is drawn
 
     def discount(self, length: int) -> DiscountVector:
-        return DiscountVector.from_json_dict({"kind": self.discount_kind, "log_base": self.log_base}, length)
+        make = getattr(DiscountVector, self.discount_kind)
+        return make(length, self.log_base) if self.discount_kind == "dcg" else make(length)
 
 
 SUPERNUMERARY_SCHEMES = ("cons", "uncons", "sup", "cons_expanded", "uncons_expanded")
@@ -589,7 +590,7 @@ def supernumerary_compare(config: SupernumeraryConfig, trials: int, seed: SeedSp
         # The floor(alpha * k) bounds of a shorter ranking, and the closed
         # form's ranking under them, are prefixes of a longer one's: one call
         # at the block's most seats gives every row's cons and cons_expanded.
-        bound = simple_constraints(alpha, 1, int(n_sup.max()), 2).matrix[:, 1]
+        bound = _floor_bounds(alpha, int(n_sup.max()))
         cons = cand[row, rank_single_column(local, np.arange(sum(c)) >= c[0], bound)[0]]
         ids = np.stack([cons[:, :n], order[:, :n]], axis=1)
         per_seat[:2, part] = _utilities(latent, ids, discount_for(n)).T / n

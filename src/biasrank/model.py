@@ -17,14 +17,13 @@ after construction; all operations are pure functions.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
 
-from .stats import _eq_fields, _store
+from .stats import _eq_fields, _json_numbers, _store
 
 __all__ = [
     "BiasModel",
@@ -51,18 +50,6 @@ def check_size(what: str, elements: int) -> None:
     """Raise ValueError when ``what`` would hold more than MAX_ELEMENTS elements."""
     if elements > MAX_ELEMENTS:
         raise ValueError(f"{what} would hold {elements} elements, more than the limit of {MAX_ELEMENTS}")
-
-
-def _json_numbers(x, what: str, kind: str = "a number") -> np.ndarray:
-    """``x`` as an array of JSON numbers; raises ValueError naming ``what`` on
-    true, false, a string or null, which a float cast would read as numbers or
-    nan.  Only arrays whose dtype is not numeric are scanned."""
-    a = np.asarray(x)
-    if a.dtype.kind not in "fiu":  # an object array may hold integers past 64 bits
-        for v in a.ravel().tolist():
-            if type(v) not in (int, float):
-                raise ValueError(f"{what} must be {kind}, got {'a string' if isinstance(v, str) else json.dumps(v)}")
-    return a
 
 
 def whole_numbers(x, what: str) -> np.ndarray:
@@ -199,9 +186,11 @@ class DiscountVector:
         if not isinstance(d, dict):
             raise ValueError("discount must be a JSON object")
         check_size("the discount vector", n)
-        kind = d.get("kind")
-        if kind in ("constant", "dcg", "zipf"):
-            return cls.dcg(n, log_base=d.get("log_base")) if kind == "dcg" else getattr(cls, kind)(n)
+        kind, base = d.get("kind"), d.get("log_base")
+        if kind == "dcg":
+            return cls.dcg(n, log_base=None if base is None else _json_numbers(base, "log_base").tolist())
+        if kind in ("constant", "zipf"):
+            return getattr(cls, kind)(n)
         if kind != "custom":
             raise ValueError(f"unknown discount kind {kind!r}")
         values = d.get("values")
@@ -209,7 +198,7 @@ class DiscountVector:
             raise ValueError('custom discount requires a "values" array')
         if len(values) != n:
             raise ValueError(f"discount has {len(values)} values but n={n}")
-        return cls(values)
+        return cls(_json_numbers(values, "discount value"))
 
 
 @dataclass(frozen=True, eq=False)

@@ -165,13 +165,19 @@ def rank_single_column(order, target, bounds) -> tuple[np.ndarray, np.ndarray]:
     int64 target counts.  Raises InfeasibleConstraintsError when n exceeds
     m or a bound asks for more target items than exist.
     """
-    order = np.asarray(order)
+    order, bounds = np.asarray(order), np.asarray(bounds, dtype=np.int64)
+    (*rows, m), (*cols, n) = order.shape, bounds.shape
+    best, at, count = _single_column_slots(order.reshape(-1, m), target, bounds.reshape(-1, n))
+    ids = best[np.arange(len(best))[:, None, None], at]
+    return ids.reshape((*rows, *cols, n)), count.astype(np.int64).reshape((*rows, *cols))
+
+
+def _single_column_slots(order: np.ndarray, target, bounds: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`rank_single_column` on (rows, m) orders and (cols, n) bounds, as slots: ``best`` holds
+    each row's best ``min(m_t, n)`` targets, then its best n others; ``at``, int32 of shape (rows,
+    cols, n), indexes each ranked id in its row of ``best``; and the int32 target counts, (rows, cols)."""
     target = np.asarray(target, dtype=bool)
-    bounds = np.asarray(bounds, dtype=np.int64)
-    m, n = order.shape[-1], bounds.shape[-1]
-    shape = order.shape[:-1] + bounds.shape[:-1]
-    order, bounds = order.reshape(-1, m), bounds.reshape(-1, n)
-    rows = len(order)
+    (rows, m), n = order.shape, bounds.shape[1]
     m_t = int(np.count_nonzero(target))
     if n > m or bounds[:, -1].max(initial=0) > m_t:
         raise InfeasibleConstraintsError("no ranking satisfies the constraint matrix")
@@ -183,13 +189,11 @@ def rank_single_column(order, target, bounds) -> tuple[np.ndarray, np.ndarray]:
     k = min(m_t, n)
     t_ids = flat[np.flatnonzero(is_t).reshape(rows, m_t)[:, :k]]
     o_ids = flat[np.flatnonzero(~is_t).reshape(rows, m - m_t)[:, :n]]
-    best = np.concatenate([t_ids, o_ids], axis=1)  # per row: best k targets, then best n others
     U = np.cumsum(is_t.reshape(rows, m)[:, :n], axis=1, dtype=np.int32)
     T = np.maximum(U[:, None, :], bounds.astype(np.int32))  # targets in each top j + 1
     rise = np.diff(T, axis=2, prepend=np.int32(0)) > 0
     at = np.where(rise, T - 1, k + np.arange(n, dtype=np.int32) - T)
-    ids = best.ravel().take(at + (np.arange(rows) * best.shape[1])[:, None, None])
-    return ids.reshape(shape + (n,)), T[..., -1].astype(np.int64).reshape(shape)
+    return np.concatenate([t_ids, o_ids], axis=1), at, T[..., -1]
 
 
 def rank_constrained_bruteforce(instance: Instance, weights, L: ConstraintMatrix) -> Ranking:

@@ -17,6 +17,7 @@ finite for group sizes in the thousands.
 from __future__ import annotations
 
 import ctypes
+import json
 import math
 from dataclasses import MISSING, dataclass, fields
 from typing import Iterator
@@ -56,6 +57,18 @@ def _into(out: np.ndarray | None, values: np.ndarray) -> np.ndarray:
         return values
     out[...] = values
     return out
+
+
+def _json_numbers(x, what: str, kind: str = "a number") -> np.ndarray:
+    """``x`` as an array of JSON numbers; raises ValueError naming ``what`` on
+    true, false, a string or null, which a float cast would read as numbers or
+    nan.  Only arrays whose dtype is not numeric are scanned."""
+    a = np.asarray(x)
+    if a.dtype.kind not in "fiu":  # an object array may hold integers past 64 bits
+        for v in a.ravel().tolist():
+            if type(v) not in (int, float):
+                raise ValueError(f"{what} must be {kind}, got {'a string' if isinstance(v, str) else json.dumps(v)}")
+    return a
 
 
 def _store(obj, **values) -> None:
@@ -204,7 +217,7 @@ def distribution_from_json(d: dict) -> Distribution:
         if f.name not in d and f.default is MISSING:
             raise ValueError(f'{kind} distribution requires a "{f.name}" {"distribution" if nested else "array"}')
         value = d.get(f.name, f.default)
-        values[f.name] = distribution_from_json(value) if nested else value
+        values[f.name] = distribution_from_json(value) if nested else _json_numbers(value, f"{kind} {f.name}").tolist()
     return cls(**values)
 
 

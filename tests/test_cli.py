@@ -88,6 +88,61 @@ def normal_draws(monkeypatch):
     return calls
 
 
+# JSON strings and booleans in float fields: (command, document, the one-line error,
+# which names the field).  An orderstats document is its --dist distribution.
+NUMBER_FIELDS = [
+    ("simulate", {**TRIAL_CONFIG, "beta": True}, "beta must be a number, got true"),
+    ("simulate", {**TRIAL_CONFIG, "beta": "0.5"}, "beta must be a number, got a string"),
+    ("simulate", {**TRIAL_CONFIG, "alpha": "0.25"}, "alpha must be a number, got a string"),
+    ("simulate", {**TRIAL_CONFIG, "dist_a": {"kind": "uniform", "a": "0"}}, "uniform a must be a number, got a string"),
+    ("simulate", {**TRIAL_CONFIG, "dist_b": {"kind": "normal", "mu": "0"}}, "normal mu must be a number, got a string"),
+    (
+        "simulate",
+        {**TRIAL_CONFIG, "dist_b": {"kind": "normal", "sigma": "1"}},
+        "normal sigma must be a number, got a string",
+    ),
+    (
+        "simulate",
+        {**TRIAL_CONFIG, "n": 3, "discount": {"kind": "custom", "values": ["3", "2", "1"]}},
+        "discount value must be a number, got a string",
+    ),
+    ("simulate", {**TRIAL_CONFIG, "discount": {"kind": "dcg", "log_base": "2"}}, "log_base must be a number, got a string"),
+    ("sweep", {**TRIAL_CONFIG, "alphas": ["0.1", 0.2], "betas": [0.5]}, "alpha must be a number, got a string"),
+    ("sweep", {**TRIAL_CONFIG, "alphas": [0.1], "betas": [0.5, True]}, "beta must be a number, got true"),
+    ("supernumerary", {**SUPERNUMERARY_CONFIG, "score_offset": "105"}, "score_offset must be a number, got a string"),
+    ("supernumerary", {**SUPERNUMERARY_CONFIG, "gamma": "1.5"}, "gamma must be a number, got a string"),
+    (
+        "supernumerary",
+        {**SUPERNUMERARY_CONFIG, "dist_b": {"kind": "shifted_scaled", "base": {"kind": "uniform"}, "scale": "2"}},
+        "shifted_scaled scale must be a number, got a string",
+    ),
+    (
+        "supernumerary",
+        {**SUPERNUMERARY_CONFIG, "discount": {"kind": "dcg", "log_base": "2"}},
+        "log_base must be a number, got a string",
+    ),
+    ("orderstats", {"kind": "empirical", "sample": ["1", "2"]}, "empirical sample must be a number, got a string"),
+]
+NUMBER_FIELD_IDS = [
+    "boolean-beta",
+    "string-beta",
+    "string-alpha",
+    "string-uniform-a",
+    "string-normal-mu",
+    "string-normal-sigma",
+    "string-discount-values",
+    "string-log-base-simulate",
+    "string-alphas-sweep",
+    "boolean-betas-sweep",
+    "string-score-offset",
+    "string-gamma",
+    "string-shifted-scale",
+    "string-log-base-supernumerary",
+    "string-empirical-sample",
+]
+ORDERSTATS_DIST = ["orderstats", "--k", "2", "--l", "1", "--ma", "5", "--mb", "5", "--trials", "3", "--dist"]
+
+
 def write_json(tmp_path, name, doc):
     path = tmp_path / name
     path.write_text(json.dumps(doc), encoding="utf-8")
@@ -474,6 +529,7 @@ class TestExitCodes:
             ("solve", {"n": "2", "p": 2, "L": [[1, 0], [1, 1]]}),
             ("solve", {"n": 2, "p": 2, "L": [[True, False], [True, True]]}),
             ("simulate", {**TRIAL_CONFIG, "m_b": "12"}),
+            *[(command, doc) for command, doc, _ in NUMBER_FIELDS],
         ],
         ids=[
             "number-alphas-sweep",
@@ -502,17 +558,26 @@ class TestExitCodes:
             "string-n-constraints",
             "boolean-bound",
             "string-m_b-simulate",
+            *NUMBER_FIELD_IDS,
         ],
     )
     def test_wrong_json_type_is_one_line_parse_error(self, tmp_path, capsys, command, doc):
         argv = [command, write_json(tmp_path, "cfg.json", doc)]
         if "L" in doc:  # a constraint document, for the fact instance
             argv = ["solve", write_json(tmp_path, "inst.json", FACT_INSTANCE_W), "--constraints", argv[1]]
+        if command == "orderstats":
+            argv = ORDERSTATS_DIST + argv[1:]
         code = main(argv)
         err = capsys.readouterr().err
         assert code == 3
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command, doc, message", NUMBER_FIELDS, ids=NUMBER_FIELD_IDS)
+    def test_string_or_boolean_number_names_its_field(self, tmp_path, capsys, command, doc, message):
+        path = write_json(tmp_path, "cfg.json", doc)
+        assert main(ORDERSTATS_DIST + [path] if command == "orderstats" else [command, path]) == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 class TestCollectorPause:

@@ -417,6 +417,72 @@ class TestInfeasibleAlphaFailsBeforeDrawing:
         assert dist.calls == 0
 
 
+def first_cell_error(base, alphas, betas):
+    """The error a loop of ``replace`` over every (beta, alpha) cell raises first, or None."""
+    for beta in betas:
+        for alpha in alphas:
+            try:
+                replace(base, alpha=float(alpha), beta=float(beta))
+            except (TypeError, ValueError) as exc:
+                return exc
+    return None
+
+
+class TestSweepScoresFromSlots:
+    """The sweep scores its constrained rankings from the closed form's
+    slots, and checks 12 of the 22 cells of an 11-alpha, 2-beta grid."""
+
+    # A mixing beta puts targets in the observed top n, and the empirical
+    # sample's few values tie before and after scaling.
+    CONFIG = TrialConfig(
+        m_a=6, m_b=9, n=5, beta=0.9, alpha=0.0,
+        dist_a=Uniform(0, 2), dist_b=Empirical([0.0, 1.0, 1.0, 2.0, 2.0]), discount=DiscountVector.dcg(5),
+    )
+
+    @pytest.mark.parametrize("block", [*BLOCK_ROWS, None])
+    def test_equals_per_trial_loop_without_gathering_ids(self, block):
+        # targets in the observed top n, and bounds that place more of them
+        reports = run_trials(replace(self.CONFIG, alpha=0.8), 30, SeedSpec(3))
+        assert any(r.n_b_uncons for r in reports) and any(r.n_b_cons > r.n_b_uncons for r in reports)
+        stub = mock.Mock(side_effect=AssertionError("the sweep gathered ranked ids"))
+        with mock.patch.object(experiments, "rank_single_column", stub):
+            assert_sweep_equals_loop(self.CONFIG, [0.0, 0.4, 0.8], [0.9, 0.5], 30, SeedSpec(3), block)
+        stub.assert_not_called()
+
+    @pytest.mark.parametrize(
+        "betas, alphas",
+        [
+            ([0.5, 2.0], [0.1, -1.0]),  # the first beta's second cell: alpha
+            ([2.0], [-1.0]),  # one cell, both bad: beta first
+            ([0.5, 2.0], [0.1]),  # the second beta's cell: beta
+            ([0.5, 2.0], [0.1, "x"]),  # a non-number alpha, before the bad beta
+            (["x"], [2.0]),  # a non-number beta
+            ([0.5, None], [0.1, 0.2]),  # a non-number second beta
+        ],
+        ids=["alpha-in-first-row", "beta-before-alpha", "second-beta", "string-alpha", "string-beta", "none-beta"],
+    )
+    def test_raises_the_first_error_of_every_cell(self, betas, alphas):
+        expected = first_cell_error(self.CONFIG, alphas, betas)
+        dist = CountingUniform()
+        cfg = replace(self.CONFIG, dist_a=dist, dist_b=dist)
+        with pytest.raises(type(expected)) as raised:
+            run_sweep(cfg, alphas, betas, 5, SeedSpec(0))
+        assert type(raised.value) is type(expected) and str(raised.value) == str(expected)
+        assert dist.calls == 0
+
+    def test_validates_the_first_row_and_column(self):
+        alphas, betas = [round(0.05 * i, 2) for i in range(11)], [0.25, 0.5]
+        with mock.patch.object(experiments, "replace", wraps=replace) as checked:
+            run_sweep(self.CONFIG, alphas, betas, 2, SeedSpec(0))
+        assert [(c.kwargs["beta"], c.kwargs["alpha"]) for c in checked.call_args_list] == (
+            [(0.25, a) for a in alphas] + [(0.5, 0.0)]
+        )
+        for empty in ([], [0.5]), ([0.5], []):
+            with mock.patch.object(experiments, "replace", wraps=replace) as checked:
+                run_sweep(self.CONFIG, *empty, 2, SeedSpec(0))
+            assert not checked.called
+
+
 # One of each distribution kind; the empirical sample is full of ties.
 FIVE_KINDS = [
     Uniform(-1.0, 2.0),

@@ -29,7 +29,7 @@ def instance(w=(3.0, 2.0, 1.0), mem=MEMBERSHIP, n=2, v=None):
 
 
 def one_of_each():
-    """One value of every value type; simple_constraints builds its matrix unchecked."""
+    """One value of every value type, simple_constraints' matrix among them."""
     return [
         BiasModel([0.5, 1.0]),
         DiscountVector.dcg(3, log_base=2.0),
