@@ -50,7 +50,6 @@ from .model import (
     instance_from_json,
     observed_utilities,
     ranking_utility,
-    whole_numbers,
 )
 from .solver import (
     BRUTEFORCE_MAX_ITEMS,
@@ -59,7 +58,7 @@ from .solver import (
     rank_constrained_greedy,
     rank_unconstrained,
 )
-from .stats import Distribution, Empirical, SeedSpec, _json_numbers, distribution_from_json, expected_Nkb, expected_Pl
+from .stats import JSON_NUMBER, Empirical, SeedSpec, distribution_from_json, expected_Nkb, expected_Pl, read_number
 from .experiments import (
     SupernumeraryConfig,
     TrialConfig,
@@ -115,9 +114,6 @@ def _write_output(text: str, out: str | None) -> None:
         Path(out).write_text(text, encoding="utf-8")
 
 
-_NUMBER = {int, float}
-
-
 def _flat_json(obj: dict) -> str | None:
     """``json.dumps(obj, indent=2, sort_keys=True)`` for an object of
     numbers, number lists and lists of nonempty number lists (what
@@ -133,15 +129,15 @@ def _flat_json(obj: dict) -> str | None:
     fields = []
     for key in sorted(obj):
         value = obj[key]
-        if type(value) in _NUMBER:
+        if type(value) in JSON_NUMBER:
             text = json.dumps(value)
         elif type(value) is not list:
             return None
         elif not value:
             text = "[]"
-        elif {type(x) for x in value} <= _NUMBER:
+        elif {type(x) for x in value} <= JSON_NUMBER:
             text = "[\n    " + json.dumps(value)[1:-1].replace(", ", ",\n    ") + "\n  ]"
-        elif {type(r) for r in value} == {list} and all(value) and {type(x) for r in value for x in r} <= _NUMBER:
+        elif {type(r) for r in value} == {list} and all(value) and {type(x) for r in value for x in r} <= JSON_NUMBER:
             rows = json.dumps(value)[2:-2].replace(", ", ",\n      ")
             text = "[\n    [\n      " + rows.replace("],\n      [", "\n    ],\n    [\n      ") + "\n    ]\n  ]"
         else:
@@ -166,33 +162,30 @@ def _parse_betas(text: str, p: int) -> BiasModel:
 
 
 def _config_error(what: str, exc: Exception) -> ValueError:
-    """A missing key, or a JSON value of the wrong type or out of range
-    (an infinite count), as a parse error."""
+    """A missing key, or a JSON value of the wrong type that fails before
+    the number readers see it (a number where a list belongs), as a parse error."""
     problem = "missing key" if isinstance(exc, KeyError) else "has a bad value:"
     return ValueError(f"{what} {problem} {exc}")
 
 
-def _trials(args, d: dict, default: int, what: str) -> int:
+def _trials(args, d: dict, default: int) -> int:
     """``--trials`` if given, else the config's whole-number ``"trials"``, else ``default``."""
-    try:
-        return args.trials if args.trials is not None else int(whole_numbers(d.get("trials", default), "trials"))
-    except (TypeError, OverflowError) as exc:
-        raise _config_error(what, exc) from exc
+    return args.trials if args.trials is not None else read_number(d.get("trials", default), "trials", whole=True)
 
 
 def _trial_config_from_json(d: dict) -> TrialConfig:
     try:
-        n = int(whole_numbers(d["n"], "n"))
+        n = read_number(d["n"], "n", whole=True)
         return TrialConfig(
-            m_a=int(whole_numbers(d["m_a"], "m_a")),
-            m_b=int(whole_numbers(d["m_b"], "m_b")),
+            m_a=read_number(d["m_a"], "m_a", whole=True),
+            m_b=read_number(d["m_b"], "m_b", whole=True),
             n=n,
-            beta=float(_json_numbers(d["beta"], "beta").tolist()),
-            alpha=float(_json_numbers(d.get("alpha", 0.0), "alpha").tolist()),
+            beta=read_number(d["beta"], "beta"),
+            alpha=read_number(d.get("alpha", 0.0), "alpha"),
             dist_a=distribution_from_json(d["dist_a"]),
             dist_b=distribution_from_json(d["dist_b"]),
             discount=DiscountVector.from_json_dict(d.get("discount", {"kind": "constant"}), n),
-            target_group=int(whole_numbers(d.get("target_group", 1), "target_group")),
+            target_group=read_number(d.get("target_group", 1), "target_group", whole=True),
         )
     except (KeyError, TypeError, OverflowError) as exc:
         raise _config_error("trial config", exc) from exc
@@ -204,16 +197,16 @@ def _supernumerary_config_from_json(d: dict, alpha: float) -> SupernumeraryConfi
         raise ValueError("discount must be a JSON object")
     try:
         return SupernumeraryConfig(
-            n=int(whole_numbers(d["n"], "n")),
-            m_a=int(whole_numbers(d["m_a"], "m_a")),
-            m_b=int(whole_numbers(d["m_b"], "m_b")),
-            alpha=float(_json_numbers(alpha, "alpha").tolist()),
-            gamma=float(_json_numbers(d["gamma"], "gamma").tolist()),
+            n=read_number(d["n"], "n", whole=True),
+            m_a=read_number(d["m_a"], "m_a", whole=True),
+            m_b=read_number(d["m_b"], "m_b", whole=True),
+            alpha=read_number(alpha, "alpha"),
+            gamma=read_number(d["gamma"], "gamma"),
             dist_a=distribution_from_json(d["dist_a"]),
             dist_b=distribution_from_json(d["dist_b"]),
-            score_offset=float(_json_numbers(d.get("score_offset", 105.0), "score_offset").tolist()),
+            score_offset=read_number(d.get("score_offset", 105.0), "score_offset"),
             discount_kind=discount.get("kind", "constant"),
-            log_base=None if (base := discount.get("log_base")) is None else _json_numbers(base, "log_base").tolist(),
+            log_base=None if (base := discount.get("log_base")) is None else read_number(base, "log_base"),
         )
     except (KeyError, TypeError, OverflowError) as exc:
         raise _config_error("supernumerary config", exc) from exc
@@ -259,7 +252,7 @@ def _cmd_simulate(args) -> int:
     d = _load_object(args.config, "trial config")
     cfg = _trial_config_from_json(d)
     seed = SeedSpec(args.seed)
-    trials = _trials(args, d, 1, "trial config")
+    trials = _trials(args, d, 1)
     reports = run_trials(cfg, trials, seed)
     body = {
         "seed": seed.master_seed,
@@ -281,12 +274,9 @@ def _cmd_sweep(args) -> int:
     d = _load_object(args.config, "sweep config")
     if not all(isinstance(d.get(key), list) and d[key] for key in ("alphas", "betas")):
         raise ValueError('sweep config needs nonempty "alphas" and "betas" lists')
-    try:
-        alphas = [float(_json_numbers(a, "alpha").tolist()) for a in d["alphas"]]
-        betas = [float(_json_numbers(b, "beta").tolist()) for b in d["betas"]]
-    except (TypeError, OverflowError) as exc:
-        raise _config_error("sweep config", exc) from exc
-    trials = _trials(args, d, 1000, "sweep config")
+    alphas = [read_number(a, "alpha") for a in d["alphas"]]
+    betas = [read_number(b, "beta") for b in d["betas"]]
+    trials = _trials(args, d, 1000)
     base = _trial_config_from_json({**d, "alpha": alphas[0], "beta": betas[0]})
     report = run_sweep(base, alphas, betas, trials, SeedSpec(args.seed))
     _write_output(report.to_csv(), args.out)
@@ -294,10 +284,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_orderstats(args) -> int:
-    try:
-        dist: Distribution = distribution_from_json(_load_json(args.dist) if args.dist else {"kind": "uniform"})
-    except (TypeError, OverflowError) as exc:
-        raise _config_error("distribution", exc) from exc
+    dist = distribution_from_json(_load_json(args.dist) if args.dist else {"kind": "uniform"})
     trials = args.trials if args.trials is not None else 10000
     seed = SeedSpec(args.seed)
     est = estimate_order_stats(args.k, args.l, args.ma, args.mb, dist, trials, seed)
@@ -332,7 +319,7 @@ def _cmd_supernumerary(args) -> int:
         alphas = [d["alpha"]] if "alpha" in d else None
     if not alphas or not isinstance(alphas, list):
         raise ValueError('supernumerary config needs "alpha" or a nonempty "alphas" list')
-    trials = _trials(args, d, 1000, "supernumerary config")
+    trials = _trials(args, d, 1000)
     seed = SeedSpec(args.seed)
     configs = [_supernumerary_config_from_json(d, a) for a in alphas]
     reports = [supernumerary_compare(c, trials, seed) for c in configs]

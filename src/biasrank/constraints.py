@@ -12,11 +12,12 @@ latent optimum.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
-from .model import Instance, Ranking, _top, prefix_group_counts, whole_numbers
-from .stats import _eq_fields, _store
+from .model import Instance, Ranking, _top, prefix_group_counts
+from .stats import _eq_fields, _store, read_number, read_numbers
 
 __all__ = [
     "ConstraintMatrix",
@@ -84,8 +85,12 @@ class ConstraintMatrix:
         if not isinstance(d, dict):
             raise ValueError("constraint JSON must be an object")
         try:
-            n, p = int(whole_numbers(d["n"], "n")), int(whole_numbers(d["p"], "p"))
-            arr = whole_numbers(d["L"], "constraint bound")
+            n, p, L = read_number(d["n"], "n", whole=True), read_number(d["p"], "p", whole=True), d["L"]
+            # rows of one width, as every writer makes them, are shaped without converting L twice
+            widths = set(map(len, L)) if type(L) is list and set(map(type, L)) == {list} else ()
+            flat = list(chain.from_iterable(L)) if widths else L if type(L) is list else [L]
+            arr = read_numbers(flat, "constraint bound", whole=True)
+            arr = arr.reshape((len(L), *widths) if len(widths) == 1 else np.shape(L))
         except KeyError as exc:
             raise ValueError(f"constraint JSON missing key {exc}") from exc
         except (TypeError, OverflowError) as exc:

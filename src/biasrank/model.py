@@ -23,7 +23,7 @@ from itertools import chain
 
 import numpy as np
 
-from .stats import _eq_fields, _json_numbers, _store
+from .stats import _eq_fields, _store, read_number, read_numbers
 
 __all__ = [
     "BiasModel",
@@ -50,17 +50,6 @@ def check_size(what: str, elements: int) -> None:
     """Raise ValueError when ``what`` would hold more than MAX_ELEMENTS elements."""
     if elements > MAX_ELEMENTS:
         raise ValueError(f"{what} would hold {elements} elements, more than the limit of {MAX_ELEMENTS}")
-
-
-def whole_numbers(x, what: str) -> np.ndarray:
-    """``x`` as int64 values, where a whole float such as 5.0 is its integer; raises
-    ValueError naming ``what`` when a value is not a whole number in the int64 range."""
-    a = _json_numbers(x, what, "a whole number")
-    if a.dtype.kind in "fu":
-        bad = ~((a == np.floor(a)) & (np.abs(a) < 2.0**63))
-        if bad.any():
-            raise ValueError(f"{what} must be a whole number, got {a[bad].flat[0]}")
-    return a.astype(np.int64)
 
 
 def _order(x: np.ndarray) -> np.ndarray:
@@ -188,7 +177,7 @@ class DiscountVector:
         check_size("the discount vector", n)
         kind, base = d.get("kind"), d.get("log_base")
         if kind == "dcg":
-            return cls.dcg(n, log_base=None if base is None else _json_numbers(base, "log_base").tolist())
+            return cls.dcg(n, log_base=None if base is None else read_number(base, "log_base"))
         if kind in ("constant", "zipf"):
             return getattr(cls, kind)(n)
         if kind != "custom":
@@ -198,7 +187,7 @@ class DiscountVector:
             raise ValueError('custom discount requires a "values" array')
         if len(values) != n:
             raise ValueError(f"discount has {len(values)} values but n={n}")
-        return cls(_json_numbers(values, "discount value"))
+        return cls(read_numbers(values, "discount value"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -367,7 +356,7 @@ def _flatten_ids(lists, bound: int, what: str) -> tuple[np.ndarray, np.ndarray]:
     owner[k] is the index of the list that values[k] came from; every value
     must lie in [0, bound)."""
     lens = [len(xs) for xs in lists]
-    values = whole_numbers(list(chain.from_iterable(lists)), what)
+    values = read_numbers(list(chain.from_iterable(lists)), what, whole=True)
     owner = np.repeat(np.arange(len(lens)), lens)
     bad = (values < 0) | (values >= bound)
     if bad.any():
@@ -386,12 +375,12 @@ def instance_from_json(d: dict) -> Instance:
     if not isinstance(d, dict):
         raise ValueError("instance JSON must be an object")
     try:
-        n = int(whole_numbers(d["n"], "n"))
+        n = read_number(d["n"], "n", whole=True)
         group_lists = d["groups"]
         item_dicts = d["items"]
         v = DiscountVector.from_json_dict(d["v"], n)
-        ids = whole_numbers([it["id"] for it in item_dicts], "item id")
-        w_listed = _json_numbers([it["w"] for it in item_dicts], "item w").astype(float)
+        ids = read_numbers([it["id"] for it in item_dicts], "item id", whole=True)
+        w_listed = read_numbers([it["w"] for it in item_dicts], "item w")
         p = len(group_lists)
         m = ids.size
         item_groups, rows = _flatten_ids([it.get("groups", ()) for it in item_dicts], p, "group id")

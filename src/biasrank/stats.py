@@ -19,6 +19,7 @@ from __future__ import annotations
 import ctypes
 import json
 import math
+from contextlib import suppress
 from dataclasses import MISSING, dataclass, fields
 from typing import Iterator
 
@@ -59,16 +60,33 @@ def _into(out: np.ndarray | None, values: np.ndarray) -> np.ndarray:
     return out
 
 
-def _json_numbers(x, what: str, kind: str = "a number") -> np.ndarray:
-    """``x`` as an array of JSON numbers; raises ValueError naming ``what`` on
-    true, false, a string or null, which a float cast would read as numbers or
-    nan.  Only arrays whose dtype is not numeric are scanned."""
-    a = np.asarray(x)
-    if a.dtype.kind not in "fiu":  # an object array may hold integers past 64 bits
-        for v in a.ravel().tolist():
-            if type(v) not in (int, float):
-                raise ValueError(f"{what} must be {kind}, got {'a string' if isinstance(v, str) else json.dumps(v)}")
-    return a
+# The Python types json.load gives a JSON number; bool, a subclass of int, is not one.
+JSON_NUMBER = frozenset({int, float})
+
+
+def read_numbers(xs, what: str, whole: bool = False) -> np.ndarray:
+    """A JSON list of numbers as float64, or with ``whole`` as int64, types checked before numpy sees
+    it.  A non-list, a bool, string, null, object or list in it, an int too large for a float, and with
+    ``whole`` a fraction or a value past int64 raise ValueError naming ``what``, and a bad type its value."""
+    kind = "a whole number" if whole else "a number"
+    types = set(map(type, xs)) if type(xs) is list else None
+    if types is None or not types <= JSON_NUMBER:
+        bad = xs if types is None else next(v for v in xs if type(v) not in JSON_NUMBER)
+        raise ValueError(f"{what} must be {kind}, got {'a string' if isinstance(bad, str) else json.dumps(bad)}")
+    with suppress(OverflowError):  # an int too large for the dtype: named below
+        if not whole or float not in types:
+            return np.array(xs, dtype=np.int64 if whole else float)
+    if not whole:
+        raise ValueError(f"{what} must be a number, got an integer past the float range")
+    for v in xs:  # in Python, so an int beside a whole float stays exact
+        if not (type(v) is int or v.is_integer()) or not -(2**63) <= v < 2**63:
+            raise ValueError(f"{what} must be a whole number, got {v}")
+    return np.array([int(v) for v in xs], dtype=np.int64)
+
+
+def read_number(x, what: str, whole: bool = False) -> float | int:
+    """One JSON number as a float, or with ``whole`` an int; a list is rejected."""
+    return read_numbers([x], what, whole)[0].item()
 
 
 def _store(obj, **values) -> None:
@@ -217,7 +235,8 @@ def distribution_from_json(d: dict) -> Distribution:
         if f.name not in d and f.default is MISSING:
             raise ValueError(f'{kind} distribution requires a "{f.name}" {"distribution" if nested else "array"}')
         value = d.get(f.name, f.default)
-        values[f.name] = distribution_from_json(value) if nested else _json_numbers(value, f"{kind} {f.name}").tolist()
+        read = read_numbers if f.type == "np.ndarray" else read_number
+        values[f.name] = distribution_from_json(value) if nested else read(value, f"{kind} {f.name}")
     return cls(**values)
 
 

@@ -88,8 +88,10 @@ def normal_draws(monkeypatch):
     return calls
 
 
-# JSON strings and booleans in float fields: (command, document, the one-line error,
-# which names the field).  An orderstats document is its --dist distribution.
+# JSON strings, booleans and lists where a number belongs, in a scalar field or
+# inside a list of numbers: (command, document, the one-line error, which names
+# the field).  An orderstats document is its --dist distribution, and a
+# constraint document is solve's --constraints for the fact instance.
 NUMBER_FIELDS = [
     ("simulate", {**TRIAL_CONFIG, "beta": True}, "beta must be a number, got true"),
     ("simulate", {**TRIAL_CONFIG, "beta": "0.5"}, "beta must be a number, got a string"),
@@ -122,6 +124,51 @@ NUMBER_FIELDS = [
         "log_base must be a number, got a string",
     ),
     ("orderstats", {"kind": "empirical", "sample": ["1", "2"]}, "empirical sample must be a number, got a string"),
+    (
+        "solve",
+        {**FACT_INSTANCE_W, "items": [{"id": 0, "w": 2.0, "groups": [0]}, {"id": 1, "w": True, "groups": [1]}]},
+        "item w must be a number, got true",
+    ),
+    ("solve", {**FACT_INSTANCE_W, "groups": [[False], [1]]}, "group member must be a whole number, got false"),
+    (
+        "simulate",
+        {**TRIAL_CONFIG, "n": 5, "discount": {"kind": "custom", "values": [3, 2, 1, True, 0.5]}},
+        "discount value must be a number, got true",
+    ),
+    ("orderstats", {"kind": "empirical", "sample": [3, True, 1]}, "empirical sample must be a number, got true"),
+    ("solve", {"n": 2, "p": 2, "L": [[1, True], [1, 1]]}, "constraint bound must be a whole number, got true"),
+    ("solve", {"n": 2, "p": 2, "L": [[1, [2]], [1, 1]]}, "constraint bound must be a whole number, got [2]"),
+    ("solve", {"n": 2, "p": [2], "L": [[1, 0], [1, 1]]}, "p must be a whole number, got [2]"),
+    ("simulate", {**TRIAL_CONFIG, "beta": [0.5]}, "beta must be a number, got [0.5]"),
+    ("simulate", {**TRIAL_CONFIG, "dist_a": {"kind": "uniform", "a": [0]}}, "uniform a must be a number, got [0]"),
+    ("sweep", {**TRIAL_CONFIG, "alphas": [0.1, [0.2]], "betas": [0.5]}, "alpha must be a number, got [0.2]"),
+    ("simulate", {**TRIAL_CONFIG, "discount": {"kind": "dcg", "log_base": [2]}}, "log_base must be a number, got [2]"),
+    ("simulate", {**TRIAL_CONFIG, "n": [8]}, "n must be a whole number, got [8]"),
+    ("simulate", {**TRIAL_CONFIG, "trials": [5]}, "trials must be a whole number, got [5]"),
+    (
+        "sweep",
+        {**TRIAL_CONFIG, "alphas": [0.0], "betas": [0.5], "trials": [3]},
+        "trials must be a whole number, got [3]",
+    ),
+    ("supernumerary", {**SUPERNUMERARY_CONFIG, "gamma": [0.5]}, "gamma must be a number, got [0.5]"),
+    ("simulate", {**TRIAL_CONFIG, "n": 10**30}, f"n must be a whole number, got {10**30}"),
+    (
+        "solve",
+        {**FACT_INSTANCE_W, "items": [{"id": 10**30, "w": 2.0, "groups": [0]}, {"id": 1, "w": 1.0, "groups": [1]}]},
+        f"item id must be a whole number, got {10**30}",
+    ),
+    (
+        "solve",
+        {**FACT_INSTANCE_W, "items": [{"id": 0, "w": [2.0], "groups": [0]}, {"id": 1, "w": 1.0, "groups": [1]}]},
+        "item w must be a number, got [2.0]",
+    ),
+    ("orderstats", {"kind": "empirical", "sample": [3, [2], 1]}, "empirical sample must be a number, got [2]"),
+    ("simulate", {**TRIAL_CONFIG, "beta": 10**400}, "beta must be a number, got an integer past the float range"),
+    (
+        "orderstats",
+        {"kind": "uniform", "b": 10**400},
+        "uniform b must be a number, got an integer past the float range",
+    ),
 ]
 NUMBER_FIELD_IDS = [
     "boolean-beta",
@@ -139,6 +186,27 @@ NUMBER_FIELD_IDS = [
     "string-shifted-scale",
     "string-log-base-supernumerary",
     "string-empirical-sample",
+    "boolean-among-numbers-w",
+    "boolean-group-list",
+    "boolean-discount-values",
+    "boolean-empirical-sample",
+    "boolean-bound-row",
+    "nested-bound-row",
+    "list-p-constraints",
+    "list-beta",
+    "list-uniform-a",
+    "nested-alphas-sweep",
+    "list-log-base",
+    "list-n-simulate",
+    "list-trials-simulate",
+    "list-trials",
+    "list-gamma",
+    "huge-n-simulate",
+    "huge-item-id",
+    "list-w",
+    "nested-empirical-sample",
+    "huge-beta",
+    "huge-uniform-b",
 ]
 ORDERSTATS_DIST = ["orderstats", "--k", "2", "--l", "1", "--ma", "5", "--mb", "5", "--trials", "3", "--dist"]
 
@@ -147,6 +215,14 @@ def write_json(tmp_path, name, doc):
     path = tmp_path / name
     path.write_text(json.dumps(doc), encoding="utf-8")
     return str(path)
+
+
+def parse_error_argv(tmp_path, command, doc):
+    """The command line that reads ``doc`` as in NUMBER_FIELDS."""
+    path = write_json(tmp_path, "cfg.json", doc)
+    if "L" in doc:  # a constraint document, for the fact instance
+        return ["solve", write_json(tmp_path, "inst.json", FACT_INSTANCE_W), "--constraints", path]
+    return ORDERSTATS_DIST + [path] if command == "orderstats" else [command, path]
 
 
 def run_to_json(tmp_path, argv):
@@ -504,9 +580,6 @@ class TestExitCodes:
         [
             ("sweep", {**TRIAL_CONFIG, "alphas": 0.5, "betas": [0.5]}),
             ("supernumerary", {**SUPERNUMERARY_CONFIG, "alphas": 0.5}),
-            ("simulate", {**TRIAL_CONFIG, "n": [8]}),
-            ("sweep", {**TRIAL_CONFIG, "alphas": [0.0], "betas": [0.5], "trials": [3]}),
-            ("supernumerary", {**SUPERNUMERARY_CONFIG, "gamma": [0.5]}),
             ("sweep", {**TRIAL_CONFIG, "alphas": {"0.5": 1}, "betas": [0.5]}),
             ("solve", {**FACT_INSTANCE_W, "n": 1.5, "v": {"kind": "constant"}}),
             ("solve", {**FACT_INSTANCE_W, "items": [{"id": 0.7, "w": 2.0, "groups": [0]}, {"id": 1, "w": 1.0, "groups": [1]}]}),
@@ -534,9 +607,6 @@ class TestExitCodes:
         ids=[
             "number-alphas-sweep",
             "number-alphas-supernumerary",
-            "list-n-simulate",
-            "list-trials",
-            "list-gamma",
             "object-alphas",
             "fractional-n-instance",
             "fractional-item-id",
@@ -562,12 +632,7 @@ class TestExitCodes:
         ],
     )
     def test_wrong_json_type_is_one_line_parse_error(self, tmp_path, capsys, command, doc):
-        argv = [command, write_json(tmp_path, "cfg.json", doc)]
-        if "L" in doc:  # a constraint document, for the fact instance
-            argv = ["solve", write_json(tmp_path, "inst.json", FACT_INSTANCE_W), "--constraints", argv[1]]
-        if command == "orderstats":
-            argv = ORDERSTATS_DIST + argv[1:]
-        code = main(argv)
+        code = main(parse_error_argv(tmp_path, command, doc))
         err = capsys.readouterr().err
         assert code == 3
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
@@ -575,8 +640,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command, doc, message", NUMBER_FIELDS, ids=NUMBER_FIELD_IDS)
     def test_string_or_boolean_number_names_its_field(self, tmp_path, capsys, command, doc, message):
-        path = write_json(tmp_path, "cfg.json", doc)
-        assert main(ORDERSTATS_DIST + [path] if command == "orderstats" else [command, path]) == 3
+        assert main(parse_error_argv(tmp_path, command, doc)) == 3
         assert capsys.readouterr().err == f"error: {message}\n"
 
 
@@ -860,10 +924,11 @@ class TestFuzzedDocuments:
                 err = io.StringIO()
                 with contextlib.redirect_stderr(err):
                     code = main([paths.get(arg, arg) for arg in argv] + ["--out", str(Path(tmp) / "out")])
-            assert code in (0, 1, 2, 3)
-            assert "Traceback" not in err.getvalue()
+            report = f"exit {code}, stderr {err.getvalue()!r}"
+            assert code in (0, 1, 2, 3), report
+            assert "Traceback" not in err.getvalue(), report
             if code:
-                assert len(err.getvalue().splitlines()) == 1
+                assert len(err.getvalue().splitlines()) == 1, report
 
         check()
 

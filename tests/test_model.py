@@ -1,4 +1,6 @@
+import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from biasrank import (
     ranking_utility,
     validate_discount,
 )
+from biasrank.stats import read_number, read_numbers
 from conftest import membership
 
 TOL = 1e-9
@@ -354,6 +357,33 @@ class TestTypesAndJson:
         ):
             with pytest.raises(ValueError, match=f"^{field} must be a whole number, got null$"):
                 instance_from_json(edited_json(edit))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        whole=st.booleans(),
+        numbers=st.lists(st.integers(-(2**63), 2**63 - 1) | st.integers(-(2**53), 2**53).map(float), max_size=8),
+        fractions=st.lists(st.floats(allow_nan=False), max_size=4),
+        bad=st.none() | st.booleans() | st.text(max_size=3) | st.lists(st.integers(), max_size=2) | st.just({"w": 1}),
+        where=st.integers(0, 12),
+        tail=st.lists(st.none() | st.booleans() | st.text(max_size=2) | st.floats(), max_size=3),
+    )
+    def test_json_number_readers_decide_by_python_type(self, whole, numbers, fractions, bad, where, tail):
+        """Ints and floats read as ``np.asarray`` reads them, with the reader's
+        dtype; any other element, boolean included, is named, the first one."""
+        xs = numbers if whole else numbers + fractions
+        got = read_numbers(xs, "x", whole)
+        assert got.dtype == (np.int64 if whole else np.float64)
+        assert np.array_equal(got, np.asarray(xs, dtype=got.dtype)) and np.array_equal(got, np.asarray(xs))
+        if whole and xs and all(type(x) is int for x in xs):
+            assert got.dtype == np.asarray(xs).dtype
+        for x in xs[:1]:
+            assert type(read_number(x, "x", whole)) is (int if whole else float)
+        kind = "a whole number" if whole else "a number"
+        message = f"^x must be {kind}, got {re.escape('a string' if isinstance(bad, str) else json.dumps(bad))}$"
+        with pytest.raises(ValueError, match=message):
+            read_numbers(xs[:where] + [bad] + xs[where:] + tail, "x", whole)
+        with pytest.raises(ValueError, match=message):
+            read_number(bad, "x", whole)
 
     def test_json_strings_booleans_and_null_are_not_numbers(self):
         for edit, message in (
