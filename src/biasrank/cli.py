@@ -58,7 +58,8 @@ from .solver import (
     rank_constrained_greedy,
     rank_unconstrained,
 )
-from .stats import JSON_NUMBER, Empirical, SeedSpec, distribution_from_json, expected_Nkb, expected_Pl, read_number
+from .stats import JSON_NUMBER, Empirical, SeedSpec, distribution_from_json, expected_Nkb, expected_Pl
+from .stats import read_list, read_number, read_numbers
 from .experiments import (
     SupernumeraryConfig,
     TrialConfig,
@@ -161,13 +162,6 @@ def _parse_betas(text: str, p: int) -> BiasModel:
     return BiasModel(betas)
 
 
-def _config_error(what: str, exc: Exception) -> ValueError:
-    """A missing key, or a JSON value of the wrong type that fails before
-    the number readers see it (a number where a list belongs), as a parse error."""
-    problem = "missing key" if isinstance(exc, KeyError) else "has a bad value:"
-    return ValueError(f"{what} {problem} {exc}")
-
-
 def _trials(args, d: dict, default: int) -> int:
     """``--trials`` if given, else the config's whole-number ``"trials"``, else ``default``."""
     return args.trials if args.trials is not None else read_number(d.get("trials", default), "trials", whole=True)
@@ -187,8 +181,8 @@ def _trial_config_from_json(d: dict) -> TrialConfig:
             discount=DiscountVector.from_json_dict(d.get("discount", {"kind": "constant"}), n),
             target_group=read_number(d.get("target_group", 1), "target_group", whole=True),
         )
-    except (KeyError, TypeError, OverflowError) as exc:
-        raise _config_error("trial config", exc) from exc
+    except KeyError as exc:
+        raise ValueError(f"trial config missing key {exc}") from exc
 
 
 def _supernumerary_config_from_json(d: dict, alpha: float) -> SupernumeraryConfig:
@@ -208,8 +202,8 @@ def _supernumerary_config_from_json(d: dict, alpha: float) -> SupernumeraryConfi
             discount_kind=discount.get("kind", "constant"),
             log_base=None if (base := discount.get("log_base")) is None else read_number(base, "log_base"),
         )
-    except (KeyError, TypeError, OverflowError) as exc:
-        raise _config_error("supernumerary config", exc) from exc
+    except KeyError as exc:
+        raise ValueError(f"supernumerary config missing key {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -272,10 +266,9 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_sweep(args) -> int:
     d = _load_object(args.config, "sweep config")
-    if not all(isinstance(d.get(key), list) and d[key] for key in ("alphas", "betas")):
+    alphas, betas = (read_numbers(read_list(d.get(key, []), key), key[:-1]).tolist() for key in ("alphas", "betas"))
+    if not (alphas and betas):
         raise ValueError('sweep config needs nonempty "alphas" and "betas" lists')
-    alphas = [read_number(a, "alpha") for a in d["alphas"]]
-    betas = [read_number(b, "beta") for b in d["betas"]]
     trials = _trials(args, d, 1000)
     base = _trial_config_from_json({**d, "alpha": alphas[0], "beta": betas[0]})
     report = run_sweep(base, alphas, betas, trials, SeedSpec(args.seed))
@@ -314,10 +307,8 @@ def _cmd_orderstats(args) -> int:
 
 def _cmd_supernumerary(args) -> int:
     d = _load_object(args.config, "supernumerary config")
-    alphas = d.get("alphas")
-    if alphas is None:
-        alphas = [d["alpha"]] if "alpha" in d else None
-    if not alphas or not isinstance(alphas, list):
+    alphas = read_list(d["alphas"], "alphas") if "alphas" in d else [d["alpha"]] if "alpha" in d else []
+    if not alphas:
         raise ValueError('supernumerary config needs "alpha" or a nonempty "alphas" list')
     trials = _trials(args, d, 1000)
     seed = SeedSpec(args.seed)

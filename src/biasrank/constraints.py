@@ -12,12 +12,11 @@ latent optimum.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
 from .model import Instance, Ranking, _top, prefix_group_counts
-from .stats import _eq_fields, _store, read_number, read_numbers
+from .stats import _eq_fields, _store, read_list, read_number, read_rows
 
 __all__ = [
     "ConstraintMatrix",
@@ -85,21 +84,16 @@ class ConstraintMatrix:
         if not isinstance(d, dict):
             raise ValueError("constraint JSON must be an object")
         try:
-            n, p, L = read_number(d["n"], "n", whole=True), read_number(d["p"], "p", whole=True), d["L"]
-            # rows of one width, as every writer makes them, are shaped without converting L twice
-            widths = set(map(len, L)) if type(L) is list and set(map(type, L)) == {list} else ()
-            flat = list(chain.from_iterable(L)) if widths else L if type(L) is list else [L]
-            arr = read_numbers(flat, "constraint bound", whole=True)
-            arr = arr.reshape((len(L), *widths) if len(widths) == 1 else np.shape(L))
+            n, p = read_number(d["n"], "n", whole=True), read_number(d["p"], "p", whole=True)
+            bounds, widths = read_rows(read_list(d["L"], "L"), "L row", "constraint bound")
         except KeyError as exc:
             raise ValueError(f"constraint JSON missing key {exc}") from exc
-        except (TypeError, OverflowError) as exc:
-            raise ValueError(f"malformed constraint JSON: {exc}") from exc
-        if arr.ndim == 1 and p == 0:
-            arr = arr.reshape(n, 0)
-        if arr.shape != (n, p):
-            raise ValueError(f"L has shape {arr.shape}, expected ({n}, {p})")
-        return cls(arr)
+        if len(widths) != n:
+            raise ValueError(f"L has {len(widths)} rows, expected n={n}")
+        if np.any(wrong := widths != p):
+            row = wrong.argmax()
+            raise ValueError(f"L row {row} has {widths[row]} bounds, expected p={p}")
+        return cls(bounds.reshape(n, max(p, 0)))  # p < 0 passes only with no rows, which cls rejects
 
     @classmethod
     def zeros(cls, n: int, p: int) -> "ConstraintMatrix":

@@ -19,11 +19,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
-from .stats import _eq_fields, _store, read_number, read_numbers
+from .stats import _eq_fields, _store, read_each, read_list, read_number, read_numbers, read_rows
 
 __all__ = [
     "BiasModel",
@@ -44,6 +43,8 @@ __all__ = [
 # from outside, and under memory overcommit a far larger allocation can succeed
 # and the process die later while filling it, so sizes are checked first.
 MAX_ELEMENTS = 2**27
+# The groups of an item without a "groups" key: one list, never changed, so none is made per item.
+_NO_GROUPS: list = []
 
 
 def check_size(what: str, elements: int) -> None:
@@ -185,7 +186,7 @@ class DiscountVector:
         values = d.get("values")
         if values is None:
             raise ValueError('custom discount requires a "values" array')
-        if len(values) != n:
+        if len(read_list(values, "discount values")) != n:
             raise ValueError(f"discount has {len(values)} values but n={n}")
         return cls(read_numbers(values, "discount value"))
 
@@ -351,19 +352,6 @@ def instance_to_json(instance: Instance) -> dict:
     }
 
 
-def _flatten_ids(lists, bound: int, what: str) -> tuple[np.ndarray, np.ndarray]:
-    """Flatten a list of integer lists into (values, owner) arrays, where
-    owner[k] is the index of the list that values[k] came from; every value
-    must lie in [0, bound)."""
-    lens = [len(xs) for xs in lists]
-    values = read_numbers(list(chain.from_iterable(lists)), what, whole=True)
-    owner = np.repeat(np.arange(len(lens)), lens)
-    bad = (values < 0) | (values >= bound)
-    if bad.any():
-        raise ValueError(f"{what} {int(values[bad][0])} outside [0, {bound})")
-    return values, owner
-
-
 def instance_from_json(d: dict) -> Instance:
     """Parse the instance JSON schema straight into utility and membership
     arrays.
@@ -376,27 +364,27 @@ def instance_from_json(d: dict) -> Instance:
         raise ValueError("instance JSON must be an object")
     try:
         n = read_number(d["n"], "n", whole=True)
-        group_lists = d["groups"]
-        item_dicts = d["items"]
+        group_lists = read_list(d["groups"], "groups")
+        item_dicts = read_each(read_list(d["items"], "items"), dict, "item")
         v = DiscountVector.from_json_dict(d["v"], n)
         ids = read_numbers([it["id"] for it in item_dicts], "item id", whole=True)
         w_listed = read_numbers([it["w"] for it in item_dicts], "item w")
-        p = len(group_lists)
-        m = ids.size
-        item_groups, rows = _flatten_ids([it.get("groups", ()) for it in item_dicts], p, "group id")
-        declared_items, declared_groups = _flatten_ids(group_lists, m, "group member")
     except KeyError as exc:
         raise ValueError(f"instance JSON missing key {exc}") from exc
-    except (TypeError, OverflowError) as exc:
-        raise ValueError(f"malformed instance JSON: {exc}") from exc
+    p, m = len(group_lists), ids.size
+    item_groups, counts = read_rows([it.get("groups", _NO_GROUPS) for it in item_dicts], "item groups", "group id")
+    members, sizes = read_rows(group_lists, "group", "group member")
+    for values, bound, what in ((item_groups, p, "group id"), (members, m, "group member")):
+        if np.any(bad := (values < 0) | (values >= bound)):
+            raise ValueError(f"{what} {int(values[bad][0])} outside [0, {bound})")
     if not np.array_equal(np.sort(ids), np.arange(m)):
         raise ValueError("item ids must be exactly 0..m-1 with no duplicates")
     w = np.empty(m)
     w[ids] = w_listed
     mem = np.zeros((m, p), dtype=bool)
-    mem[ids[rows], item_groups] = True
+    mem[np.repeat(ids, counts), item_groups] = True
     declared = np.zeros((m, p), dtype=bool)
-    declared[declared_items, declared_groups] = True
+    declared[members, np.repeat(np.arange(p), sizes)] = True
     if not np.array_equal(declared, mem):
         raise ValueError("top-level group lists disagree with per-item group lists")
     return Instance(w, mem, n, v)

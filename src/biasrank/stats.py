@@ -21,6 +21,7 @@ import json
 import math
 from contextlib import suppress
 from dataclasses import MISSING, dataclass, fields
+from itertools import chain
 from typing import Iterator
 
 import numpy as np
@@ -64,15 +65,40 @@ def _into(out: np.ndarray | None, values: np.ndarray) -> np.ndarray:
 JSON_NUMBER = frozenset({int, float})
 
 
+def _shown(value) -> str:
+    return "a string" if isinstance(value, str) else json.dumps(value)
+
+
+def read_list(x, what: str) -> list:
+    """``x`` if it is a JSON list, decided by type before len or iteration sees it, else ValueError naming ``what``."""
+    if type(x) is not list:
+        raise ValueError(f"{what} must be a list, got {_shown(x)}")
+    return x
+
+
+def read_each(xs: list, of: type, what: str) -> list:
+    """``xs`` if each element is an ``of`` (list or dict), else ValueError naming ``what`` and the first other."""
+    if list(map(type, xs)).count(of) != len(xs):  # faster than a set of the types
+        bad = next(v for v in xs if type(v) is not of)
+        raise ValueError(f"{what} must be {'a list' if of is list else 'an object'}, got {_shown(bad)}")
+    return xs
+
+
+def read_rows(rows: list, row: str, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """The whole numbers ``what`` in a list of JSON lists (each a ``row``), row after row, and each row's length."""
+    lengths = np.fromiter(map(len, read_each(rows, list, row)), np.int64, len(rows))
+    return read_numbers(list(chain.from_iterable(rows)), what, whole=True), lengths
+
+
 def read_numbers(xs, what: str, whole: bool = False) -> np.ndarray:
     """A JSON list of numbers as float64, or with ``whole`` as int64, types checked before numpy sees
     it.  A non-list, a bool, string, null, object or list in it, an int too large for a float, and with
     ``whole`` a fraction or a value past int64 raise ValueError naming ``what``, and a bad type its value."""
     kind = "a whole number" if whole else "a number"
-    types = set(map(type, xs)) if type(xs) is list else None
-    if types is None or not types <= JSON_NUMBER:
-        bad = xs if types is None else next(v for v in xs if type(v) not in JSON_NUMBER)
-        raise ValueError(f"{what} must be {kind}, got {'a string' if isinstance(bad, str) else json.dumps(bad)}")
+    types = set(map(type, read_list(xs, what)))
+    if not types <= JSON_NUMBER:
+        bad = next(v for v in xs if type(v) not in JSON_NUMBER)
+        raise ValueError(f"{what} must be {kind}, got {_shown(bad)}")
     with suppress(OverflowError):  # an int too large for the dtype: named below
         if not whole or float not in types:
             return np.array(xs, dtype=np.int64 if whole else float)

@@ -208,6 +208,52 @@ NUMBER_FIELD_IDS = [
     "huge-beta",
     "huge-uniform-b",
 ]
+# JSON values that are not lists where a list belongs, at the top or inside a
+# list of lists or objects, and constraint rows of the wrong count or width:
+# (command, document, the one-line error, which names the field), read as in
+# NUMBER_FIELDS.
+LIST_FIELDS = [
+    ("solve", {"n": 2, "p": 2, "L": [[1, 2], [1]]}, "L row 1 has 1 bounds, expected p=2"),
+    ("solve", {"n": 2, "p": 2, "L": 5}, "L must be a list, got 5"),
+    ("solve", {"n": 2, "p": 2, "L": [1, [1, 1]]}, "L row must be a list, got 1"),
+    ("solve", {"n": 2, "p": 2, "L": [[1, 0], [1, 1], [1, 1]]}, "L has 3 rows, expected n=2"),
+    (
+        "simulate",
+        {**TRIAL_CONFIG, "discount": {"kind": "custom", "values": 3}},
+        "discount values must be a list, got 3",
+    ),
+    ("solve", {**FACT_INSTANCE_W, "groups": 5}, "groups must be a list, got 5"),
+    ("solve", {**FACT_INSTANCE_W, "groups": [5, [1]]}, "group must be a list, got 5"),
+    (
+        "solve",
+        {**FACT_INSTANCE_W, "items": [{"id": 0, "w": 2.0, "groups": 0}, {"id": 1, "w": 1.0, "groups": [1]}]},
+        "item groups must be a list, got 0",
+    ),
+    ("solve", {**FACT_INSTANCE_W, "items": 5}, "items must be a list, got 5"),
+    ("solve", {**FACT_INSTANCE_W, "items": [5]}, "item must be an object, got 5"),
+    ("solve", {**FACT_INSTANCE_W, "items": [[0, 2.0]]}, "item must be an object, got [0, 2.0]"),
+    ("orderstats", {"kind": "empirical", "sample": 3}, "empirical sample must be a list, got 3"),
+    ("sweep", {**TRIAL_CONFIG, "alphas": 0.5, "betas": [0.5]}, "alphas must be a list, got 0.5"),
+    ("sweep", {**TRIAL_CONFIG, "alphas": [0.5], "betas": {"0.5": 1}}, 'betas must be a list, got {"0.5": 1}'),
+    ("supernumerary", {**SUPERNUMERARY_CONFIG, "alphas": "0.5"}, "alphas must be a list, got a string"),
+]
+LIST_FIELD_IDS = [
+    "ragged-bound-rows",
+    "number-bounds",
+    "number-bound-row",
+    "extra-bound-row",
+    "number-discount-values",
+    "number-groups",
+    "number-group",
+    "number-item-groups",
+    "number-items",
+    "number-item",
+    "list-item",
+    "number-empirical-sample",
+    "number-alphas-sweep-named",
+    "object-betas-sweep",
+    "string-alphas-supernumerary",
+]
 ORDERSTATS_DIST = ["orderstats", "--k", "2", "--l", "1", "--ma", "5", "--mb", "5", "--trials", "3", "--dist"]
 
 
@@ -237,6 +283,17 @@ class TestSolveAndDerive:
         inst = write_json(tmp_path, "inst.json", FACT_INSTANCE_W)
         doc = run_to_json(tmp_path, ["derive-constraints", inst])
         assert doc == {"n": 2, "p": 2, "L": [[1, 0], [1, 1]]}
+
+    @pytest.mark.parametrize("L, code", [([[], []], 0), ([], 3)], ids=["empty-rows", "flat-empty"])
+    def test_bounds_without_groups(self, tmp_path, capsys, L, code):
+        """With p = 0, L is n empty rows; a flat empty L has no rows and is rejected."""
+        ungrouped = {**FACT_INSTANCE_W, "groups": [], "items": [{"id": 0, "w": 2.0}, {"id": 1, "w": 1.0}]}
+        inst = write_json(tmp_path, "inst.json", ungrouped)
+        bounds = write_json(tmp_path, "bounds.json", {"n": 2, "p": 0, "L": L})
+        assert main(["solve", inst, "--constraints", bounds, "--out", str(tmp_path / "out.json")]) == code
+        assert capsys.readouterr().err == ("error: L has 0 rows, expected n=2\n" if code else "")
+        if not code:
+            assert json.loads((tmp_path / "out.json").read_text())["positions"] == [0, 1]
 
     def test_solve_unbiased(self, tmp_path):
         inst = write_json(tmp_path, "inst.json", FACT_INSTANCE_W)
@@ -602,7 +659,7 @@ class TestExitCodes:
             ("solve", {"n": "2", "p": 2, "L": [[1, 0], [1, 1]]}),
             ("solve", {"n": 2, "p": 2, "L": [[True, False], [True, True]]}),
             ("simulate", {**TRIAL_CONFIG, "m_b": "12"}),
-            *[(command, doc) for command, doc, _ in NUMBER_FIELDS],
+            *[(command, doc) for command, doc, _ in NUMBER_FIELDS + LIST_FIELDS],
         ],
         ids=[
             "number-alphas-sweep",
@@ -629,6 +686,7 @@ class TestExitCodes:
             "boolean-bound",
             "string-m_b-simulate",
             *NUMBER_FIELD_IDS,
+            *LIST_FIELD_IDS,
         ],
     )
     def test_wrong_json_type_is_one_line_parse_error(self, tmp_path, capsys, command, doc):
@@ -638,7 +696,9 @@ class TestExitCodes:
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("command, doc, message", NUMBER_FIELDS, ids=NUMBER_FIELD_IDS)
+    @pytest.mark.parametrize(
+        "command, doc, message", NUMBER_FIELDS + LIST_FIELDS, ids=NUMBER_FIELD_IDS + LIST_FIELD_IDS
+    )
     def test_string_or_boolean_number_names_its_field(self, tmp_path, capsys, command, doc, message):
         assert main(parse_error_argv(tmp_path, command, doc)) == 3
         assert capsys.readouterr().err == f"error: {message}\n"
@@ -907,6 +967,11 @@ def mutated(draw, doc):
     return doc
 
 
+# Texts of Python's and numpy's own errors, which a document's type or shape
+# raises when something reads it before a reader has checked its type.
+INTERNAL_ERRORS = ("has no len()", "not subscriptable", "not iterable", "object of type", "inhomogeneous shape")
+
+
 class TestFuzzedDocuments:
     """Random JSON inside every input document gives a documented exit
     code and never an unhandled exception."""
@@ -929,6 +994,8 @@ class TestFuzzedDocuments:
             assert "Traceback" not in err.getvalue(), report
             if code:
                 assert len(err.getvalue().splitlines()) == 1, report
+            if code == 3:  # a message of the program's, not Python's or numpy's own
+                assert not any(text in err.getvalue() for text in INTERNAL_ERRORS), report
 
         check()
 
