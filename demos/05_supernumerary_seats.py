@@ -39,7 +39,7 @@ def main():
     for alpha in (0.10, 0.15, 0.20):
         cfg = br.SupernumeraryConfig(
             n=40, m_a=400, m_b=400, alpha=alpha, gamma=gamma,
-            dist_a=dist_a, dist_b=dist_b, score_offset=offset, discount_kind="dcg",
+            dist_a=dist_a, dist_b=dist_b, discount=br.DiscountVector.dcg(800), score_offset=offset,
         )
         rep = br.supernumerary_compare(cfg, trials, br.SeedSpec(13))
         for s in rep.schemes:

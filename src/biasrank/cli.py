@@ -186,21 +186,18 @@ def _trial_config_from_json(d: dict) -> TrialConfig:
 
 
 def _supernumerary_config_from_json(d: dict, alpha: float) -> SupernumeraryConfig:
-    discount = d.get("discount", {"kind": "constant"})
-    if not isinstance(discount, dict):
-        raise ValueError("discount must be a JSON object")
     try:
+        n, m_a, m_b = (read_number(d[key], key, whole=True) for key in ("n", "m_a", "m_b"))
         return SupernumeraryConfig(
-            n=read_number(d["n"], "n", whole=True),
-            m_a=read_number(d["m_a"], "m_a", whole=True),
-            m_b=read_number(d["m_b"], "m_b", whole=True),
+            n=n,
+            m_a=m_a,
+            m_b=m_b,
             alpha=read_number(alpha, "alpha"),
             gamma=read_number(d["gamma"], "gamma"),
             dist_a=distribution_from_json(d["dist_a"]),
             dist_b=distribution_from_json(d["dist_b"]),
             score_offset=read_number(d.get("score_offset", 105.0), "score_offset"),
-            discount_kind=discount.get("kind", "constant"),
-            log_base=None if (base := discount.get("log_base")) is None else read_number(base, "log_base"),
+            discount=DiscountVector.from_json_dict(d.get("discount", {"kind": "constant"}), m_a + m_b),
         )
     except KeyError as exc:
         raise ValueError(f"supernumerary config missing key {exc}") from exc

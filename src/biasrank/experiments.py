@@ -29,7 +29,6 @@ understate its true utility by an affine shift.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, fields, replace
 from typing import Iterator, Sequence
@@ -442,10 +441,10 @@ class SupernumeraryConfig:
 
     Scores are drawn per group; the target group's true utility is its
     score pushed through the affine shift with factor gamma.  m_a and m_b
-    set the candidate pool sizes.  Schemes are scored as rankings under a
-    position discount of the given kind ("constant", "dcg", or "zipf";
-    seat counts vary per trial, so a fixed custom vector is not allowed).
-    A constant discount reduces every scheme to its admitted set.
+    set the candidate pool sizes.  Schemes are scored as rankings under
+    ``discount``, which weighs a ranking of the whole pool (m_a + m_b
+    positions); a scheme of k seats takes its first k entries.  A constant
+    discount reduces every scheme to its admitted set.
     """
 
     n: int
@@ -455,28 +454,20 @@ class SupernumeraryConfig:
     gamma: float
     dist_a: Distribution
     dist_b: Distribution
+    discount: DiscountVector
     score_offset: float = 105.0
-    discount_kind: str = "constant"
-    log_base: float | None = None
 
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError("n must be positive")
         if self.m_a < 0 or self.m_b < 0 or self.m_a + self.m_b < self.n:
             raise ValueError("candidate pool must cover the base capacity")
-        if not (0.0 <= self.alpha < 1.0):
-            raise ValueError("alpha must lie in [0, 1)")
-        if not (self.gamma >= 1.0):  # NaN fails too
-            raise ValueError("gamma must be at least 1")
+        supernumerary_seats(self.n, 0, self.alpha)  # checks alpha
+        apply_score_shift(1.0, self.gamma, 0.0)  # checks gamma; 1.0, as 0 * inf would warn
         if not math.isfinite(self.score_offset):
             raise ValueError(f"score offset must be finite, got {self.score_offset}")
-        if self.discount_kind not in ("constant", "dcg", "zipf"):
-            raise ValueError("discount kind must be constant, dcg, or zipf")
-        self.discount(1)  # a bad log base fails here, before any trial is drawn
-
-    def discount(self, length: int) -> DiscountVector:
-        make = getattr(DiscountVector, self.discount_kind)
-        return make(length, self.log_base) if self.discount_kind == "dcg" else make(length)
+        if len(self.discount) != self.m_a + self.m_b:
+            raise ValueError(f"discount has length {len(self.discount)}, expected m_a + m_b={self.m_a + self.m_b}")
 
 
 SUPERNUMERARY_SCHEMES = ("cons", "uncons", "sup", "cons_expanded", "uncons_expanded")
@@ -527,8 +518,10 @@ def supernumerary_compare(config: SupernumeraryConfig, trials: int, seed: SeedSp
     it allows: reservation leaves placement free, so its admitted set is
     ordered purely by observed score and the reserved candidates sink to
     the tail positions, while the prefix bounds spread them through the
-    list.  Latent utility under the config's discount, divided by the
-    scheme's seat count, is reported.
+    list.  A scheme of k seats is scored by latent utility under the first
+    k entries of the config's discount, divided by k.  A constant, dcg or
+    zipf vector of k entries equals that prefix of the longer one bit for
+    bit, as the floor(alpha * k) bounds of k positions are a prefix.
 
     Trials run in blocks (see ``_draw_blocks``), ranked on candidates as
     ``_run_grid`` ranks them.  x falls as n_f rises, so with ``x_max =
@@ -548,11 +541,7 @@ def supernumerary_compare(config: SupernumeraryConfig, trials: int, seed: SeedSp
     # one row per scheme, in SUPERNUMERARY_SCHEMES order
     per_seat = np.empty((len(SUPERNUMERARY_SCHEMES), trials))
     seats = np.empty((len(SUPERNUMERARY_SCHEMES), trials))
-
-    @functools.cache
-    def discount_for(length: int) -> np.ndarray:
-        return config.discount(length).values
-
+    v = config.discount.values
     x_max = supernumerary_seats(n, 0, alpha)
     c = (min(m_a, n + x_max), min(m_b, n + x_max))
     for part, observed in _draw_blocks(seed, trials, ((config.dist_a, m_a), (config.dist_b, m_b))):
@@ -593,14 +582,14 @@ def supernumerary_compare(config: SupernumeraryConfig, trials: int, seed: SeedSp
         bound = _floor_bounds(alpha, int(n_sup.max()))
         cons = cand[row, rank_single_column(local, np.arange(sum(c)) >= c[0], bound)[0]]
         ids = np.stack([cons[:, :n], order[:, :n]], axis=1)
-        per_seat[:2, part] = _utilities(latent, ids, discount_for(n)).T / n
+        per_seat[:2, part] = _utilities(latent, ids, v[:n]).T / n
         seats[:2, part] = n
         seats[2:, part] = n_sup
         for length in np.unique(n_sup).tolist():
             rows = np.flatnonzero(n_sup == length)
             o = order[rows]
             ids = np.stack([o[admitted[rows]].reshape(len(rows), length), cons[rows, :length], o[:, :length]], axis=1)
-            per_seat[2:, part.start + rows] = _utilities(latent[rows], ids, discount_for(length)).T / length
+            per_seat[2:, part.start + rows] = _utilities(latent[rows], ids, v[:length]).T / length
     mean_u, se = _mean_se(per_seat)
     stats = tuple(
         SupernumerarySchemeStats(name, float(s), float(u), float(e))

@@ -173,12 +173,16 @@ class DiscountVector:
 
     @classmethod
     def from_json_dict(cls, d: dict, n: int) -> "DiscountVector":
+        """The discount JSON object ``d`` names, of length ``n``: every command reads its discount here."""
         if not isinstance(d, dict):
             raise ValueError("discount must be a JSON object")
+        if n < 1:
+            raise ValueError(f"discount length must be at least 1, got {n}")
         check_size("the discount vector", n)
         kind, base = d.get("kind"), d.get("log_base")
+        base = None if base is None else read_number(base, "log_base")  # a non-number fails beside any kind
         if kind == "dcg":
-            return cls.dcg(n, log_base=None if base is None else read_number(base, "log_base"))
+            return cls.dcg(n, log_base=base)
         if kind in ("constant", "zipf"):
             return getattr(cls, kind)(n)
         if kind != "custom":
@@ -187,7 +191,7 @@ class DiscountVector:
         if values is None:
             raise ValueError('custom discount requires a "values" array')
         if len(read_list(values, "discount values")) != n:
-            raise ValueError(f"discount has {len(values)} values but n={n}")
+            raise ValueError(f"discount has {len(values)} values, expected {n}")
         return cls(read_numbers(values, "discount value"))
 
 
@@ -372,6 +376,7 @@ def instance_from_json(d: dict) -> Instance:
     except KeyError as exc:
         raise ValueError(f"instance JSON missing key {exc}") from exc
     p, m = len(group_lists), ids.size
+    check_size("the membership matrix", m * p)
     item_groups, counts = read_rows([it.get("groups", _NO_GROUPS) for it in item_dicts], "item groups", "group id")
     members, sizes = read_rows(group_lists, "group", "group member")
     for values, bound, what in ((item_groups, p, "group id"), (members, m, "group member")):

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import biasrank
-from biasrank import cli, stats
+from biasrank import DiscountVector, cli, model, stats
 from biasrank.cli import ingest_scores, main
 
 FACT_INSTANCE_W = {
@@ -410,6 +410,80 @@ class TestSupernumerary:
         lines = out.read_text().splitlines()
         assert lines[1] == "alpha,scheme,seats,mean_utility_per_seat,se"
         assert len(lines) == 2 + 2 * 5
+
+    def test_custom_discount_covers_the_pool(self, tmp_path):
+        """A custom discount lists m_a + m_b values; the dcg values listed so
+        give the bytes of the dcg kind, and another list other bytes."""
+        m = SUPERNUMERARY_CONFIG["m_a"] + SUPERNUMERARY_CONFIG["m_b"]
+        discounts = {
+            "dcg": {"kind": "dcg"},
+            "dcg-listed": {"kind": "custom", "values": DiscountVector.dcg(m).values.tolist()},
+            "linear": {"kind": "custom", "values": np.linspace(1.0, 0.0, m).tolist()},
+        }
+        csv = {}
+        for name, discount in discounts.items():
+            cfg = write_json(tmp_path, f"{name}.json", {**SUPERNUMERARY_CONFIG, "discount": discount})
+            assert main(["supernumerary", cfg, "--seed", "2", "--out", str(tmp_path / name)]) == 0
+            csv[name] = (tmp_path / name).read_bytes()
+        assert csv["dcg-listed"] == csv["dcg"] != csv["linear"]
+
+    def test_custom_discount_of_the_base_capacity(self, tmp_path, capsys):
+        doc = {**SUPERNUMERARY_CONFIG, "discount": {"kind": "custom", "values": [1.0] * 10}}
+        assert main(["supernumerary", write_json(tmp_path, "cfg.json", doc)]) == 3
+        assert capsys.readouterr().err == "error: discount has 10 values, expected 40\n"
+
+
+# Bad discounts and the one error line each gives, under every command that reads a discount.
+BAD_DISCOUNTS = [
+    (["dcg"], "discount must be a JSON object"),
+    ({"kind": "lcg"}, "unknown discount kind 'lcg'"),
+    ({}, "unknown discount kind None"),
+    ({"log_base": 2.0}, "unknown discount kind None"),
+    ({"kind": "dcg", "log_base": "2"}, "log_base must be a number, got a string"),
+    ({"kind": "dcg", "log_base": [2]}, "log_base must be a number, got [2]"),
+    ({"kind": "dcg", "log_base": 0.5}, "log base must exceed 1"),
+    ({"kind": "zipf", "log_base": "2"}, "log_base must be a number, got a string"),
+    ({"kind": "custom"}, 'custom discount requires a "values" array'),
+]
+BAD_DISCOUNT_IDS = [
+    "not-an-object",
+    "unknown-kind",
+    "empty-object",
+    "missing-kind",
+    "string-log-base",
+    "list-log-base",
+    "small-log-base",
+    "string-log-base-beside-zipf",
+    "custom-without-values",
+]
+
+
+class TestDiscountParity:
+    CONFIGS = {
+        "simulate": TRIAL_CONFIG,
+        "sweep": {**TRIAL_CONFIG, "alphas": [0.0], "betas": [0.5], "trials": 2},
+        "supernumerary": {**SUPERNUMERARY_CONFIG, "trials": 2},
+    }
+
+    @pytest.mark.parametrize("command", sorted(CONFIGS))
+    @pytest.mark.parametrize("discount, message", BAD_DISCOUNTS, ids=BAD_DISCOUNT_IDS)
+    def test_same_error_line_for_every_command(self, tmp_path, capsys, command, discount, message):
+        doc = {**self.CONFIGS[command], "discount": discount}
+        assert main([command, write_json(tmp_path, "cfg.json", doc)]) == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("n", [0, -1])
+    @pytest.mark.parametrize(
+        "discount",
+        [{"kind": "constant"}, {"kind": "dcg"}, {"kind": "zipf"}, {"kind": "custom", "values": [1.0]}],
+        ids=["constant", "dcg", "zipf", "custom"],
+    )
+    @pytest.mark.parametrize("command", ["solve", "simulate"])
+    def test_length_below_one_is_one_line_for_every_kind(self, tmp_path, capsys, command, discount, n):
+        """The instance n and a trial config's n size the discount: below 1, every kind gives one line."""
+        doc = {**FACT_INSTANCE_W, "v": discount} if command == "solve" else {**TRIAL_CONFIG, "discount": discount}
+        assert main([command, write_json(tmp_path, "doc.json", {**doc, "n": n})]) == 3
+        assert capsys.readouterr().err == f"error: discount length must be at least 1, got {n}\n"
 
 
 class TestIngest:
@@ -863,6 +937,20 @@ class TestSizeCheck:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "more than the limit of" in err
+
+    def test_membership_matrix_is_sized_before_it_is_made(self, tmp_path, capsys, monkeypatch):
+        """An instance's m items times p group lists is checked against the
+        limit before any (m, p) matrix is allocated; here m = 2 and p = 3."""
+        inst = write_json(tmp_path, "inst.json", {**FACT_INSTANCE_W, "groups": [[0], [1], []]})
+        shapes, zeros = [], np.zeros
+        monkeypatch.setattr(np, "zeros", lambda shape, *a, **kw: shapes.append(shape) or zeros(shape, *a, **kw))
+        monkeypatch.setattr(model, "MAX_ELEMENTS", 5)
+        assert main(["solve", inst]) == 3
+        err = capsys.readouterr().err
+        assert err == "error: the membership matrix would hold 6 elements, more than the limit of 5\n"
+        assert (2, 3) not in shapes
+        monkeypatch.setattr(model, "MAX_ELEMENTS", 6)
+        assert main(["solve", inst, "--out", str(tmp_path / "out.json")]) == 0
 
 
 NUMBERS = (

@@ -674,6 +674,17 @@ def per_trial_supernumerary(config, trials, seed):
     m_a, m_b, n = config.m_a, config.m_b, config.n
     m = m_a + m_b
     target = np.arange(m) >= m_a
+    v = config.discount
+
+    def discount(length):
+        """Each length's discount built from its kind, not sliced from the config's, so
+        the engine's slices are checked; a custom vector is defined by its slices."""
+        if v.kind == "custom":
+            return v.values[:length]
+        if v.kind == "dcg":
+            return DiscountVector.dcg(length, v.log_base).values
+        return getattr(DiscountVector, v.kind)(length).values
+
     per_seat, seats = np.empty((5, trials)), np.empty((5, trials))
     for i in range(trials):
         rng = seed.rng_for_trial(i)
@@ -698,7 +709,7 @@ def per_trial_supernumerary(config, trials, seed):
             return rank_single_column(order, target, bound)[0]
 
         for s, ids in enumerate([cons(n), order[:n], sup, cons(n + x), order[: n + x]]):
-            per_seat[s, i] = (latent[ids] @ config.discount(ids.size).values) / ids.size
+            per_seat[s, i] = (latent[ids] @ discount(ids.size)) / ids.size
             seats[s, i] = ids.size
     return per_seat, seats
 
@@ -718,6 +729,12 @@ def assert_report_is_loops(report, per_seat, seats):
 def supernumerary_problems(draw):
     m_a = draw(st.integers(0, 30))
     m_b = draw(st.integers(0 if m_a else 1, 30))
+    kind = draw(st.sampled_from([*sorted(DISCOUNTS), "dcg-base-2", "custom"]))
+    if kind == "custom":
+        values = draw(st.lists(st.floats(0.0, 10.0), min_size=m_a + m_b, max_size=m_a + m_b))
+        discount = DiscountVector(sorted(values, reverse=True))
+    else:
+        discount = DiscountVector.dcg(m_a + m_b, 2.0) if kind == "dcg-base-2" else DISCOUNTS[kind](m_a + m_b)
     return SupernumeraryConfig(
         n=draw(st.integers(1, m_a + m_b)),
         m_a=m_a,
@@ -727,7 +744,7 @@ def supernumerary_problems(draw):
         dist_a=draw(st.sampled_from(DISTS)),
         dist_b=draw(st.sampled_from(DISTS + [LogNormal(800.0, 1.0)])),
         score_offset=draw(st.sampled_from([0.0, 10.0])),
-        discount_kind=draw(st.sampled_from(["constant", "dcg", "zipf"])),
+        discount=discount,
     )
 
 
@@ -737,7 +754,7 @@ class TestSupernumeraryEngine:
     @example(
         config=SupernumeraryConfig(
             n=10, m_a=8, m_b=6, alpha=0.5, gamma=1.2, dist_a=Uniform(0, 100), dist_b=Uniform(0, 70),
-            score_offset=10.0, discount_kind="dcg",
+            discount=DiscountVector.dcg(14), score_offset=10.0,
         ),
         trials=8,
         seed=30,
@@ -767,7 +784,7 @@ class TestSupernumeraryEngine:
         config = SupernumeraryConfig(
             n=40, m_a=400, m_b=400, alpha=alpha, gamma=1.5, dist_a=Uniform(0, 100),
             dist_b=Empirical(np.append(np.repeat(np.arange(0.0, 90.0, 2.5), 11), [92.5, 95.0, 97.5])),
-            discount_kind="dcg",
+            discount=DiscountVector.dcg(800),
         )
         spec = SeedSpec(7)
         trials = 2 * (experiments.BLOCK_ELEMENTS // 800) + 1
@@ -779,6 +796,7 @@ class TestSupernumeraryEngine:
     def test_sorts_only_the_candidates(self):
         config = SupernumeraryConfig(
             n=40, m_a=400, m_b=400, alpha=0.15, gamma=1.5, dist_a=Uniform(0, 100), dist_b=Uniform(0, 100),
+            discount=DiscountVector.constant(800),
         )
         order, widths = experiments._order, []
 
@@ -810,7 +828,10 @@ class TestOneBlockRule:
         elif engine == "orderstats":
             estimate_order_stats(1, 1, m - m_b, m_b, dist, 3, seed)
         else:
-            cfg = SupernumeraryConfig(n=2, m_a=m - m_b, m_b=m_b, alpha=0.2, gamma=1.0, dist_a=dist, dist_b=dist)
+            cfg = SupernumeraryConfig(
+                n=2, m_a=m - m_b, m_b=m_b, alpha=0.2, gamma=1.0, dist_a=dist, dist_b=dist,
+                discount=DiscountVector.constant(m),
+            )
             supernumerary_compare(cfg, 3, seed)
 
     @pytest.mark.parametrize("engine", ENGINES)

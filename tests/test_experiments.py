@@ -256,7 +256,8 @@ class TestSupernumerarySeats:
             supernumerary_compare(config, 3, SeedSpec(0))
 
 
-def sup_config(**kw):
+def sup_config(kind="constant", **kw):
+    """A config whose discount, unless given, is ``kind`` over the whole pool."""
     base = dict(
         n=10,
         m_a=20,
@@ -268,6 +269,7 @@ def sup_config(**kw):
         score_offset=10.0,
     )
     base.update(kw)
+    base.setdefault("discount", getattr(DiscountVector, kind)(base["m_a"] + base["m_b"]))
     return SupernumeraryConfig(**base)
 
 
@@ -323,7 +325,7 @@ class TestSupernumeraryCompare:
             dist_a=Uniform(0, 100),
             dist_b=Uniform(0, 40),
             score_offset=0.0,
-            discount_kind="dcg",
+            kind="dcg",
         )
         rep = supernumerary_compare(cfg, trials=300, seed=SeedSpec(88))
         cons_exp = rep.by_scheme("cons_expanded")
@@ -350,17 +352,31 @@ class TestSupernumeraryCompare:
         for gamma in (0.99, math.nan):
             with pytest.raises(ValueError, match="gamma must be at least 1"):
                 sup_config(gamma=gamma)
+        sup_config(gamma=math.inf)  # allowed, and checked without a numpy warning
         for offset in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match="^score offset must be finite, got "):
                 sup_config(score_offset=offset)
-        with pytest.raises(ValueError):
-            sup_config(alpha=1.0)
-        with pytest.raises(ValueError):
-            sup_config(n=50, m_a=20, m_b=8)
-        # the discount is checked when the config is built, not per trial
-        with pytest.raises(ValueError):
-            sup_config(discount_kind="dcg", log_base=1.0)
-        with pytest.raises(TypeError):
-            sup_config(discount_kind="dcg", log_base="e")
-        with pytest.raises(ValueError):
-            sup_config(discount_kind="lcg")
+        for alpha in (1.0, -0.1, math.nan):
+            with pytest.raises(ValueError, match=r"^alpha must lie in \[0, 1\)$"):
+                sup_config(alpha=alpha)
+        with pytest.raises(ValueError, match="^candidate pool must cover the base capacity$"):
+            sup_config(n=50, m_a=20, m_b=8, alpha=1.0, discount=DiscountVector.zipf(3))
+        # the discount weighs a ranking of the whole pool, m_a + m_b positions
+        for length in (10, 27, 29):
+            with pytest.raises(ValueError, match=f"^discount has length {length}, expected m_a \\+ m_b=28$"):
+                sup_config(discount=DiscountVector.dcg(length))
+        sup_config(discount=DiscountVector(np.linspace(2.0, 0.0, 28)))
+        # checks run in order: n, pool (above), alpha, gamma, offset, then the discount
+        with pytest.raises(ValueError, match="^n must be positive$"):
+            sup_config(n=0, alpha=1.0, discount=DiscountVector.zipf(3))
+        with pytest.raises(ValueError, match="^alpha must lie"):
+            sup_config(alpha=1.0, gamma=0.5, discount=DiscountVector.zipf(3))
+        with pytest.raises(ValueError, match="^gamma must be at least 1$"):
+            sup_config(gamma=0.5, score_offset=math.nan, discount=DiscountVector.zipf(3))
+        with pytest.raises(ValueError, match="^score offset must be finite"):
+            sup_config(score_offset=math.nan, discount=DiscountVector.zipf(3))
+        # a bad log base or kind is DiscountVector's to refuse, before any config
+        with pytest.raises(ValueError, match="^log base must exceed 1$"):
+            DiscountVector.dcg(28, log_base=1.0)
+        with pytest.raises(ValueError, match="^unknown discount kind 'lcg'$"):
+            DiscountVector.from_json_dict({"kind": "lcg"}, 28)

@@ -271,13 +271,14 @@ ORDERSTATS_DIGESTS = {
 }
 
 
-def sup_config(**kw):
+def sup_config(kind="constant", **kw):
+    """A config whose discount is ``kind`` over the whole pool."""
     base = dict(
         n=10, m_a=20, m_b=8, alpha=0.2, gamma=1.05,
         dist_a=Uniform(0, 100), dist_b=Uniform(0, 100), score_offset=10.0,
     )
     base.update(kw)
-    return SupernumeraryConfig(**base)
+    return SupernumeraryConfig(**base, discount=getattr(DiscountVector, kind)(base["m_a"] + base["m_b"]))
 
 
 # name -> (configs, one per alpha, trials, master seed)
@@ -287,7 +288,7 @@ SUPERNUMERARY = {
         [
             sup_config(
                 n=20, m_a=60, m_b=60, alpha=a, gamma=3.0, dist_a=Uniform(0, 100), dist_b=Uniform(0, 40),
-                score_offset=0.0, discount_kind="dcg",
+                score_offset=0.0, kind="dcg",
             )
             for a in (0.35, 0.5)
         ],
@@ -295,7 +296,7 @@ SUPERNUMERARY = {
         22,
     ),
     "zipf-ties": (
-        [sup_config(n=12, m_a=20, m_b=20, alpha=0.45, gamma=1.6, dist_a=TIES_A, dist_b=TIES_B, discount_kind="zipf")],
+        [sup_config(n=12, m_a=20, m_b=20, alpha=0.45, gamma=1.6, dist_a=TIES_A, dist_b=TIES_B, kind="zipf")],
         25,
         23,
     ),
@@ -304,7 +305,7 @@ SUPERNUMERARY = {
         [
             sup_config(
                 n=20, m_a=40, m_b=30, alpha=a, gamma=1.3, dist_a=Normal(30.0, 50.0), dist_b=Normal(20.0, 40.0),
-                discount_kind="dcg",
+                kind="dcg",
             )
             for a in (0.0, 0.1)
         ],
@@ -313,7 +314,9 @@ SUPERNUMERARY = {
     ),
     # alpha close to 1: from 0 to hundreds of added seats, many seat counts
     # per block, over more than one block.
-    "alpha-near-1": ([sup_config(n=5, m_a=20, m_b=400, alpha=a, gamma=1.5, discount_kind="dcg") for a in (0.95, 0.99)], 130, 25),
+    "alpha-near-1": (
+        [sup_config(n=5, m_a=20, m_b=400, alpha=a, gamma=1.5, kind="dcg") for a in (0.95, 0.99)], 130, 25
+    ),
 }
 
 SUPERNUMERARY_DIGESTS = {
@@ -333,7 +336,7 @@ SUPERNUMERARY_ERRORS = {
     # Trial 1 has too many reserved seats; trial 3, in the same block, too
     # many seats, the check that comes first within a trial.
     "first-failing-trial": (
-        sup_config(n=10, m_a=8, m_b=6, alpha=0.5, gamma=1.2, dist_b=Uniform(0, 70), discount_kind="dcg"),
+        sup_config(n=10, m_a=8, m_b=6, alpha=0.5, gamma=1.2, dist_b=Uniform(0, 70), kind="dcg"),
         8,
         30,
         "7 reserved seats but only 6 target candidates",
