@@ -18,9 +18,10 @@ it walks the trials in blocks of ``max(1, BLOCK_ELEMENTS // m)``, puts
 each trial's generator in the state ``SeedSpec.rng_for_trial(i)`` defines
 (:meth:`SeedSpec.rngs_for_trials`), and has each group's distribution
 write its draws straight into that group's columns of the trial's row of
-one (rows, m) matrix.  Each engine then checks, selects by partition and
-sorts at most the selected candidates, scores the whole block at once, and
-reproduces the per-trial loop bit for bit, whatever the block size.
+one (rows, m) matrix.  Each engine then checks, sorts only what it needs
+(selected candidates, or each group's columns in place), scores the whole
+block at once, and reproduces the per-trial loop bit for bit, whatever the
+block size.
 
 The seat-expansion comparison pits the prefix-bound intervention against
 reserving added seats for the target group when the target group's scores
@@ -187,8 +188,9 @@ def _draw_blocks(seed: SeedSpec, trials: int, groups) -> Iterator[tuple[slice, n
     matrix ``w`` holds trial ``part.start + i``, each ``(dist, size)`` of
     ``groups`` in turn drawing the next ``size`` columns from the trial's
     stream with ``dist.draw(rng, size, out=...)``.  Every block reuses one
-    buffer, so ``w`` is valid until the next is requested.  Raises
-    ValueError, before allocating it, when m exceeds ``MAX_ELEMENTS``.
+    buffer, valid until the next block, whose rows are all drawn anew, so a
+    caller may sort ``w`` in place.  Raises ValueError, before allocating
+    it, when m exceeds ``MAX_ELEMENTS``.
     """
     cols, at = [], 0
     for dist, size in groups:
@@ -206,12 +208,6 @@ def _draw_blocks(seed: SeedSpec, trials: int, groups) -> Iterator[tuple[slice, n
             for dist, size, out in draws:
                 dist.draw(rng, size, out)
         yield slice(start, stop), buf[: stop - start]
-
-
-def _kth_largest(x: np.ndarray, k: int) -> np.ndarray:
-    """Each row's k-th largest value, ``1 <= k <=`` row width, by selection."""
-    cut = x.shape[1] - k
-    return np.partition(x, cut, axis=1)[:, cut]
 
 
 def _utilities(w: np.ndarray, ids: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -380,12 +376,12 @@ def estimate_order_stats(
 
     Trials are drawn in blocks (see ``_draw_blocks``), trial i's m_a + m_b
     utilities in one row of a matrix.  The ranking is by descending
-    utility, ties by ascending id, so group A (ids below m_a) wins ties,
-    but no row is sorted.  With ``t`` a row's k-th largest value, the top
-    k holds every item above ``t``, then the tied ones, A's first:
-    ``N_k^b = max(#(B > t), k - #(A >= t))``.  With ``b_l`` its l-th
-    largest target value, ``P_l = l + #(A >= b_l)``.  The report is the
-    same for every block size.  NaN utilities raise ``ValueError``.
+    utility, ties by ascending id, so group A (ids below m_a) wins ties.
+    Each group's columns are sorted in place.  With ``a_(i)``, ``b_(j)``
+    the i-th, j-th largest of each, ``b_(j)`` is in the top k exactly when
+    ``b_(j) > a_(k-j+1)``, true for a prefix of j, so N_k^b counts those
+    j <= k, and ``P_l = l + #(A >= b_(l))``.  The report is the same for
+    every block size.  NaN utilities raise ``ValueError``.
     """
     if not (0 < k < min(m_a, m_b)):
         raise ValueError(f"need 0 < k < min(m_a, m_b), got k={k}")
@@ -397,13 +393,13 @@ def estimate_order_stats(
     nkb = np.empty(trials, dtype=np.int64)
     pl = np.empty(trials, dtype=np.int64)
     for part, x in _draw_blocks(seed, trials, ((dist, m_a + m_b),)):
-        if np.isnan(x).any():
-            raise ValueError("utilities must not be NaN")
         a, b = x[:, :m_a], x[:, m_a:]
-        t = _kth_largest(x, k)[:, None]
-        b_l = _kth_largest(b, l)[:, None]
-        nkb[part] = np.maximum(np.count_nonzero(b > t, axis=1), k - np.count_nonzero(a >= t, axis=1))
-        pl[part] = l + np.count_nonzero(a >= b_l, axis=1)
+        a.sort(axis=1)
+        b.sort(axis=1)
+        if np.isnan(a[:, -1]).any() or np.isnan(b[:, -1]).any():
+            raise ValueError("utilities must not be NaN")
+        nkb[part] = np.count_nonzero(b[:, : -k - 1 : -1] > a[:, -k:], axis=1)
+        pl[part] = l + np.count_nonzero(a >= b[:, -l, None], axis=1)
     mean_n, se_n = map(float, _mean_se(nkb.astype(float)))
     mean_p, se_p = map(float, _mean_se(pl.astype(float)))
     return OrderStatsReport(

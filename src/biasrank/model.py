@@ -181,12 +181,15 @@ class DiscountVector:
         check_size("the discount vector", n)
         kind, base = d.get("kind"), d.get("log_base")
         base = None if base is None else read_number(base, "log_base")  # a non-number fails beside any kind
+        if kind not in ("constant", "dcg", "zipf", "custom"):
+            raise ValueError(f"unknown discount kind {kind!r}")
+        own = {"dcg": "log_base", "custom": "values"}.get(kind)
+        if foreign := [key for key in d if key not in ("kind", own)]:
+            raise ValueError(f"discount kind {kind!r} takes no field {foreign[0]!r}")
         if kind == "dcg":
             return cls.dcg(n, log_base=base)
-        if kind in ("constant", "zipf"):
-            return getattr(cls, kind)(n)
         if kind != "custom":
-            raise ValueError(f"unknown discount kind {kind!r}")
+            return getattr(cls, kind)(n)
         values = d.get("values")
         if values is None:
             raise ValueError('custom discount requires a "values" array')
@@ -275,12 +278,12 @@ class Ranking:
 
 def observed_utilities(instance: Instance, bias: BiasModel) -> np.ndarray:
     """Shaded utilities: each item's latent utility times the product of its
-    groups' bias factors (the empty product is 1)."""
+    groups' bias factors in group order (the empty product is 1), by a
+    masked reduction that makes no (m, p) float matrix."""
     if bias.p != instance.p:
         raise ValueError(f"bias has {bias.p} factors but instance has {instance.p} groups")
-    if instance.p == 0:
-        return instance.latent_utilities.copy()
-    factors = np.where(instance.membership_matrix, bias.betas, 1.0).prod(axis=1)
+    mem = instance.membership_matrix
+    factors = np.multiply.reduce(np.broadcast_to(bias.betas, mem.shape), axis=1, where=mem, initial=1.0)
     return instance.latent_utilities * factors
 
 

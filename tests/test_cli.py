@@ -444,6 +444,11 @@ BAD_DISCOUNTS = [
     ({"kind": "dcg", "log_base": 0.5}, "log base must exceed 1"),
     ({"kind": "zipf", "log_base": "2"}, "log_base must be a number, got a string"),
     ({"kind": "custom"}, 'custom discount requires a "values" array'),
+    ({"kind": "zipf", "log_base": 0.5}, "discount kind 'zipf' takes no field 'log_base'"),
+    ({"kind": "constant", "values": "x"}, "discount kind 'constant' takes no field 'values'"),
+    ({"kind": "dcg", "values": [1.0]}, "discount kind 'dcg' takes no field 'values'"),
+    ({"kind": "custom", "values": [1.0], "log_base": 2.0}, "discount kind 'custom' takes no field 'log_base'"),
+    ({"kind": "dcg", "base": 2.0}, "discount kind 'dcg' takes no field 'base'"),
 ]
 BAD_DISCOUNT_IDS = [
     "not-an-object",
@@ -455,6 +460,11 @@ BAD_DISCOUNT_IDS = [
     "small-log-base",
     "string-log-base-beside-zipf",
     "custom-without-values",
+    "log-base-beside-zipf",
+    "values-beside-constant",
+    "values-beside-dcg",
+    "log-base-beside-custom",
+    "unknown-field",
 ]
 
 
@@ -463,12 +473,13 @@ class TestDiscountParity:
         "simulate": TRIAL_CONFIG,
         "sweep": {**TRIAL_CONFIG, "alphas": [0.0], "betas": [0.5], "trials": 2},
         "supernumerary": {**SUPERNUMERARY_CONFIG, "trials": 2},
+        "solve": FACT_INSTANCE_W,
     }
 
     @pytest.mark.parametrize("command", sorted(CONFIGS))
     @pytest.mark.parametrize("discount, message", BAD_DISCOUNTS, ids=BAD_DISCOUNT_IDS)
     def test_same_error_line_for_every_command(self, tmp_path, capsys, command, discount, message):
-        doc = {**self.CONFIGS[command], "discount": discount}
+        doc = {**self.CONFIGS[command], "v" if command == "solve" else "discount": discount}
         assert main([command, write_json(tmp_path, "cfg.json", doc)]) == 3
         assert capsys.readouterr().err == f"error: {message}\n"
 

@@ -631,6 +631,47 @@ def order_stats_problems(draw):
     return k, l, m_a, m_b, draw(st.sampled_from(ORDER_STATS_DISTS)), trials
 
 
+# Samples with few atoms: one on [0, 1], and one whose draws are -inf,
+# -0.0, 0.0 (twice as often) and +inf, so ties cross the signed zeros.
+TIE_HEAVY = [
+    Empirical([0.0, 1.0, 1.0, 1.0]),
+    ShiftedScaled(Empirical([-2.0, -0.0, 0.0, 0.0, 2.0]), 1e308, -0.0),
+]
+
+
+class NaNAt(CountingUniform):
+    """A counting uniform that puts NaN in column ``col`` of draw ``trial``."""
+
+    __slots__ = ("trial", "col")
+
+    def __init__(self, trial, col):
+        super().__init__()
+        self.trial, self.col = trial, col
+
+    def draw(self, rng, size, out=None):
+        x = super().draw(rng, size, out)
+        if self.calls == self.trial + 1:
+            x[self.col] = np.nan
+        return x
+
+
+def assert_order_stats_equal_loop(k, l, m_a, m_b, dist, trials, spec, block):
+    """``estimate_order_stats`` in blocks of ``block`` trials gives the
+    per-trial loop's means, standard errors and counts, bit for bit."""
+    nkb, pl = per_trial_order_stats(k, l, m_a, m_b, dist, trials, spec)
+    with blocks_of(block, m_a + m_b):
+        rep = estimate_order_stats(k, l, m_a, m_b, dist, trials, spec)
+
+    def mean_se(x):
+        x = x.astype(float)
+        return float(x.mean()), float(x.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
+
+    assert (rep.mean_Nkb, rep.se_Nkb) == mean_se(nkb)
+    assert (rep.mean_Pl, rep.se_Pl) == mean_se(pl)
+    assert rep.nkb_counts.tolist() == np.bincount(nkb, minlength=k + 1).tolist()
+    assert rep.pl_counts.tolist() == np.bincount(pl, minlength=m_a + l + 1).tolist()
+
+
 def report_fields(rep):
     return (rep.mean_Nkb, rep.se_Nkb, rep.mean_Pl, rep.se_Pl, rep.trials, rep.nkb_counts.tolist(), rep.pl_counts.tolist())
 
@@ -650,20 +691,30 @@ class TestOrderStatsEngine:
     @given(problem=order_stats_problems(), seed=SEEDS, block=st.sampled_from(BLOCK_ROWS))
     @settings(max_examples=60, deadline=None)
     def test_equals_per_trial_loop(self, problem, seed, block):
-        k, l, m_a, m_b, dist, trials = problem
-        spec = SeedSpec(seed)
-        nkb, pl = per_trial_order_stats(k, l, m_a, m_b, dist, trials, spec)
-        with blocks_of(block, m_a + m_b):
-            rep = estimate_order_stats(k, l, m_a, m_b, dist, trials, spec)
+        assert_order_stats_equal_loop(*problem, SeedSpec(seed), block)
 
-        def mean_se(x):
-            x = x.astype(float)
-            return float(x.mean()), float(x.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
+    # k and l at both ends of their ranges, with either group much the
+    # larger, where a slice of the merge count would first run past its group.
+    @pytest.mark.parametrize("m_a, m_b", [(2, 2), (3, 11), (11, 3), (7, 7)])
+    @pytest.mark.parametrize("k_end", ["first", "last"])
+    @pytest.mark.parametrize("l_end", ["first", "last"])
+    @pytest.mark.parametrize("dist", TIE_HEAVY, ids=["few-atoms", "signed-zeros-and-infs"])
+    def test_merge_counts_at_the_extremes(self, m_a, m_b, k_end, l_end, dist):
+        k = 1 if k_end == "first" else min(m_a, m_b) - 1
+        l = 1 if l_end == "first" else m_b
+        with np.errstate(over="ignore"):  # the scale of 1e308 takes +-2.0 to +-inf
+            assert_order_stats_equal_loop(k, l, m_a, m_b, dist, 50, SeedSpec(5), 7)
 
-        assert (rep.mean_Nkb, rep.se_Nkb) == mean_se(nkb)
-        assert (rep.mean_Pl, rep.se_Pl) == mean_se(pl)
-        assert rep.nkb_counts.tolist() == np.bincount(nkb, minlength=k + 1).tolist()
-        assert rep.pl_counts.tolist() == np.bincount(pl, minlength=m_a + l + 1).tolist()
+    # Trial 0 lies in the first block of three, trial 7 in the last, partial one.
+    @pytest.mark.parametrize("trial", [0, 7])
+    @pytest.mark.parametrize("group", ["A", "B"])
+    def test_nan_in_one_group_raises(self, trial, group):
+        m_a, m_b = 6, 5
+        col = 1 if group == "A" else m_a + 1  # neither group's last column
+        dist = NaNAt(trial, col)
+        with blocks_of(3, m_a + m_b), pytest.raises(ValueError, match="^utilities must not be NaN$"):
+            estimate_order_stats(2, 3, m_a, m_b, dist, 8, SeedSpec(0))
+        assert dist.calls == (3 if trial == 0 else 8)
 
 
 def per_trial_supernumerary(config, trials, seed):

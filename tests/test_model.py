@@ -61,6 +61,27 @@ class TestObservedUtilities:
         obs = observed_utilities(inst, BiasModel([1.0, 1.0]))
         assert np.array_equal(obs, inst.latent_utilities)
 
+    @given(
+        m=st.integers(1, 30),
+        p=st.integers(3, 12),
+        data=st.data(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_equals_the_dense_product(self, m, p, data, seed):
+        """Overlapping groups, every grouped item with at least three non-unit
+        factors, some items ungrouped: the (m, p) product's bits, in group order."""
+        betas = data.draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=p, max_size=p))
+        rng = np.random.default_rng(seed)
+        mem = rng.random((m, p)) < rng.random()
+        for row in mem:
+            row[rng.choice(p, 3, replace=False)] = True
+        mem[rng.random(m) < 0.2] = False
+        w = rng.normal(size=m) * 10.0 ** rng.integers(-300, 300, m)
+        inst = make_instance(w, mem, n=1)
+        expected = w * np.where(mem, betas, 1.0).prod(axis=1)
+        assert observed_utilities(inst, BiasModel(betas)).tobytes() == expected.tobytes()
+
 
 class TestRankingUtility:
     def test_two_position_example(self):
