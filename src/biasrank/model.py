@@ -391,8 +391,7 @@ def instance_from_json(d: dict) -> Instance:
     w[ids] = w_listed
     mem = np.zeros((m, p), dtype=bool)
     mem[np.repeat(ids, counts), item_groups] = True
-    declared = np.zeros((m, p), dtype=bool)
-    declared[members, np.repeat(np.arange(p), sizes)] = True
-    if not np.array_equal(declared, mem):
+    keys = np.sort(members * p + np.repeat(np.arange(p), sizes))  # item * p + group, as flatnonzero(mem) reads
+    if not np.array_equal(np.flatnonzero(mem), keys[np.diff(keys, prepend=-1) > 0]):
         raise ValueError("top-level group lists disagree with per-item group lists")
     return Instance(w, mem, n, v)

@@ -76,7 +76,9 @@ def rank_constrained_greedy(instance: Instance, weights, L: ConstraintMatrix) ->
     if not check_feasibility(L, mem):
         raise InfeasibleConstraintsError("no ranking satisfies the constraint matrix")
     w = _check_weights(instance, weights)
-    labels = mem @ np.arange(1, p + 1) - 1  # rows hold at most one group: its id, or -1
+    rows, cols = np.divmod(np.flatnonzero(mem), p)  # flat index item * p + group
+    labels = np.full(instance.m, -1)  # rows hold at most one group: its id, or -1
+    labels[rows] = cols
     return Ranking(tuple(_greedy(labels, w, L.matrix)))
 
 

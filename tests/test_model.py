@@ -347,8 +347,20 @@ class TestTypesAndJson:
         }
         with pytest.raises(ValueError):
             instance_from_json(doc)
+        # a repeated (item, group) pair counts once, in a top-level list or in an item's list
+        for edit in (
+            lambda d: d["groups"][0].append(1),
+            lambda d: d["groups"][1].insert(0, 1),
+            lambda d: d["items"][1]["groups"].append(0),
+            lambda d: d["items"][0].update(groups=[0, 0, 0]),
+        ):
+            assert instance_from_json(edited_json(edit)) == instance_from_json(edited_json(None))
         for edit, match in (
-            (lambda d: d["groups"][0].append(2), "disagree"),
+            (lambda d: d["groups"][0].append(2), "disagree"),  # (2, 0) only at the top level
+            (lambda d: d["items"][0].update(groups=[]), "disagree"),  # (0, 0) only at the top level
+            (lambda d: d["groups"][1].pop(), "disagree"),  # (1, 1) missing from the top level
+            (lambda d: d["groups"][0].__setitem__(1, 0), "disagree"),  # a repeat of (0, 0) in place of (1, 0)
+            (lambda d: d["items"][1]["groups"].__setitem__(1, 0), "disagree"),  # the same within an item's list
             (lambda d: d["groups"].pop(), "outside"),
             (lambda d: d["items"][2].update(groups=[-1]), "outside"),
             (lambda d: d["groups"][1].append(5), "outside"),

@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -13,7 +14,10 @@ from biasrank import (
     Instance,
     NonDisjointGroupsError,
     Ranking,
+    check_feasibility,
     derived_constraints,
+    instance_from_json,
+    instance_to_json,
     observed_utilities,
     rank_constrained_bruteforce,
     rank_constrained_greedy,
@@ -348,6 +352,100 @@ class TestGreedyMatchesRescan:
             rescan_greedy(labels, w, L)
         with pytest.raises(InfeasibleConstraintsError, match="by 1 at prefix 3"):
             _greedy(labels, w, L)
+
+
+@st.composite
+def memberships(draw):
+    """A boolean (m, p) membership with empty rows, p = 0 or a wide p, and
+    sometimes rows in two or more groups, with nondecreasing bounds (n, p)
+    whose rows ask for about 0, 0.3 or 1 item per position."""
+    m = draw(st.integers(1, 40))
+    p = draw(st.sampled_from([0, 1, 2, 3, 7, 300]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mem = rng.integers(-1, p, m)[:, None] == np.arange(p)
+    if draw(st.booleans()):
+        mem |= rng.random((m, p)) < draw(st.sampled_from([0.02, 0.3]))
+    n = draw(st.integers(1, m + 1))
+    steps = rng.random((n, p)) < draw(st.sampled_from([0.0, 0.3, 1.0])) / max(p, 1)
+    return mem, ConstraintMatrix(np.minimum(np.cumsum(steps, axis=0), np.arange(1, n + 1)[:, None]))
+
+
+def matmul_feasibility(L, mem):
+    """check_feasibility with its row and column counts read through int64
+    matrix products: the oracle for the counting form."""
+    m, p = mem.shape
+    if np.any(mem @ np.ones(p, dtype=np.int64) > 1):
+        raise NonDisjointGroupsError("groups overlap; use the brute-force solver")
+    mat = L.matrix
+    return bool(
+        L.n <= m
+        and np.all(mat[-1] <= np.ones(m, dtype=np.int64) @ mem)
+        and np.all(mat.sum(axis=1) <= np.arange(1, L.n + 1))
+    )
+
+
+def overlap_outcome(check, *args):
+    try:
+        return check(*args)
+    except NonDisjointGroupsError as exc:
+        return str(exc)
+
+
+class TestMembershipReadByCounting:
+    """Feasibility and the greedy's labels read the membership matrix by
+    counting and agree with the matrix-product forms."""
+
+    @given(problem=memberships())
+    @settings(max_examples=300, deadline=None)
+    def test_feasibility_equals_matmul_form(self, problem):
+        mem, L = problem
+        assert overlap_outcome(check_feasibility, L, mem) == overlap_outcome(matmul_feasibility, L, mem)
+
+    @given(problem=memberships())
+    @settings(max_examples=150, deadline=None)
+    def test_greedy_labels_equal_matmul_form(self, problem):
+        mem, _ = problem
+        m, p = mem.shape
+        inst = Instance.from_arrays(np.linspace(1.0, 0.0, m), mem, 1, DiscountVector.constant(1))
+        zeros = ConstraintMatrix.zeros(1, p)
+        with mock.patch.object(solver, "_greedy", wraps=solver._greedy) as core:
+            outcome = overlap_outcome(rank_constrained_greedy, inst, inst.latent_utilities, zeros)
+        if mem.sum(axis=1).max() > 1:
+            assert outcome == "groups overlap; use the brute-force solver" and not core.called
+        else:
+            assert outcome.positions == (0,)
+            assert core.call_args.args[0].tolist() == (mem @ np.arange(1, p + 1) - 1).tolist()
+
+
+def traced_peak(f, *args) -> int:
+    """Peak bytes that tracemalloc sees while ``f(*args)`` runs."""
+    tracemalloc.start()
+    try:
+        f(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestMembershipMemory:
+    """The solve path holds one (m, p) boolean matrix and no int64 copy:
+    disjoint groups at m = 400 and p = 4000, 1.6 M cells, nearly all empty."""
+
+    m, p = 400, 4000
+
+    def instance(self) -> Instance:
+        groups = np.arange(self.m) * 10 % self.p
+        mem = (groups[:, None] == np.arange(self.p)) & (np.arange(self.m) % 2 == 0)[:, None]  # odd items ungrouped
+        return Instance.from_arrays(np.linspace(1.0, 0.0, self.m), mem, 1, DiscountVector.constant(1))
+
+    def test_feasibility_and_greedy_peak_below_one_byte_per_cell(self):
+        inst, L = self.instance(), ConstraintMatrix.zeros(1, self.p)
+        assert traced_peak(check_feasibility, L, inst.membership_matrix) < self.m * self.p
+        assert traced_peak(rank_constrained_greedy, inst, inst.latent_utilities, L) < self.m * self.p
+
+    def test_parse_peaks_below_two_and_a_half_bytes_per_cell(self):
+        doc = instance_to_json(self.instance())
+        assert traced_peak(instance_from_json, doc) < 2.5 * self.m * self.p
 
 
 class TestLookaheadPathsAtScale:
