@@ -38,7 +38,7 @@ import numpy as np
 
 from .constraints import InfeasibleConstraintsError, _floor_bounds, simple_constraints
 from .model import BiasModel, DiscountVector, Instance, _order, _top, check_size, observed_utilities, ranking_utility
-from .solver import _single_column_slots, rank_constrained_greedy, rank_single_column, rank_unconstrained
+from .solver import _single_column_slots, rank_constrained_greedy, rank_unconstrained
 from .stats import Distribution, SeedSpec
 
 __all__ = [
@@ -525,10 +525,10 @@ def supernumerary_compare(config: SupernumeraryConfig, trials: int, seed: SeedSp
     prefix of each group, of n + x_max items at most: a reserved target
     deep in the observed order is still among its group's best n_f + x.
     One sort of each group's best ``min(size, n + x_max)`` by :func:`_top`
-    and one :func:`rank_single_column` call on their local ids serve the
-    block.  Each trial is checked for too many seats, then too many
-    reserved seats, then a non-finite shifted utility in its whole row; as
-    in a per-trial loop, the first failing trial raises its error.
+    and one ``_single_column_slots`` call, scored as ``_run_grid`` scores
+    it, serve the block.  Each trial is checked for too many seats, then
+    too many reserved seats, then a non-finite shifted utility in its whole
+    row; as in a per-trial loop, the first failing trial raises its error.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
@@ -574,18 +574,18 @@ def supernumerary_compare(config: SupernumeraryConfig, trials: int, seed: SeedSp
 
         # The floor(alpha * k) bounds of a shorter ranking, and the closed
         # form's ranking under them, are prefixes of a longer one's: one call
-        # at the block's most seats gives every row's cons and cons_expanded.
-        bound = _floor_bounds(alpha, int(n_sup.max()))
-        cons = cand[row, rank_single_column(local, np.arange(sum(c)) >= c[0], bound)[0]]
-        ids = np.stack([cons[:, :n], order[:, :n]], axis=1)
-        per_seat[:2, part] = _utilities(latent, ids, v[:n]).T / n
+        # at the block's most seats slots every row's cons and cons_expanded.
+        best, at, _ = _single_column_slots(local, np.arange(sum(c)) >= c[0], _floor_bounds([alpha], int(n_sup.max())))
+        lat, cons = latent[row, cand[row, best]], at[:, 0]  # latent values in best order, and the slots
+        per_seat[:2, part] = _utilities(lat, cons[:, :n], v[:n]) / n, _utilities(latent, order[:, :n], v[:n]) / n
         seats[:2, part] = n
         seats[2:, part] = n_sup
         for length in np.unique(n_sup).tolist():
             rows = np.flatnonzero(n_sup == length)
             o = order[rows]
-            ids = np.stack([o[admitted[rows]].reshape(len(rows), length), cons[rows, :length], o[:, :length]], axis=1)
-            per_seat[2:, part.start + rows] = _utilities(latent[rows], ids, v[:length]).T / length
+            ids = np.stack([o[admitted[rows]].reshape(len(rows), length), o[:, :length]], axis=1)
+            per_seat[2::2, part.start + rows] = _utilities(latent[rows], ids, v[:length]).T / length
+            per_seat[3, part.start + rows] = _utilities(lat[rows], cons[rows, :length], v[:length]) / length
     mean_u, se = _mean_se(per_seat)
     stats = tuple(
         SupernumerarySchemeStats(name, float(s), float(u), float(e))

@@ -17,10 +17,9 @@ subsets and works for overlapping groups too, but only on small instances;
 it is the greedy's oracle.
 
 When only one group is bounded and its bound grows by at most one per
-position (every ``floor(alpha * k)`` matrix), the greedy has a closed form
-that :func:`rank_single_column` evaluates for a whole batch of observed
-orders at once, as a prefix-count maximum (see Celis, Straszak & Vishnoi,
-ICALP 2018, on ranking under prefix constraints).
+position (every ``floor(alpha * k)`` matrix), ``_single_column_slots``
+evaluates the greedy in closed form for a batch of observed orders, as a
+prefix-count maximum (Celis, Straszak & Vishnoi, ICALP 2018).
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ from .model import Instance, Ranking, _order, _top
 __all__ = [
     "rank_constrained_bruteforce",
     "rank_constrained_greedy",
-    "rank_single_column",
     "rank_unconstrained",
     "BRUTEFORCE_MAX_ITEMS",
     "BRUTEFORCE_MAX_POSITIONS",
@@ -93,17 +91,20 @@ def _greedy(labels: np.ndarray, w: np.ndarray, Lmat: np.ndarray) -> list[int]:
     owes; only the others bring ``slack`` up to date and scan its tail."""
     n, p = Lmat.shape
     order = _order(w)
+    bounded = np.flatnonzero(Lmat[-1])  # a group bounded by 0 at n never forces a placement,
+    relabel = np.full(p + 1, -1)  # so its items count as ungrouped, as -1's (the last entry) do
+    relabel[bounded] = np.arange(len(bounded))
     # Items are handled by their rank in ``order``: the lowest free rank is
     # the heaviest item left, ties by ascending id.
-    ordered_labels = labels[order]
-    by_group = [np.flatnonzero(ordered_labels == s).tolist() for s in range(p)]
+    ordered_labels = relabel[labels[order]]
+    by_group = [np.flatnonzero(ordered_labels == s).tolist() for s in range(len(bounded))]
     group_of = ordered_labels.tolist()
-    # due[s][c]: index of the first prefix whose bound on group s reaches c + 1, else n
-    due = [np.searchsorted(col, np.arange(1, n + 2)).tolist() for col in Lmat.T]
+    # due[s][c]: index of the first prefix whose bound on bounded group s reaches c + 1, else n
+    due = [np.searchsorted(col, np.arange(1, n + 2)).tolist() for col in Lmat[:, bounded].T]
     slack = Lmat.sum(axis=1) - np.arange(1, n + 1)  # S_k - k until the first placement
     lazy = ((np.diff(slack, prepend=0) <= 0) & (slack >= np.maximum.accumulate(slack[::-1])[::-1])).tolist()
     taken = bytearray(len(group_of))
-    counts, heads = [0] * p, [0] * p
+    counts, heads = [0] * len(bounded), [0] * len(bounded)
     free = 0
     ranks: list[int] = []
     queued: list[int] = []  # due prefixes of placements not yet taken off slack
@@ -127,7 +128,7 @@ def _greedy(labels: np.ndarray, w: np.ndarray, Lmat: np.ndarray) -> list[int]:
                 while h < len(q) and taken[q[h]]:
                     h += 1
                 if h == len(q):
-                    raise InfeasibleConstraintsError(f"group {s} ran out of items at position {j}")
+                    raise InfeasibleConstraintsError(f"group {bounded[s]} ran out of items at position {j}")
                 heads[s] = h
                 r = min(r, q[h])
         if r == len(taken):  # no group is forced at j
@@ -143,41 +144,21 @@ def _greedy(labels: np.ndarray, w: np.ndarray, Lmat: np.ndarray) -> list[int]:
     return order[ranks].tolist()
 
 
-def rank_single_column(order, target, bounds) -> tuple[np.ndarray, np.ndarray]:
-    """The greedy's rankings under one bounded group, in closed form.
-
-    ``order`` holds item orders by descending observed utility, ties by
-    ascending id (a stable argsort), one per row of shape (..., m);
-    ``target`` is the (m,) boolean mask of the bounded group.  ``bounds``
-    holds one or more bound columns, shape (..., n): each is nondecreasing,
-    starts at 0 or 1 and grows by at most 1 per position, and its entry
-    k-1 is the least number of target items in the top k.
-
-    Targets and the other items each keep their observed order, and the
-    greedy places the c-th best target (0-based) at ``min(d_c, u_c)``, the
-    first k with ``bound[k-1] >= c+1`` or its 1-based observed position,
-    as :func:`rank_constrained_greedy` does for the same column.  Both
-    increase with c, so the top p holds ``T_p = max(bound[p-1], U_p)``
-    targets, U_p being those in the observed top p.  T steps by 0 or 1:
-    position p holds target ``T_p - 1`` where it rises, and else the
-    ``(p - T_p)``-th best other item.
-
-    Returns ``(ids, count)`` for every (order, bound) pair: the ranked item
-    ids, shape ``order.shape[:-1] + bounds.shape[:-1] + (n,)``, and their
-    int64 target counts.  Raises InfeasibleConstraintsError when n exceeds
-    m or a bound asks for more target items than exist.
-    """
-    order, bounds = np.asarray(order), np.asarray(bounds, dtype=np.int64)
-    (*rows, m), (*cols, n) = order.shape, bounds.shape
-    best, at, count = _single_column_slots(order.reshape(-1, m), target, bounds.reshape(-1, n))
-    ids = best[np.arange(len(best))[:, None, None], at]
-    return ids.reshape((*rows, *cols, n)), count.astype(np.int64).reshape((*rows, *cols))
-
-
 def _single_column_slots(order: np.ndarray, target, bounds: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`rank_single_column` on (rows, m) orders and (cols, n) bounds, as slots: ``best`` holds
-    each row's best ``min(m_t, n)`` targets, then its best n others; ``at``, int32 of shape (rows,
-    cols, n), indexes each ranked id in its row of ``best``; and the int32 target counts, (rows, cols)."""
+    """The greedy's rankings under one bounded group, in closed form, as slots.
+
+    ``order`` (rows, m) holds item orders by descending observed utility, ties by ascending id;
+    ``target`` is the (m,) mask of the bounded group; each row of ``bounds`` (cols, n) is
+    nondecreasing, starts at 0 or 1, steps by at most 1, and its entry k-1 is the least number of
+    targets in the top k.  The greedy places the c-th best target (0-based) at ``min(d_c, u_c)``,
+    the first k with ``bound[k-1] >= c+1`` or its 1-based observed position, as
+    :func:`rank_constrained_greedy` does; both increase with c, so the top p holds ``T_p =
+    max(bound[p-1], U_p)`` targets, U_p those in the observed top p, and position p holds target
+    ``T_p - 1`` where T rises, else the ``(p - T_p)``-th best other item.  ``best`` holds each
+    row's best ``min(m_t, n)`` targets, then its best n others; ``at``, int32 (rows, cols, n),
+    indexes each ranked id in its row of ``best``, so ``best[row, at]`` ranks every (order, bound)
+    pair; ``count``, int32 (rows, cols), holds their target counts.  Raises
+    InfeasibleConstraintsError when n exceeds m or a bound asks for more targets than exist."""
     target = np.asarray(target, dtype=bool)
     (rows, m), n = order.shape, bounds.shape[1]
     m_t = int(np.count_nonzero(target))

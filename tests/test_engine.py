@@ -49,7 +49,7 @@ from biasrank import (
     supernumerary_seats,
 )
 from biasrank import experiments, model, stats
-from biasrank.solver import rank_single_column
+from biasrank.solver import _single_column_slots
 from conftest import dp_optimum
 
 # Uniform draws into a block row take rng.random when a is 0 (signed zero
@@ -297,6 +297,12 @@ class TestBatchedScoring:
                 experiments._utilities(w, np.stack([ids, ids], axis=1), v)
 
 
+def closed_form(order, target, bounds):
+    """The closed form's rankings ``best[row, at]``, (rows, cols, n), and target counts, (rows, cols)."""
+    best, at, count = _single_column_slots(np.asarray(order), target, np.asarray(bounds, dtype=np.int64))
+    return best[np.arange(len(best))[:, None, None], at], count
+
+
 class TestClosedFormPlacement:
     @given(problem=single_column_problems())
     @settings(max_examples=300, deadline=None)
@@ -305,7 +311,7 @@ class TestClosedFormPlacement:
         Ls = [simple_constraints(a, target, n, 2) for a in alphas]
         order = np.argsort(-w, axis=1, kind="stable")
         try:
-            ids, count = rank_single_column(order, labels == target, [L.matrix[:, target] for L in Ls])
+            ids, count = closed_form(order, labels == target, [L.matrix[:, target] for L in Ls])
         except InfeasibleConstraintsError:
             ids = None
         mem = labels[:, None] == np.arange(2)
@@ -331,7 +337,7 @@ class TestClosedFormPlacement:
         w = rng.uniform(0.0, 1.0, (4, m_a + m_b)) * np.where(labels == 1, beta, 1.0)
         v = DiscountVector.dcg(n).values
         bounds = [simple_constraints(a, 1, n, 2).matrix for a in alphas]
-        ids, _ = rank_single_column(np.argsort(-w, axis=1, kind="stable"), labels == 1, [L[:, 1] for L in bounds])
+        ids, _ = closed_form(np.argsort(-w, axis=1, kind="stable"), labels == 1, [L[:, 1] for L in bounds])
         for r, row in enumerate(w):
             for a, L in enumerate(bounds):
                 best, _ = dp_optimum(labels, row, v, L)
@@ -346,29 +352,22 @@ class TestClosedFormPlacement:
         n, L = 12, simple_constraints(0.5, 1, 12, 2)
         U, bound = np.cumsum(labels[:n]), L.matrix[:, 1]
         assert (U > bound)[:3].all() and (U < bound)[5:8].all() and (U > bound)[10:].all()
-        ids, count = rank_single_column(np.argsort(-w, kind="stable"), labels == 1, bound)
+        ids, count = closed_form(np.argsort(-w, kind="stable")[None], labels == 1, bound[None])
         inst = Instance.from_arrays(w, labels[:, None] == np.arange(2), n, DiscountVector.constant(n))
         expected = rank_constrained_greedy(inst, w, L).positions
         assert expected == (0, 1, 2, 3, 4, 7, 5, 8, 6, 9, 10, 11)
-        assert tuple(ids.tolist()) == expected
-        assert count.dtype == np.int64 and count == 7
-
-    def test_single_order_and_bound_drop_their_axes(self):
-        order = np.array([3, 0, 1, 2])
-        target = np.array([False, False, True, True])
-        # target 3 is already first; the bound pulls target 2 up from 4th to 3rd
-        ids, count = rank_single_column(order, target, [0, 1, 2])
-        assert ids.tolist() == [3, 0, 2] and count == 2
+        assert tuple(ids[0, 0].tolist()) == expected
+        assert count.shape == (1, 1) and count[0, 0] == 7
 
     def test_raises_on_infeasible_bounds(self):
         order = np.arange(6)[None]
         target = np.array([True, True, False, False, False, False])
         with pytest.raises(InfeasibleConstraintsError):
-            rank_single_column(order, target, [np.array([1, 2, 3])])
+            closed_form(order, target, [np.array([1, 2, 3])])
         with pytest.raises(InfeasibleConstraintsError):
-            rank_single_column(order, target, [np.zeros(7, dtype=np.int64)])
+            closed_form(order, target, [np.zeros(7, dtype=np.int64)])
         with pytest.raises(ValueError):
-            rank_single_column(order, target, [np.array([0, 2, 2])])
+            closed_form(order, target, [np.array([0, 2, 2])])
 
 
 class CountingUniform(Uniform):
@@ -440,14 +439,11 @@ class TestSweepScoresFromSlots:
     )
 
     @pytest.mark.parametrize("block", [*BLOCK_ROWS, None])
-    def test_equals_per_trial_loop_without_gathering_ids(self, block):
+    def test_equals_per_trial_loop(self, block):
         # targets in the observed top n, and bounds that place more of them
         reports = run_trials(replace(self.CONFIG, alpha=0.8), 30, SeedSpec(3))
         assert any(r.n_b_uncons for r in reports) and any(r.n_b_cons > r.n_b_uncons for r in reports)
-        stub = mock.Mock(side_effect=AssertionError("the sweep gathered ranked ids"))
-        with mock.patch.object(experiments, "rank_single_column", stub):
-            assert_sweep_equals_loop(self.CONFIG, [0.0, 0.4, 0.8], [0.9, 0.5], 30, SeedSpec(3), block)
-        stub.assert_not_called()
+        assert_sweep_equals_loop(self.CONFIG, [0.0, 0.4, 0.8], [0.9, 0.5], 30, SeedSpec(3), block)
 
     @pytest.mark.parametrize(
         "betas, alphas",
@@ -718,13 +714,15 @@ class TestOrderStatsEngine:
 
 
 def per_trial_supernumerary(config, trials, seed):
-    """The per-trial loop: one ``rng_for_trial`` stream, one sort and one
-    ``rank_single_column`` call per trial and seat count, and each scheme's
-    per-seat utility from its own 1-D dot.  Returns the per-seat utilities
+    """The per-trial loop: one ``rng_for_trial`` stream and one sort per
+    trial, the general greedy ``rank_constrained_greedy`` (not the closed
+    form under test) per trial and seat count, and each scheme's per-seat
+    utility from its own 1-D dot.  Returns the per-seat utilities
     and seat counts, one row per scheme, or raises the first trial's error."""
     m_a, m_b, n = config.m_a, config.m_b, config.n
     m = m_a + m_b
     target = np.arange(m) >= m_a
+    mem = np.stack([~target, target], axis=1)
     v = config.discount
 
     def discount(length):
@@ -756,8 +754,9 @@ def per_trial_supernumerary(config, trials, seed):
         sup = order[np.isin(order, np.concatenate([reserved, open_pool[: n - n_f]]))]
 
         def cons(length):
-            bound = simple_constraints(config.alpha, 1, length, 2).matrix[:, 1]
-            return rank_single_column(order, target, bound)[0]
+            inst = Instance.from_arrays(latent, mem, length, DiscountVector.constant(length))
+            L = simple_constraints(config.alpha, 1, length, 2)
+            return np.array(rank_constrained_greedy(inst, observed, L).positions)
 
         for s, ids in enumerate([cons(n), order[:n], sup, cons(n + x), order[: n + x]]):
             per_seat[s, i] = (latent[ids] @ discount(ids.size)) / ids.size

@@ -448,6 +448,32 @@ class TestMembershipMemory:
         assert traced_peak(instance_from_json, doc) < 2.5 * self.m * self.p
 
 
+class TestGreedyWorksOnlyOnBoundedGroups:
+    """A group bounded by 0 at n never forces a placement, so the greedy
+    gives per-group work only to bounded groups: at p = 20000, one item in
+    each of groups 0..999, it makes at most one ``np.searchsorted`` call
+    per bounded group, and the rest of the groups cost it nothing."""
+
+    m, p = 1000, 20000
+
+    def solve(self, L):
+        labels, w = np.arange(self.m), np.linspace(1.0, 0.0, self.m)
+        with mock.patch.object(np, "searchsorted", wraps=np.searchsorted) as searchsorted:
+            ranking = outcome(_greedy, labels, w, L)
+        return ranking, searchsorted.call_count
+
+    def test_zero_bounds_make_no_per_group_calls(self):
+        assert self.solve(np.zeros((1, self.p), dtype=np.int64)) == ([0], 0)
+
+    def test_bounded_groups_keep_their_ids(self):
+        L = np.zeros((3, self.p), dtype=np.int64)
+        L[:, 999], L[1:, 998] = 1, 1  # the two lightest items, owed by positions 1 and 2
+        assert self.solve(L) == ([999, 998, 0], 2)
+        L[2, self.p - 1] = 1  # an empty group owed position 3, reported by its own id
+        with pytest.raises(InfeasibleConstraintsError, match=f"^group {self.p - 1} ran out of items at position 3$"):
+            _greedy(np.arange(self.m), np.linspace(1.0, 0.0, self.m), L)
+
+
 class TestLookaheadPathsAtScale:
     """Both lookahead paths pick what the rescan picks at n=300, m=1200, p=3."""
 
