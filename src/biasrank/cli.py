@@ -33,7 +33,6 @@ import gc
 import json
 import math
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -96,13 +95,8 @@ def _master_seed(text: str) -> int:
     return value
 
 
-def _load_json(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
-
-
 def _load_object(path: str, what: str) -> dict:
-    d = _load_json(path)
+    d = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(d, dict):
         raise ValueError(f"{what} JSON must be an object")
     return d
@@ -115,43 +109,34 @@ def _write_output(text: str, out: str | None) -> None:
         Path(out).write_text(text, encoding="utf-8")
 
 
-def _flat_json(obj: dict) -> str | None:
-    """``json.dumps(obj, indent=2, sort_keys=True)`` for an object of
-    numbers, number lists and lists of nonempty number lists (what
-    ``solve`` and ``derive-constraints`` print), or None for any other
-    shape.
-
-    With an indent the standard library encodes in pure Python; here the C
-    encoder writes each list on one line and the line breaks go in after,
-    which is safe because the text of a number holds no ``,`` or ``[``.
-    """
-    if {type(k) for k in obj} - {str}:
-        return None
-    fields = []
-    for key in sorted(obj):
-        value = obj[key]
-        if type(value) in JSON_NUMBER:
-            text = json.dumps(value)
-        elif type(value) is not list:
-            return None
-        elif not value:
-            text = "[]"
-        elif {type(x) for x in value} <= JSON_NUMBER:
-            text = "[\n    " + json.dumps(value)[1:-1].replace(", ", ",\n    ") + "\n  ]"
-        elif {type(r) for r in value} == {list} and all(value) and {type(x) for r in value for x in r} <= JSON_NUMBER:
-            rows = json.dumps(value)[2:-2].replace(", ", ",\n      ")
-            text = "[\n    [\n      " + rows.replace("],\n      [", "\n    ],\n    [\n      ") + "\n    ]\n  ]"
+def _json_text(value, indent: str = "\n") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)`` for a document with text keys, from C-encoder calls:
+    one for each object of numbers, list of numbers or list of nonempty number lists, whose item separator holds
+    the line break (a matrix's row breaks go in after, at ``],``, which no number's text holds). Other objects and
+    lists recurse, with ``indent`` the line break and indent before their first line."""
+    if not isinstance(value, (dict, list, tuple)) or not value:
+        return json.dumps(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        if {type(v) for v in value.values()} <= JSON_NUMBER:
+            body = json.dumps(value, sort_keys=True, separators=("," + inner, ": "))[1:-1]
         else:
-            return None
-        fields.append(f"{json.dumps(key)}: {text}")
-    return "{\n  " + ",\n  ".join(fields) + "\n}" if fields else "{}"
+            body = ("," + inner).join(f"{json.dumps(k)}: {_json_text(value[k], inner)}" for k in sorted(value))
+        return "{" + inner + body + indent + "}"
+    types = {type(x) for x in value}
+    if types <= JSON_NUMBER:
+        body = json.dumps(value, separators=("," + inner, ": "))[1:-1]
+    elif types == {list} and all(value) and {type(x) for row in value for x in row} <= JSON_NUMBER:
+        deeper = inner + "  "
+        rows = json.dumps(value, separators=("," + deeper, ": "))[2:-2]
+        body = "[" + deeper + rows.replace("]," + deeper + "[", inner + "]," + inner + "[" + deeper) + inner + "]"
+    else:
+        body = ("," + inner).join(_json_text(x, inner) for x in value)
+    return "[" + inner + body + indent + "]"
 
 
 def _dump_json(obj: dict, out: str | None) -> None:
-    text = _flat_json(obj)
-    if text is None:
-        text = json.dumps(obj, indent=2, sort_keys=True)
-    _write_output(text + "\n", out)
+    _write_output(_json_text(obj) + "\n", out)
 
 
 def _parse_betas(text: str, p: int) -> BiasModel:
@@ -208,11 +193,11 @@ def _supernumerary_config_from_json(d: dict, alpha: float) -> SupernumeraryConfi
 
 
 def _cmd_solve(args) -> int:
-    inst = instance_from_json(_load_json(args.instance))
+    inst = instance_from_json(_load_object(args.instance, "instance"))
     bias = _parse_betas(args.betas, inst.p) if args.betas else BiasModel(np.ones(inst.p))
     observed = observed_utilities(inst, bias)
     if args.constraints:
-        L = ConstraintMatrix.from_json_dict(_load_json(args.constraints))
+        L = ConstraintMatrix.from_json_dict(_load_object(args.constraints, "constraint"))
         try:
             ranking = rank_constrained_greedy(inst, observed, L)
         except NonDisjointGroupsError:
@@ -234,7 +219,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_derive_constraints(args) -> int:
-    inst = instance_from_json(_load_json(args.instance))
+    inst = instance_from_json(_load_object(args.instance, "instance"))
     _dump_json(derived_constraints(inst).to_json_dict(), args.out)
     return EXIT_OK
 
@@ -248,7 +233,7 @@ def _cmd_simulate(args) -> int:
     body = {
         "seed": seed.master_seed,
         "trials": trials,
-        "reports": [asdict(r) for r in reports],
+        "reports": [vars(r) for r in reports],
         "mean": {
             "u_cons": sum(r.u_cons for r in reports) / trials,
             "u_uncons": sum(r.u_uncons for r in reports) / trials,
@@ -274,7 +259,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_orderstats(args) -> int:
-    dist = distribution_from_json(_load_json(args.dist) if args.dist else {"kind": "uniform"})
+    dist = distribution_from_json(_load_object(args.dist, "distribution") if args.dist else {"kind": "uniform"})
     trials = args.trials if args.trials is not None else 10000
     seed = SeedSpec(args.seed)
     est = estimate_order_stats(args.k, args.l, args.ma, args.mb, dist, trials, seed)
@@ -429,7 +414,7 @@ def _build_parser() -> _Parser:
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    # json.load builds acyclic trees that reference counting frees: pause the cyclic collector.
+    # json.loads builds acyclic trees that reference counting frees: pause the cyclic collector.
     collecting = gc.isenabled()
     gc.disable()
     try:

@@ -34,6 +34,7 @@ from biasrank import (
     run_sweep,
     run_trials,
     satisfies,
+    simple_constraints,
     tail_bound_Nkb,
 )
 from biasrank.cli import main
@@ -247,6 +248,42 @@ def test_c06_sweep_peaks_near_proportional_share():
             ok = ok and cfg_ok
             details.append(f"mb/m={mb_frac},b={beta}: argmax={best_alpha}, sep={sep:.0f}se")
     report("C6 constrained mean peaks near the group share and beats unconstrained", ok, "; ".join(details))
+
+
+# name -> (m_a, m_b, beta, alpha, discount, trials, seed), all at n = 100 with uniform utilities: C5's two
+# configs, C6's four cells at alpha = m_b / m, and two cells at a beta where targets reach the unconstrained
+# top n.  The four C6 cells share their seed and m, so their latent optima are the same draws.
+EXACT_CONFIGS = {
+    "c5": (100, 100, 0.5, 0.5, "constant", 5000, 55001),
+    "c5-large-pool": (1000, 1000, 0.5, 0.5, "constant", 5000, 55002),
+    "c6-mb250-b0.25": (750, 250, 0.25, 0.25, "dcg", 2000, 66001),
+    "c6-mb250-b0.5": (750, 250, 0.5, 0.25, "dcg", 2000, 66001),
+    "c6-mb500-b0.25": (500, 500, 0.25, 0.5, "dcg", 2000, 66001),
+    "c6-mb500-b0.5": (500, 500, 0.5, 0.5, "dcg", 2000, 66001),
+    "mixing-a0.25": (500, 500, 0.9, 0.25, "dcg", 2000, 90001),
+    "mixing-a0.5": (500, 500, 0.9, 0.5, "dcg", 2000, 90001),
+}
+
+
+@pytest.mark.parametrize("name", EXACT_CONFIGS)
+def test_c13_monte_carlo_means_match_exact_expectations(name):
+    pytest.importorskip("scipy.special")
+    from exact_utilities import expected_utilities
+
+    m_a, m_b, beta, alpha, kind, trials, seed = EXACT_CONFIGS[name]
+    v = DiscountVector.constant(100) if kind == "constant" else DiscountVector.dcg(100)
+    cfg = TrialConfig(
+        m_a=m_a, m_b=m_b, n=100, beta=beta, alpha=alpha, dist_a=Uniform(0, 1), dist_b=Uniform(0, 1), discount=v,
+    )
+    reports = run_trials(cfg, trials, SeedSpec(seed))
+    exact = expected_utilities(m_a, m_b, 100, beta, simple_constraints(alpha, 1, 100, 2).matrix[:, 1], v.values)
+    ok, details = True, []
+    for field, want in zip(("u_opt", "u_uncons", "u_cons"), exact):
+        u = np.array([getattr(r, field) for r in reports])
+        z = (u.mean() - want) / (u.std(ddof=1) / math.sqrt(trials))
+        ok = ok and abs(z) <= 4.0
+        details.append(f"{field} {u.mean():.4f} vs exact {want:.4f}, z={z:+.2f}")
+    report(f"C13 {name}: Monte Carlo means within 4 se of the exact expectations", ok, "; ".join(details))
 
 
 def test_c07_exact_proportional_pick():

@@ -13,10 +13,10 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import biasrank
-from biasrank import DiscountVector, cli, model, stats
+from biasrank import ConstraintMatrix, DiscountVector, cli, model, satisfies, stats
 from biasrank.cli import ingest_scores, main
 
 FACT_INSTANCE_W = {
@@ -36,6 +36,20 @@ FACT_INSTANCE_W_PRIME = {
     "items": [
         {"id": 0, "w": 1.0, "groups": [0]},
         {"id": 1, "w": 2.0, "groups": [1]},
+    ],
+}
+
+# The smallest instance where per-group derived bounds miss the latent optimum: item 0
+# is in groups 0 and 1, item 1 in group 1, item 2 in none and item 3 in group 0.
+OVERLAP_COUNTEREXAMPLE = {
+    "n": 2,
+    "v": {"kind": "dcg"},
+    "groups": [[0, 3], [0, 1]],
+    "items": [
+        {"id": 0, "w": 0.577, "groups": [0, 1]},
+        {"id": 1, "w": 0.776, "groups": [1]},
+        {"id": 2, "w": 0.462},
+        {"id": 3, "w": 0.91, "groups": [0]},
     ],
 }
 
@@ -328,6 +342,36 @@ class TestSolveAndDerive:
         doc = run_to_json(tmp_path, ["solve", inst_wp, "--constraints", lpath, "--betas", "1.0,0.25"])
         assert doc["positions"] == [1, 0]
         assert doc["latent_utility"] == 5.0
+
+    def test_overlapping_groups_defeat_derived_bounds(self, tmp_path, capsys):
+        """Per-group bounds copied from the latent optimum do not repair overlapping groups.
+
+        Item 0 is in both groups and meets both groups' bounds alone, which frees the second
+        slot for the ungrouped item 2: the repaired ranking meets the bounds and beats the
+        latent optimum (3, 1) in observed utility, but loses latent utility.  Bounds per
+        membership type would change this on purpose.
+        """
+        inst = write_json(tmp_path, "inst.json", OVERLAP_COUNTEREXAMPLE)
+        assert main(["derive-constraints", inst]) == 0
+        bounds = capsys.readouterr().out
+        assert json.loads(bounds) == {"n": 2, "p": 2, "L": [[1, 0], [1, 1]]}
+        (tmp_path / "L.json").write_text(bounds, encoding="utf-8")
+        assert main(["solve", inst, "--constraints", str(tmp_path / "L.json"), "--betas", "0.231,0.172"]) == 0
+        assert capsys.readouterr().out == (
+            '{\n  "betas": [\n    0.231,\n    0.172\n  ],\n  "latent_utility": 1.2529655612945307,\n'
+            '  "observed_utility": 0.45360483165497323,\n  "positions": [\n    0,\n    2\n  ]\n}\n'
+        )
+        optimum = run_to_json(tmp_path, ["solve", inst])
+        assert optimum["positions"] == [3, 1] and optimum["latent_utility"] == 2.0191981270713826
+
+        instance = model.instance_from_json(OVERLAP_COUNTEREXAMPLE)
+        observed = model.observed_utilities(instance, model.BiasModel([0.231, 0.172]))
+        repaired, latent_opt = model.Ranking([0, 2]), model.Ranking([3, 1])
+        assert satisfies(repaired, ConstraintMatrix.from_json_dict(json.loads(bounds)), instance.membership_matrix)
+        assert model.ranking_utility(repaired, instance.v, observed) > model.ranking_utility(
+            latent_opt, instance.v, observed
+        )
+        assert model.ranking_utility(repaired, instance.v, instance.latent_utilities) < 2.0191981270713826
 
 
 class TestSimulate:
@@ -964,48 +1008,6 @@ class TestSizeCheck:
         assert main(["solve", inst, "--out", str(tmp_path / "out.json")]) == 0
 
 
-NUMBERS = (
-    st.integers()
-    | st.integers(-(2**80), 2**80)
-    | st.floats()
-    | st.sampled_from([0.0, -0.0, float("nan"), float("inf"), float("-inf"), 1e-7, 1e22])
-)
-KEYS = st.text(max_size=6) | st.sampled_from(["L", "positions", "é", "键", "\u2028", 'q"\\'])
-# What solve and derive-constraints print, plus shapes that must fall back.
-FLAT_VALUES = (
-    NUMBERS
-    | st.lists(NUMBERS, max_size=6)
-    | st.lists(st.lists(NUMBERS, max_size=4), max_size=4)
-    | st.lists(st.lists(NUMBERS, max_size=3) | NUMBERS, max_size=3)
-    | st.booleans()
-    | st.none()
-    | st.text(max_size=3)
-    | st.lists(st.booleans() | st.none() | st.text(max_size=2), max_size=3)
-    | st.lists(st.lists(st.lists(NUMBERS, max_size=2), max_size=2), max_size=2)
-)
-
-
-class TestDumpJson:
-    @given(obj=st.dictionaries(KEYS, FLAT_VALUES, max_size=5))
-    @settings(max_examples=200, deadline=None)
-    def test_bytes_equal_indented_json_dumps(self, obj):
-        text = cli._flat_json(obj)
-        want = json.dumps(obj, indent=2, sort_keys=True)
-        assert text is None or text == want
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            cli._dump_json(obj, None)
-        assert out.getvalue() == want + "\n"
-
-    def test_solve_and_derive_shapes_take_the_template(self):
-        bounds = {"L": [[0, 1, 0], [1, 1, 1]], "n": 2, "p": 3}
-        ranking = {"betas": [1.0, 0.5], "latent_utility": float("nan"), "observed_utility": -0.0, "positions": [3, 1]}
-        for obj in (bounds, ranking, {"positions": [], "é": 2**70}):
-            assert cli._flat_json(obj) == json.dumps(obj, indent=2, sort_keys=True)
-        for obj in ({"L": [[0], []]}, {"flag": True}, {"groups": {"a": 1}}, {1: 2}):
-            assert cli._flat_json(obj) is None
-
-
 # Small JSON values: sizes and counts stay tiny whatever key they land on.
 JSON_LEAVES = (
     st.none()
@@ -1020,6 +1022,150 @@ JSON_VALUES = st.recursive(
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
     max_leaves=8,
 )
+
+# Documents for the writer: the fuzz values above, number lists and matrices
+# (an empty row included) of extreme numbers, and keys that hold the
+# separators the writer's C-encoder calls and row breaks work with.
+NUMBERS = st.integers() | st.floats() | st.sampled_from([-0.0, float("nan"), float("inf"), float("-inf"), 2**70])
+KEYS = st.text(max_size=4) | st.sampled_from(['a, "b', "], [", "\\", "x, ", '": ', "é", "\u2028"])
+DOCUMENTS = st.recursive(
+    JSON_VALUES | st.lists(NUMBERS, max_size=5) | st.lists(st.lists(NUMBERS, max_size=3), max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(KEYS, inner, max_size=4),
+    max_leaves=12,
+)
+HOSTILE = {'a, "b': [1.5, -0.0], "], [": [[float("nan"), 2**70], []], "\\": {"x, ": float("-inf"), "y": 1}}
+
+# Each command's output on a small input, as `json.dumps(doc, indent=2, sort_keys=True)` printed it.
+PRINTED = {
+    "solve": (["solve", "inst", "--betas", "1.0,0.5"], """{
+  "betas": [
+    1.0,
+    0.5
+  ],
+  "latent_utility": 5.0,
+  "observed_utility": 4.5,
+  "positions": [
+    0,
+    1
+  ]
+}
+"""),
+    "derive-constraints": (["derive-constraints", "inst"], """{
+  "L": [
+    [
+      1,
+      0
+    ],
+    [
+      1,
+      1
+    ]
+  ],
+  "n": 2,
+  "p": 2
+}
+"""),
+    "orderstats": (["orderstats", "--k", "1", "--l", "1", "--ma", "2", "--mb", "2", "--trials", "3", "--seed", "7"], """{
+  "analytic": {
+    "expected_Nkb": 0.5,
+    "expected_Pl": 1.6666666666666665
+  },
+  "k": 1,
+  "l": 1,
+  "m_a": 2,
+  "m_b": 2,
+  "monte_carlo": {
+    "mean_Nkb": 0.3333333333333333,
+    "mean_Pl": 2.0,
+    "se_Nkb": 0.33333333333333337,
+    "se_Pl": 0.5773502691896258
+  },
+  "seed": 7,
+  "trials": 3
+}
+"""),
+    "simulate": (["simulate", "cfg", "--trials", "2", "--seed", "5"], """{
+  "mean": {
+    "u_cons": 5.104782361075237,
+    "u_opt": 5.127599262618375,
+    "u_uncons": 4.932989577205237
+  },
+  "reports": [
+    {
+      "n_b_cons": 2,
+      "n_b_uncons": 0,
+      "u_cons": 4.856480235925423,
+      "u_opt": 4.880208505600935,
+      "u_uncons": 4.721663203286905
+    },
+    {
+      "n_b_cons": 2,
+      "n_b_uncons": 0,
+      "u_cons": 5.353084486225051,
+      "u_opt": 5.374990019635816,
+      "u_uncons": 5.144315951123568
+    }
+  ],
+  "seed": 5,
+  "trials": 2
+}
+"""),
+    "ingest": (["ingest", "csv"], """{
+  "group_order": [
+    "a",
+    "b"
+  ],
+  "groups": {
+    "a": {
+      "kind": "empirical",
+      "sample": [
+        2.0,
+        3.5
+      ]
+    },
+    "b": {
+      "kind": "empirical",
+      "sample": [
+        1.0
+      ]
+    }
+  },
+  "summary": {
+    "a": {
+      "count": 2,
+      "mean": 2.75,
+      "stddev": 1.0606601717798212
+    },
+    "b": {
+      "count": 1,
+      "mean": 1.0,
+      "stddev": 0.0
+    }
+  }
+}
+"""),
+}
+
+
+class TestJsonText:
+    @given(doc=DOCUMENTS)
+    @example(doc=HOSTILE)
+    @settings(max_examples=200, deadline=None)
+    def test_equals_indented_json_dumps(self, doc):
+        assert cli._json_text(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize("command", sorted(PRINTED))
+    def test_printed_bytes(self, tmp_path, capsys, command):
+        argv, want = PRINTED[command]
+        files = {
+            "inst": write_json(tmp_path, "inst.json", FACT_INSTANCE_W),
+            "cfg": write_json(tmp_path, "cfg.json", TRIAL_CONFIG),
+            "csv": str(tmp_path / "scores.csv"),
+        }
+        (tmp_path / "scores.csv").write_text("score,group\n3.5,a\n1,b\n2,a\n", encoding="utf-8")
+        assert main([files.get(arg, arg) for arg in argv]) == 0
+        assert capsys.readouterr().out == want
+
 
 FUZZ_SWEEP = {**TRIAL_CONFIG, "alphas": [0.0, 0.25], "betas": [0.5], "trials": 3}
 FUZZ_SUPERNUMERARY = {**SUPERNUMERARY_CONFIG, "discount": {"kind": "dcg"}, "trials": 3}
