@@ -15,11 +15,12 @@ Subcommands::
     ingest              score CSV ("score,group" header) -> per-group
                         empirical distribution JSON
 
-Common flags: ``--seed`` (an integer in [0, 2**64), default 0, echoed
-into every randomized output so reported numbers are reproducible),
-``--trials``, ``--threads`` (accepted for compatibility; trials run
-sequentially and output never depends on it), and ``--out`` (default
-stdout).
+Every subcommand takes ``--out`` (default stdout).  The randomized ones,
+``simulate``, ``sweep``, ``orderstats`` and ``supernumerary``, also take
+``--seed`` (an integer in [0, 2**64), default 0, echoed into every output
+so reported numbers are reproducible), ``--trials`` and ``--threads``
+(accepted for compatibility; trials run sequentially and output never
+depends on it).
 
 Exit codes: 0 success, 1 usage error, 2 infeasible constraints,
 3 I/O, parse or range error.
@@ -50,13 +51,7 @@ from .model import (
     observed_utilities,
     ranking_utility,
 )
-from .solver import (
-    BRUTEFORCE_MAX_ITEMS,
-    BRUTEFORCE_MAX_POSITIONS,
-    rank_constrained_bruteforce,
-    rank_constrained_greedy,
-    rank_unconstrained,
-)
+from .solver import rank_constrained_bruteforce, rank_constrained_greedy, rank_unconstrained
 from .stats import JSON_NUMBER, Empirical, SeedSpec, distribution_from_json, expected_Nkb, expected_Pl
 from .stats import read_list, read_number, read_numbers
 from .experiments import (
@@ -164,7 +159,7 @@ def _trial_config_from_json(d: dict) -> TrialConfig:
             dist_a=distribution_from_json(d["dist_a"]),
             dist_b=distribution_from_json(d["dist_b"]),
             discount=DiscountVector.from_json_dict(d.get("discount", {"kind": "constant"}), n),
-            target_group=read_number(d.get("target_group", 1), "target_group", whole=True),
+            target_group=read_number(d.get("target_group", TrialConfig.target_group), "target_group", whole=True),
         )
     except KeyError as exc:
         raise ValueError(f"trial config missing key {exc}") from exc
@@ -181,7 +176,7 @@ def _supernumerary_config_from_json(d: dict, alpha: float) -> SupernumeraryConfi
             gamma=read_number(d["gamma"], "gamma"),
             dist_a=distribution_from_json(d["dist_a"]),
             dist_b=distribution_from_json(d["dist_b"]),
-            score_offset=read_number(d.get("score_offset", 105.0), "score_offset"),
+            score_offset=read_number(d.get("score_offset", SupernumeraryConfig.score_offset), "score_offset"),
             discount=DiscountVector.from_json_dict(d.get("discount", {"kind": "constant"}), m_a + m_b),
         )
     except KeyError as exc:
@@ -201,8 +196,6 @@ def _cmd_solve(args) -> int:
         try:
             ranking = rank_constrained_greedy(inst, observed, L)
         except NonDisjointGroupsError:
-            if inst.m > BRUTEFORCE_MAX_ITEMS or inst.n > BRUTEFORCE_MAX_POSITIONS:
-                raise ValueError("overlapping groups require the brute-force solver (small instances only)")
             ranking = rank_constrained_bruteforce(inst, observed, L)
     else:
         ranking = rank_unconstrained(inst, observed)
@@ -361,39 +354,40 @@ def _cmd_ingest(args) -> int:
 @functools.cache
 def _build_parser() -> _Parser:
     """The parser, built on the first ``main`` call and reused: a parse leaves no state in it."""
-    common = _Parser(add_help=False)
-    common.add_argument("--seed", type=_master_seed, default=0, help="64-bit master seed in [0, 2**64) (default 0)")
-    common.add_argument("--trials", type=int, default=None, help="number of Monte Carlo trials")
-    common.add_argument(
+    output = _Parser(add_help=False)
+    output.add_argument("--out", type=str, default=None, help="output path (default stdout)")
+    randomized = _Parser(add_help=False)
+    randomized.add_argument("--seed", type=_master_seed, default=0, help="64-bit master seed in [0, 2**64) (default 0)")
+    randomized.add_argument("--trials", type=int, default=None, help="number of Monte Carlo trials")
+    randomized.add_argument(
         "--threads",
         type=int,
         default=1,
         help="accepted for compatibility; trials run sequentially and output never depends on it",
     )
-    common.add_argument("--out", type=str, default=None, help="output path (default stdout)")
 
     parser = _Parser(prog="biasrank", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
 
-    p = sub.add_parser("solve", parents=[common], help="rank an instance, optionally under constraints")
+    p = sub.add_parser("solve", parents=[output], help="rank an instance, optionally under constraints")
     p.add_argument("instance", help="instance JSON path")
     p.add_argument("--constraints", help="constraint JSON path")
     p.add_argument("--betas", help="comma-separated per-group bias factors (default all 1)")
     p.set_defaults(func=_cmd_solve)
 
-    p = sub.add_parser("derive-constraints", parents=[common], help="constraints from the latent-optimal ranking")
+    p = sub.add_parser("derive-constraints", parents=[output], help="constraints from the latent-optimal ranking")
     p.add_argument("instance", help="instance JSON path")
     p.set_defaults(func=_cmd_derive_constraints)
 
-    p = sub.add_parser("simulate", parents=[common], help="run trials for one configuration")
+    p = sub.add_parser("simulate", parents=[randomized, output], help="run trials for one configuration")
     p.add_argument("config", help="trial-config JSON path")
     p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("sweep", parents=[common], help="grid of trial means over alphas and betas")
+    p = sub.add_parser("sweep", parents=[randomized, output], help="grid of trial means over alphas and betas")
     p.add_argument("config", help="sweep-config JSON path")
     p.set_defaults(func=_cmd_sweep)
 
-    p = sub.add_parser("orderstats", parents=[common], help="analytic vs Monte Carlo ranking composition")
+    p = sub.add_parser("orderstats", parents=[randomized, output], help="analytic vs Monte Carlo ranking composition")
     p.add_argument("--k", type=int, required=True, help="prefix length")
     p.add_argument("--l", type=int, required=True, help="target-item index")
     p.add_argument("--ma", type=int, required=True, help="privileged group size")
@@ -401,11 +395,11 @@ def _build_parser() -> _Parser:
     p.add_argument("--dist", help="distribution JSON path (default uniform on [0,1])")
     p.set_defaults(func=_cmd_orderstats)
 
-    p = sub.add_parser("supernumerary", parents=[common], help="seat-expansion scheme comparison")
+    p = sub.add_parser("supernumerary", parents=[randomized, output], help="seat-expansion scheme comparison")
     p.add_argument("config", help="supernumerary config JSON path")
     p.set_defaults(func=_cmd_supernumerary)
 
-    p = sub.add_parser("ingest", parents=[common], help="score CSV to empirical distributions")
+    p = sub.add_parser("ingest", parents=[output], help="score CSV to empirical distributions")
     p.add_argument("csv", help='CSV path with header "score,group"')
     p.set_defaults(func=_cmd_ingest)
 

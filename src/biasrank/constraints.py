@@ -29,7 +29,8 @@ __all__ = [
 ]
 
 # Guards floor() against alpha*k values that real arithmetic makes integral
-# but binary floating point lands just below (e.g. 0.3 * 10 = 2.999...96).
+# but binary floating point lands just below (e.g. 0.3 * 10 = 2.999...96),
+# and experiments.supernumerary_seats' ceil() against ones just above.
 FLOOR_EPSILON = 1e-9
 
 

@@ -36,7 +36,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .constraints import InfeasibleConstraintsError, _floor_bounds, simple_constraints
+from .constraints import FLOOR_EPSILON, InfeasibleConstraintsError, _floor_bounds, simple_constraints
 from .model import BiasModel, DiscountVector, Instance, _order, _top, check_size, observed_utilities, ranking_utility
 from .solver import _single_column_slots, rank_constrained_greedy, rank_unconstrained
 from .stats import Distribution, SeedSpec
@@ -59,8 +59,6 @@ __all__ = [
     "supernumerary_csv",
     "supernumerary_seats",
 ]
-
-CEIL_EPSILON = 1e-9
 
 # Utilities per block: each engine draws and scores max(1, BLOCK_ELEMENTS // m)
 # trials of m utilities at a time (32 in the sweep benchmark, m = 1000; 327 in
@@ -427,7 +425,7 @@ def supernumerary_seats(n: int, n_f, alpha: float):
     at zero: an int, or whole-number floats (past int64 near alpha 1) for an array."""
     if not (0.0 <= alpha < 1.0):
         raise ValueError("alpha must lie in [0, 1)")
-    x = np.maximum(0.0, np.ceil((alpha * n - np.asarray(n_f)) / (1.0 - alpha) - CEIL_EPSILON))
+    x = np.maximum(0.0, np.ceil((alpha * n - np.asarray(n_f)) / (1.0 - alpha) - FLOOR_EPSILON))
     return x if x.ndim else int(x)
 
 

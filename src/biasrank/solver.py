@@ -190,7 +190,8 @@ def rank_constrained_bruteforce(instance: Instance, weights, L: ConstraintMatrix
     m, n, p = instance.m, instance.n, instance.p
     if m > BRUTEFORCE_MAX_ITEMS or n > BRUTEFORCE_MAX_POSITIONS:
         raise ValueError(
-            f"brute force limited to m <= {BRUTEFORCE_MAX_ITEMS}, n <= {BRUTEFORCE_MAX_POSITIONS}"
+            f"the brute-force solver, which overlapping groups need, is limited to m <= {BRUTEFORCE_MAX_ITEMS}"
+            f" and n <= {BRUTEFORCE_MAX_POSITIONS}, got m={m}, n={n}"
         )
     if L.n != n or L.p != p:
         raise ValueError(f"constraints are {L.n}x{L.p}, instance needs {n}x{p}")

@@ -165,32 +165,32 @@ class Uniform(_JsonFields):
 
 
 @dataclass(frozen=True)
-class LogNormal(_JsonFields):
-    """exp(N(mu, sigma^2))."""
+class _MuSigma(_JsonFields):
+    """The finite ``mu`` and positive finite ``sigma`` of a normal, or of the normal a lognormal exponentiates."""
 
     mu: float = 0.0
     sigma: float = 1.0
-    kind = "lognormal"
 
     def __post_init__(self) -> None:
-        if not (self.sigma > 0):  # NaN fails too
-            raise ValueError("lognormal requires sigma > 0")
-        _store(self, mu=float(self.mu), sigma=float(self.sigma))
+        mu, sigma = float(self.mu), float(self.sigma)
+        if not (0 < sigma < math.inf and math.isfinite(mu)):  # NaN fails too
+            raise ValueError(f"{self.kind} requires sigma > 0 and finite mu and sigma, got mu={mu}, sigma={sigma}")
+        _store(self, mu=mu, sigma=sigma)
+
+
+@dataclass(frozen=True)
+class LogNormal(_MuSigma):
+    """exp(N(mu, sigma^2))."""
+
+    kind = "lognormal"
 
     def draw(self, rng: np.random.Generator, size: int, out: np.ndarray | None = None) -> np.ndarray:
         return _into(out, rng.lognormal(self.mu, self.sigma, size))
 
 
 @dataclass(frozen=True)
-class Normal(_JsonFields):
-    mu: float = 0.0
-    sigma: float = 1.0
+class Normal(_MuSigma):
     kind = "normal"
-
-    def __post_init__(self) -> None:
-        if not (self.sigma > 0):  # NaN fails too
-            raise ValueError("normal requires sigma > 0")
-        _store(self, mu=float(self.mu), sigma=float(self.sigma))
 
     def draw(self, rng: np.random.Generator, size: int, out: np.ndarray | None = None) -> np.ndarray:
         return _into(out, rng.normal(self.mu, self.sigma, size))
@@ -236,7 +236,10 @@ class ShiftedScaled(_JsonFields):
     kind = "shifted_scaled"
 
     def __post_init__(self) -> None:
-        _store(self, scale=float(self.scale), shift=float(self.shift))
+        scale, shift = float(self.scale), float(self.shift)
+        if not (math.isfinite(scale) and math.isfinite(shift)):
+            raise ValueError(f"{self.kind} requires finite scale and shift, got scale={scale}, shift={shift}")
+        _store(self, scale=scale, shift=shift)
 
     def draw(self, rng: np.random.Generator, size: int, out: np.ndarray | None = None) -> np.ndarray:
         x = self.base.draw(rng, size, out)

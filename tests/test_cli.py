@@ -373,6 +373,19 @@ class TestSolveAndDerive:
         )
         assert model.ranking_utility(repaired, instance.v, instance.latent_utilities) < 2.0191981270713826
 
+    @pytest.mark.parametrize("m, n", [(11, 2), (8, 7)], ids=["m-11", "n-7"])
+    def test_overlapping_groups_past_the_brute_force_limit(self, tmp_path, capsys, m, n):
+        """Overlapping groups send ``solve`` to the brute-force solver, which refuses large instances."""
+        items = [{"id": 0, "w": 1.0, "groups": [0, 1]}] + [{"id": i, "w": 1.0} for i in range(1, m)]
+        doc = {"n": n, "v": {"kind": "dcg"}, "groups": [[0], [0]], "items": items}
+        inst = write_json(tmp_path, "inst.json", doc)
+        bounds = write_json(tmp_path, "L.json", {"n": n, "p": 2, "L": [[0, 0]] * n})
+        assert main(["solve", inst, "--constraints", bounds]) == 3
+        assert capsys.readouterr().err == (
+            "error: the brute-force solver, which overlapping groups need, is limited to m <= 10 and n <= 6,"
+            f" got m={m}, n={n}\n"
+        )
+
 
 class TestSimulate:
     def test_byte_identical_given_seed(self, tmp_path):
@@ -667,6 +680,10 @@ class TestExitCodes:
                 ["orderstats", "--k", "2", "--l", "1", "--ma", "5", "--mb", "5", "--dist", "d"],
                 {"d": {"kind": "lognormal", "sigma": math.nan}},
             ),
+            (ORDERSTATS_DIST + ["d"], {"d": {"kind": "lognormal", "mu": math.inf}}),
+            (ORDERSTATS_DIST + ["d"], {"d": {"kind": "normal", "sigma": math.inf}}),
+            (ORDERSTATS_DIST + ["d"], {"d": {"kind": "shifted_scaled", "base": {"kind": "uniform"}, "scale": math.inf}}),
+            (ORDERSTATS_DIST + ["d"], {"d": {"kind": "shifted_scaled", "base": {"kind": "uniform"}, "shift": -math.inf}}),
             (["supernumerary", "cfg"], {"cfg": {**SUPERNUMERARY_CONFIG, "gamma": math.nan}}),
             (["supernumerary", "cfg"], {"cfg": {**SUPERNUMERARY_CONFIG, "score_offset": math.nan}}),
             (["supernumerary", "cfg"], {"cfg": {**SUPERNUMERARY_CONFIG, "score_offset": math.inf}}),
@@ -711,6 +728,10 @@ class TestExitCodes:
             "null-orderstats-dist-parameter",
             "nan-orderstats-utilities",
             "nan-sigma-orderstats",
+            "inf-mu-orderstats",
+            "inf-sigma-orderstats",
+            "inf-scale-orderstats",
+            "minus-inf-shift-orderstats",
             "nan-gamma-supernumerary",
             "nan-offset-supernumerary",
             "inf-offset-supernumerary",
@@ -888,6 +909,40 @@ class TestSeedRange:
     def test_non_integer_seed_is_usage_error(self, capsys):
         assert main(self.ORDERSTATS + ["--seed", "1.5"]) == 1
         assert capsys.readouterr().err == "usage error: argument --seed: invalid int value: '1.5'\n"
+
+
+class TestSubcommandFlags:
+    """``--out`` is every subcommand's; ``--seed``, ``--trials`` and ``--threads`` only the randomized ones'."""
+
+    def deterministic_argv(self, tmp_path, command):
+        if command == "ingest":
+            (tmp_path / "scores.csv").write_text("score,group\n1.0,a\n2.0,b\n", encoding="utf-8")
+            return [command, str(tmp_path / "scores.csv")]
+        return [command, write_json(tmp_path, "inst.json", FACT_INSTANCE_W)]
+
+    @pytest.mark.parametrize("flag", [["--seed", "1"], ["--trials", "5"], ["--threads", "2"]], ids=lambda f: f[0])
+    @pytest.mark.parametrize("command", ["solve", "derive-constraints", "ingest"])
+    def test_deterministic_commands_refuse_randomized_flags(self, tmp_path, capsys, command, flag):
+        argv = self.deterministic_argv(tmp_path, command)
+        assert main(argv + flag) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("usage error: ")
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 0
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep", "orderstats", "supernumerary"])
+    def test_randomized_commands_take_every_shared_flag(self, tmp_path, capsys, command):
+        configs = {
+            "sweep": {**TRIAL_CONFIG, "alphas": [0.0], "betas": [0.5]},
+            "simulate": TRIAL_CONFIG,
+            "supernumerary": SUPERNUMERARY_CONFIG,
+        }
+        if command == "orderstats":
+            argv = ["orderstats", "--k", "2", "--l", "1", "--ma", "5", "--mb", "5"]
+        else:
+            argv = [command, write_json(tmp_path, "cfg.json", configs[command])]
+        out = tmp_path / "out"
+        assert main(argv + ["--seed", "1", "--trials", "2", "--threads", "2", "--out", str(out)]) == 0
+        assert capsys.readouterr() == ("", "") and out.stat().st_size > 0
 
 
 class TestRepeatedCalls:

@@ -240,6 +240,24 @@ class TestDistributions:
             with pytest.raises(ValueError, match="finite"):
                 Uniform(a, b)
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda x: LogNormal(mu=x),
+            lambda x: LogNormal(sigma=x),
+            lambda x: Normal(mu=x),
+            lambda x: Normal(sigma=x),
+            lambda x: ShiftedScaled(Uniform(), scale=x),
+            lambda x: ShiftedScaled(Uniform(), shift=x),
+        ],
+        ids=["lognormal-mu", "lognormal-sigma", "normal-mu", "normal-sigma", "scale", "shift"],
+    )
+    def test_parameters_must_be_finite(self, make):
+        make(1e308)  # the control: a large finite value is accepted
+        for x in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match="(mu|sigma|scale|shift)="):
+                make(x)
+
     def test_parameter_validation(self):
         with pytest.raises(ValueError, match="got a=1, b=1$"):
             Uniform(1, 1)
