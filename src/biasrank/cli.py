@@ -32,7 +32,6 @@ import argparse
 import functools
 import gc
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -105,25 +104,25 @@ def _write_output(text: str, out: str | None) -> None:
 
 
 def _json_text(value, indent: str = "\n") -> str:
-    """``json.dumps(value, indent=2, sort_keys=True)`` for a document with text keys, from C-encoder calls:
-    one for each object of numbers, list of numbers or list of nonempty number lists, whose item separator holds
-    the line break (a matrix's row breaks go in after, at ``],``, which no number's text holds). Other objects and
-    lists recurse, with ``indent`` the line break and indent before their first line."""
+    """``json.dumps(value, indent=2, sort_keys=True, allow_nan=False)`` for a document with text keys, from C-encoder
+    calls: one for each object of numbers, list of numbers or list of nonempty number lists, whose item separator
+    holds the line break (a matrix's row breaks go in after, at ``],``, which no number's text holds). Other objects,
+    lists and keys recurse, with ``indent`` the line break and indent before their first line."""
     if not isinstance(value, (dict, list, tuple)) or not value:
-        return json.dumps(value)
+        return json.dumps(value, allow_nan=False)
     inner = indent + "  "
     if isinstance(value, dict):
         if {type(v) for v in value.values()} <= JSON_NUMBER:
-            body = json.dumps(value, sort_keys=True, separators=("," + inner, ": "))[1:-1]
+            body = json.dumps(value, sort_keys=True, separators=("," + inner, ": "), allow_nan=False)[1:-1]
         else:
-            body = ("," + inner).join(f"{json.dumps(k)}: {_json_text(value[k], inner)}" for k in sorted(value))
+            body = ("," + inner).join(f"{_json_text(k)}: {_json_text(value[k], inner)}" for k in sorted(value))
         return "{" + inner + body + indent + "}"
     types = {type(x) for x in value}
     if types <= JSON_NUMBER:
-        body = json.dumps(value, separators=("," + inner, ": "))[1:-1]
+        body = json.dumps(value, separators=("," + inner, ": "), allow_nan=False)[1:-1]
     elif types == {list} and all(value) and {type(x) for row in value for x in row} <= JSON_NUMBER:
         deeper = inner + "  "
-        rows = json.dumps(value, separators=("," + deeper, ": "))[2:-2]
+        rows = json.dumps(value, separators=("," + deeper, ": "), allow_nan=False)[2:-2]
         body = "[" + deeper + rows.replace("]," + deeper + "[", inner + "]," + inner + "[" + deeper) + inner + "]"
     else:
         body = ("," + inner).join(_json_text(x, inner) for x in value)
@@ -233,8 +232,6 @@ def _cmd_simulate(args) -> int:
             "u_opt": sum(r.u_opt for r in reports) / trials,
         },
     }
-    if not all(map(math.isfinite, body["mean"].values())):
-        raise ValueError("a mean overflows the float range")
     _dump_json(body, args.out)
     return EXIT_OK
 
@@ -416,14 +413,15 @@ def main(argv=None) -> int:
         if not getattr(args, "command", None):
             parser.print_usage(sys.stderr)
             return EXIT_USAGE
-        return args.func(args)
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite result fails a check or the writer
+            return args.func(args)
     except _UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return EXIT_USAGE
-    except (InfeasibleConstraintsError, NonDisjointGroupsError) as exc:
+    except InfeasibleConstraintsError as exc:
         sys.stderr.write(f"infeasible: {exc}\n")
         return EXIT_INFEASIBLE
-    except (OSError, json.JSONDecodeError, ValueError, RecursionError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_IO
     except MemoryError:

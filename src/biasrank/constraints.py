@@ -6,7 +6,8 @@ k and s.  Two constructions are provided: the single-parameter family
 ``L[k][target] = floor(alpha * k)`` that spreads a target share over
 every prefix, and the counts taken from the latent-optimal ranking,
 which make the constrained observed-utility optimum recover the full
-latent optimum.
+latent optimum when the groups are disjoint (with overlapping groups they
+can fail: see ROADMAP item 1's m = 4 instance).
 """
 
 from __future__ import annotations
@@ -126,9 +127,11 @@ def derived_constraints(instance: Instance) -> ConstraintMatrix:
     """Per-prefix group counts of the latent-optimal ranking.
 
     The latent-optimal ranking sorts by latent utility descending, breaking
-    ties by ascending id.  Optimizing observed utility under these bounds
-    recovers the optimal latent utility for any strictly-positive,
-    below-one bias factors.
+    ties by ascending id.  With disjoint groups, optimizing observed utility
+    under these bounds recovers the optimal latent utility for any
+    strictly-positive, below-one bias factors.  With overlapping groups it
+    need not: in ROADMAP item 1's m = 4 instance, one item in both groups
+    meets both bounds and frees a slot for an unshaded, worse item.
     """
     order = _top(instance.latent_utilities[None], instance.n)[0]
     counts = np.cumsum(instance.membership_matrix[order], axis=0, dtype=np.int64)

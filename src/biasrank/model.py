@@ -113,16 +113,14 @@ class BiasModel:
 
 @dataclass(frozen=True, eq=False)
 class DiscountVector:
-    """Nonincreasing, nonnegative per-position weights.
+    """Nonincreasing, nonnegative per-position weights, and nothing else.
 
-    ``kind`` is one of ``"constant"``, ``"dcg"``, ``"zipf"``, ``"custom"``.
-    The dcg kind is ``1 / log(k + 1)`` with a configurable logarithm base;
-    the default base is e.  Zeros are allowed, positivity is not required.
+    ``constant``, ``dcg`` and ``zipf`` build the named vectors; dcg is
+    ``1 / log(k + 1)`` with a configurable logarithm base, by default e.
+    Zeros are allowed, positivity is not required.
     """
 
     values: np.ndarray
-    kind: str = "custom"
-    log_base: float | None = None
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.values, dtype=float).copy()
@@ -134,15 +132,13 @@ class DiscountVector:
             raise ValueError("discount entries must be nonnegative")
         if np.any(arr[:-1] < arr[1:]):
             raise ValueError("discount vector must be nonincreasing")
-        if self.kind not in ("constant", "dcg", "zipf", "custom"):
-            raise ValueError(f"unknown discount kind {self.kind!r}")
         _store(self, values=arr)
 
     __eq__ = _eq_fields
 
     @classmethod
     def constant(cls, n: int) -> "DiscountVector":
-        return cls(np.ones(n), kind="constant")
+        return cls(np.ones(n))
 
     @classmethod
     def dcg(cls, n: int, log_base: float | None = None) -> "DiscountVector":
@@ -154,22 +150,17 @@ class DiscountVector:
             if log_base <= 1.0:
                 raise ValueError("log base must exceed 1")
             v = math.log(log_base) / np.log(k + 1.0)
-        return cls(v, kind="dcg", log_base=log_base)
+        return cls(v)
 
     @classmethod
     def zipf(cls, n: int) -> "DiscountVector":
-        return cls(1.0 / np.arange(1, n + 1, dtype=float), kind="zipf")
+        return cls(1.0 / np.arange(1, n + 1, dtype=float))
 
     def __len__(self) -> int:
         return int(self.values.size)
 
     def to_json_dict(self) -> dict:
-        d: dict = {"kind": self.kind}
-        if self.kind == "dcg" and self.log_base is not None:
-            d["log_base"] = self.log_base
-        if self.kind == "custom":
-            d["values"] = [float(x) for x in self.values]
-        return d
+        return {"kind": "custom", "values": self.values.tolist()}
 
     @classmethod
     def from_json_dict(cls, d: dict, n: int) -> "DiscountVector":
@@ -201,7 +192,7 @@ class DiscountVector:
 @dataclass(frozen=True, eq=False)
 class Instance:
     """A ranking problem: m items with latent utilities and group memberships,
-    n ranked positions, and a position-discount vector of length n.
+    n ranked positions, and a ``DiscountVector`` of length n.
 
     Every item has a dense 0-based integer id, and every per-item vector is
     id-indexed.  Group membership is a boolean (m, p) matrix whose entry
@@ -231,10 +222,11 @@ class Instance:
             raise ValueError("membership must be a boolean (m, p) matrix with one row per item")
         if not (1 <= self.n <= m):
             raise ValueError(f"need 1 <= n <= m, got n={self.n}, m={m}")
-        v = self.v if isinstance(self.v, DiscountVector) else DiscountVector(self.v)
-        if len(v) != self.n:
-            raise ValueError(f"discount vector has length {len(v)}, expected n={self.n}")
-        _store(self, latent_utilities=w.copy(), membership_matrix=mem.copy(), n=int(self.n), v=v)
+        if not isinstance(self.v, DiscountVector):
+            raise ValueError("discount must be a DiscountVector")
+        if len(self.v) != self.n:
+            raise ValueError(f"discount vector has length {len(self.v)}, expected n={self.n}")
+        _store(self, latent_utilities=w.copy(), membership_matrix=mem.copy(), n=int(self.n))
 
     __eq__ = _eq_fields
 

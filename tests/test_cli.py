@@ -91,6 +91,26 @@ HUGE_TRIAL_CONFIG = {
     "discount": {"kind": "constant"},
 }
 HUGE_SPREAD = {"kind": "normal", "mu": 1e307, "sigma": 1e306}
+# Finite parameters whose draws overflow, and whose draws' discounted sums overflow.
+HUGE_DRAWS = {"kind": "shifted_scaled", "base": {"kind": "uniform"}, "scale": 1e308, "shift": 1e308}
+HUGE_SUMS = {"kind": "lognormal", "mu": 708.0, "sigma": 0.01}
+# id -> (argv, files): each runs into numpy overflow, which must reach no stderr line but the one error.
+OVERFLOWING = {
+    f"{name}-{command}": ([command, "cfg"], {"cfg": {**base, **sizes, "dist_a": dist, "dist_b": dist}})
+    for command, base in [
+        ("sweep", {**TRIAL_CONFIG, "alphas": [0.25], "betas": [0.5]}),
+        ("simulate", TRIAL_CONFIG),
+        ("supernumerary", SUPERNUMERARY_CONFIG),
+    ]
+    for name, dist, sizes in [
+        ("huge-draws", HUGE_DRAWS, {"m_a": 5, "m_b": 5, "n": 3, "discount": {"kind": "constant"}, "trials": 3}),
+        ("huge-sums", HUGE_SUMS, {"m_a": 50, "m_b": 50, "n": 30, "discount": {"kind": "dcg"}, "trials": 20}),
+    ]
+}
+OVERFLOWING["huge-utility-solve"] = (
+    ["solve", "inst"],
+    {"inst": {"n": 2, "v": {"kind": "constant"}, "groups": [], "items": [{"id": i, "w": 1.7e308} for i in range(2)]}},
+)
 
 
 @pytest.fixture
@@ -458,6 +478,12 @@ class TestOrderstats:
         mc = doc["monte_carlo"]
         assert abs(mc["mean_Nkb"] - 5.0) <= 4 * mc["se_Nkb"]
 
+    def test_infinite_draws_rank_without_a_warning(self, tmp_path, capsys):
+        argv = ["orderstats", "--k", "3", "--l", "2", "--ma", "10", "--mb", "10", "--trials", "50", "--dist"]
+        assert main(argv + [write_json(tmp_path, "dist.json", HUGE_DRAWS)]) == 0
+        out, err = capsys.readouterr()
+        assert err == "" and json.loads(out)["trials"] == 50
+
 
 class TestSupernumerary:
     def test_csv_output(self, tmp_path):
@@ -581,6 +607,13 @@ class TestIngest:
         with pytest.raises(ValueError, match="line 2"):
             ingest_scores(str(csv))
 
+    def test_overflowing_mean_is_one_line(self, tmp_path, capsys):
+        csv = tmp_path / "scores.csv"
+        csv.write_text("score,group\n1e308,a\n1e308,a\n", encoding="utf-8")
+        assert main(["ingest", str(csv)]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: Out of range float values")
+
     def test_recovers_generator_moments(self, tmp_path):
         rng = np.random.default_rng(404)
         rows = ["score,group"]
@@ -694,6 +727,7 @@ class TestExitCodes:
                 {"cfg": {**SUPERNUMERARY_CONFIG, "dist_a": HUGE_SPREAD, "dist_b": HUGE_SPREAD, "trials": 50}},
             ),
             (["simulate", "cfg", "--trials", "4"], {"cfg": HUGE_TRIAL_CONFIG}),
+            *OVERFLOWING.values(),
         ],
         ids=[
             "solve-item-without-w",
@@ -739,6 +773,7 @@ class TestExitCodes:
             "overflowing-means-sweep",
             "overflowing-means-supernumerary",
             "overflowing-means-simulate",
+            *OVERFLOWING,
         ],
     )
     def test_malformed_json_is_one_line_parse_error(self, tmp_path, capsys, argv, files):
@@ -1205,9 +1240,17 @@ PRINTED = {
 class TestJsonText:
     @given(doc=DOCUMENTS)
     @example(doc=HOSTILE)
+    @example(doc={**HOSTILE, "], [": [[0.5, 2**70], []], "\\": {"x, ": -1e308, "y": 1}})
     @settings(max_examples=200, deadline=None)
     def test_equals_indented_json_dumps(self, doc):
-        assert cli._json_text(doc) == json.dumps(doc, indent=2, sort_keys=True)
+        """Equal bytes, or for a document with NaN or an infinity, ValueError from both."""
+        try:
+            want = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+        except ValueError:
+            with pytest.raises(ValueError):
+                cli._json_text(doc)
+        else:
+            assert cli._json_text(doc) == want
 
     @pytest.mark.parametrize("command", sorted(PRINTED))
     def test_printed_bytes(self, tmp_path, capsys, command):

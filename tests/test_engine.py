@@ -713,27 +713,18 @@ class TestOrderStatsEngine:
         assert dist.calls == (3 if trial == 0 else 8)
 
 
-def per_trial_supernumerary(config, trials, seed):
+def per_trial_supernumerary(config, trials, seed, discount):
     """The per-trial loop: one ``rng_for_trial`` stream and one sort per
     trial, the general greedy ``rank_constrained_greedy`` (not the closed
     form under test) per trial and seat count, and each scheme's per-seat
-    utility from its own 1-D dot.  Returns the per-seat utilities
-    and seat counts, one row per scheme, or raises the first trial's error."""
+    utility from its own 1-D dot with ``discount(seats)``, the constructor
+    that built ``config.discount``, so the engine's slices of it are checked.
+    Returns the per-seat utilities and seat counts, one row per scheme, or
+    raises the first trial's error."""
     m_a, m_b, n = config.m_a, config.m_b, config.n
     m = m_a + m_b
     target = np.arange(m) >= m_a
     mem = np.stack([~target, target], axis=1)
-    v = config.discount
-
-    def discount(length):
-        """Each length's discount built from its kind, not sliced from the config's, so
-        the engine's slices are checked; a custom vector is defined by its slices."""
-        if v.kind == "custom":
-            return v.values[:length]
-        if v.kind == "dcg":
-            return DiscountVector.dcg(length, v.log_base).values
-        return getattr(DiscountVector, v.kind)(length).values
-
     per_seat, seats = np.empty((5, trials)), np.empty((5, trials))
     for i in range(trials):
         rng = seed.rng_for_trial(i)
@@ -759,7 +750,7 @@ def per_trial_supernumerary(config, trials, seed):
             return np.array(rank_constrained_greedy(inst, observed, L).positions)
 
         for s, ids in enumerate([cons(n), order[:n], sup, cons(n + x), order[: n + x]]):
-            per_seat[s, i] = (latent[ids] @ discount(ids.size)) / ids.size
+            per_seat[s, i] = (latent[ids] @ discount(ids.size).values) / ids.size
             seats[s, i] = ids.size
     return per_seat, seats
 
@@ -777,15 +768,18 @@ def assert_report_is_loops(report, per_seat, seats):
 
 @st.composite
 def supernumerary_problems(draw):
+    """A config and the constructor of its discount at any length; a custom vector is defined by its slices."""
     m_a = draw(st.integers(0, 30))
     m_b = draw(st.integers(0 if m_a else 1, 30))
     kind = draw(st.sampled_from([*sorted(DISCOUNTS), "dcg-base-2", "custom"]))
     if kind == "custom":
-        values = draw(st.lists(st.floats(0.0, 10.0), min_size=m_a + m_b, max_size=m_a + m_b))
-        discount = DiscountVector(sorted(values, reverse=True))
+        values = sorted(draw(st.lists(st.floats(0.0, 10.0), min_size=m_a + m_b, max_size=m_a + m_b)), reverse=True)
+        discount = lambda length: DiscountVector(values[:length])
+    elif kind == "dcg-base-2":
+        discount = lambda length: DiscountVector.dcg(length, 2.0)
     else:
-        discount = DiscountVector.dcg(m_a + m_b, 2.0) if kind == "dcg-base-2" else DISCOUNTS[kind](m_a + m_b)
-    return SupernumeraryConfig(
+        discount = DISCOUNTS[kind]
+    config = SupernumeraryConfig(
         n=draw(st.integers(1, m_a + m_b)),
         m_a=m_a,
         m_b=m_b,
@@ -794,34 +788,39 @@ def supernumerary_problems(draw):
         dist_a=draw(st.sampled_from(DISTS)),
         dist_b=draw(st.sampled_from(DISTS + [LogNormal(800.0, 1.0)])),
         score_offset=draw(st.sampled_from([0.0, 10.0])),
-        discount=discount,
+        discount=discount(m_a + m_b),
     )
+    return config, discount
 
 
 class TestSupernumeraryEngine:
     # Trial 1 has too many reserved seats and trial 3 too many seats, the
     # check that comes first within a trial: the engine must raise trial 1's.
     @example(
-        config=SupernumeraryConfig(
-            n=10, m_a=8, m_b=6, alpha=0.5, gamma=1.2, dist_a=Uniform(0, 100), dist_b=Uniform(0, 70),
-            discount=DiscountVector.dcg(14), score_offset=10.0,
+        problem=(
+            SupernumeraryConfig(
+                n=10, m_a=8, m_b=6, alpha=0.5, gamma=1.2, dist_a=Uniform(0, 100), dist_b=Uniform(0, 70),
+                discount=DiscountVector.dcg(14), score_offset=10.0,
+            ),
+            DiscountVector.dcg,
         ),
         trials=8,
         seed=30,
         block=None,
     )
-    @given(config=supernumerary_problems(), trials=st.integers(1, 20), seed=SEEDS, block=ENGINE_BLOCKS)
+    @given(problem=supernumerary_problems(), trials=st.integers(1, 20), seed=SEEDS, block=ENGINE_BLOCKS)
     @settings(max_examples=80, deadline=None)
-    def test_equals_per_trial_loop(self, config, trials, seed, block):
+    def test_equals_per_trial_loop(self, problem, trials, seed, block):
+        config, discount = problem
         spec = SeedSpec(seed)
         with blocks_of(block, config.m_a + config.m_b):
             try:
                 report = supernumerary_compare(config, trials, spec)
             except ValueError as exc:
                 with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
-                    per_trial_supernumerary(config, trials, spec)
+                    per_trial_supernumerary(config, trials, spec, discount)
                 return
-        assert_report_is_loops(report, *per_trial_supernumerary(config, trials, spec))
+        assert_report_is_loops(report, *per_trial_supernumerary(config, trials, spec, discount))
 
     # The pool of the timed supernumerary config, m_a = m_b = 400 and n=40,
     # where the candidates are each group's best n + x_max = 48 at alpha 0.15
@@ -838,7 +837,7 @@ class TestSupernumeraryEngine:
         )
         spec = SeedSpec(7)
         trials = 2 * (experiments.BLOCK_ELEMENTS // 800) + 1
-        loops = per_trial_supernumerary(config, trials, spec)
+        loops = per_trial_supernumerary(config, trials, spec, DiscountVector.dcg)
         for block in [*BLOCK_ROWS, None]:
             with blocks_of(block, 800):
                 assert_report_is_loops(supernumerary_compare(config, trials, spec), *loops)

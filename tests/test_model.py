@@ -317,6 +317,11 @@ class TestTypesAndJson:
         with pytest.raises(ValueError, match=r"membership must be a boolean \(m, p\) matrix"):
             Instance.from_arrays([1.0, 2.0], groups, 1, DiscountVector.constant(1))
 
+    @pytest.mark.parametrize("v", [[1.0], np.ones(1), 1.0, {"kind": "constant"}], ids=["list", "array", "float", "json"])
+    def test_a_discount_must_be_a_discount_vector(self, v):
+        with pytest.raises(ValueError, match="^discount must be a DiscountVector$"):
+            Instance.from_arrays([1.0, 2.0], np.zeros((2, 0), dtype=bool), 1, v)
+
     def test_items_materialize_from_arrays(self):
         inst = Instance.from_arrays([2.5, 1.5], membership(2, [set(), {0}]), 1, DiscountVector.constant(1))
         doc = instance_to_json(inst)

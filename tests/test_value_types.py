@@ -47,8 +47,6 @@ def one_of_each():
 @pytest.mark.parametrize(
     "a, b",
     [
-        (DiscountVector([1, 1]), DiscountVector.constant(2)),
-        (DiscountVector.dcg(3), DiscountVector.dcg(3, log_base=math.e)),
         (instance(), instance(w=(3.0, 2.0, 0.5))),
         (instance(), instance(mem=[[True, False], [False, True], [True, True]])),
         (instance(), instance(n=3)),
@@ -61,8 +59,6 @@ def one_of_each():
         (ShiftedScaled(Empirical([1.0, 2.0])), ShiftedScaled(Empirical([1.0, 3.0]))),
     ],
     ids=[
-        "discount-kind",
-        "discount-log-base",
         "instance-weight",
         "instance-membership-bit",
         "instance-n",
@@ -85,8 +81,22 @@ def test_equal_values_compare_equal():
     assert ShiftedScaled(Empirical([2.0, 1.0]), 2) == ShiftedScaled(Empirical([1.0, 2.0]), 2.0)
     assert instance() == instance()
     assert BiasModel([0.5]) == BiasModel(np.array([0.5]))
-    assert DiscountVector.constant(2) == DiscountVector([1.0, 1.0], kind="constant")
+    assert DiscountVector.constant(2) == DiscountVector([1.0, 1.0])
     assert simple_constraints(0.5, 1, 4, 2) == ConstraintMatrix([[0, 0], [0, 1], [0, 1], [0, 2]])
+
+
+def test_a_discount_is_its_weights():
+    """Vectors with equal weights are equal, whichever constructor built them, and write the same JSON."""
+    assert [f.name for f in fields(DiscountVector)] == ["values"]
+    for named, weights in [
+        (DiscountVector.constant(2), [1.0, 1.0]),
+        (DiscountVector.dcg(3), DiscountVector.dcg(3).values),
+        (DiscountVector.dcg(3, log_base=math.e), 1.0 / np.log([2.0, 3.0, 4.0])),
+        (DiscountVector.zipf(2), [1.0, 0.5]),
+    ]:
+        assert named == DiscountVector(weights) and DiscountVector(weights) == named
+        assert named.to_json_dict() == {"kind": "custom", "values": list(map(float, weights))}
+    assert DiscountVector.zipf(2) != DiscountVector.constant(2)
 
 
 def test_comparisons_across_types_are_false():
