@@ -32,10 +32,12 @@ import argparse
 import functools
 import gc
 import json
+import math
 import sys
 from pathlib import Path
 
 import numpy as np
+import orjson
 
 from .constraints import (
     ConstraintMatrix,
@@ -89,8 +91,21 @@ def _master_seed(text: str) -> int:
     return value
 
 
+# Each digit to "0", "." to itself and every other byte to " ": " " and 19 "0"s mark an integer of 19 digits or more.
+_DIGITS = bytes(48 if 48 <= c <= 57 else 46 if c == 46 else 32 for c in range(256))
+
+
 def _load_object(path: str, what: str) -> dict:
-    d = json.loads(Path(path).read_text(encoding="utf-8"))
+    """The JSON object at ``path`` as ``json.loads`` reads it: by orjson where it must agree, with no integer of 19
+    digits (it floats one outside [-2**63, 2**64)) and at most 2**14 ``[`` and ``{`` (it has no depth limit)."""
+    text = Path(path).read_text(encoding="utf-8")
+    data = b" " + text.encode()
+    codes = np.frombuffer(data, np.uint8)
+    fits = b" " + b"0" * 19 not in data.translate(_DIGITS) and np.count_nonzero((codes == 91) | (codes == 123)) <= 2**14
+    try:
+        d = orjson.loads(text) if fits else json.loads(text)
+    except orjson.JSONDecodeError:  # NaN, infinities, 1e400, lone surrogates, a BOM or invalid JSON, for json's message
+        d = json.loads(text)
     if not isinstance(d, dict):
         raise ValueError(f"{what} JSON must be an object")
     return d
@@ -129,13 +144,25 @@ def _json_text(value, indent: str = "\n") -> str:
     return "[" + inner + body + indent + "]"
 
 
+def _non_finite_paths(value, path: str = ""):
+    """The dotted key path of each NaN or infinity in ``value``, in the writer's order."""
+    if isinstance(value, float) and not math.isfinite(value):
+        yield path
+    elif isinstance(value, (dict, list, tuple)):
+        for key in sorted(value) if isinstance(value, dict) else range(len(value)):
+            yield from _non_finite_paths(value[key], f"{path}.{key}" if path else str(key))
+
+
 def _dump_json(obj: dict, out: str | None) -> None:
-    _write_output(_json_text(obj) + "\n", out)
+    try:
+        text = _json_text(obj)
+    except ValueError:  # allow_nan=False refused a NaN or an infinity
+        raise ValueError(f"{next(_non_finite_paths(obj))} is not a finite number") from None
+    _write_output(text + "\n", out)
 
 
 def _parse_betas(text: str, p: int) -> BiasModel:
-    parts = [t for t in text.split(",") if t.strip()]
-    betas = [float(t) for t in parts]
+    betas = [float(t) for t in text.split(",") if t.strip()]
     if len(betas) != p:
         raise ValueError(f"expected {p} bias factors, got {len(betas)}")
     return BiasModel(betas)
@@ -226,11 +253,7 @@ def _cmd_simulate(args) -> int:
         "seed": seed.master_seed,
         "trials": trials,
         "reports": [vars(r) for r in reports],
-        "mean": {
-            "u_cons": sum(r.u_cons for r in reports) / trials,
-            "u_uncons": sum(r.u_uncons for r in reports) / trials,
-            "u_opt": sum(r.u_opt for r in reports) / trials,
-        },
+        "mean": {key: sum(getattr(r, key) for r in reports) / trials for key in ("u_cons", "u_uncons", "u_opt")},
     }
     _dump_json(body, args.out)
     return EXIT_OK
@@ -265,12 +288,7 @@ def _cmd_orderstats(args) -> int:
                 "expected_Nkb": expected_Nkb(args.k, args.ma, args.mb),
                 "expected_Pl": expected_Pl(args.l, args.ma, args.mb),
             },
-            "monte_carlo": {
-                "mean_Nkb": est.mean_Nkb,
-                "se_Nkb": est.se_Nkb,
-                "mean_Pl": est.mean_Pl,
-                "se_Pl": est.se_Pl,
-            },
+            "monte_carlo": {key: getattr(est, key) for key in ("mean_Nkb", "se_Nkb", "mean_Pl", "se_Pl")},
         },
         args.out,
     )
@@ -405,7 +423,7 @@ def _build_parser() -> _Parser:
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    # json.loads builds acyclic trees that reference counting frees: pause the cyclic collector.
+    # The JSON readers build acyclic trees that reference counting frees: pause the cyclic collector.
     collecting = gc.isenabled()
     gc.disable()
     try:

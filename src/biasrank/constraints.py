@@ -63,8 +63,7 @@ class ConstraintMatrix:
             raise ValueError("constraint entries must be nonnegative")
         if np.any(np.diff(arr, axis=0) < 0):
             raise ValueError("constraint columns must be nondecreasing")
-        rows = np.arange(1, arr.shape[0] + 1, dtype=np.int64)
-        if np.any(arr.max(axis=1, initial=0) > rows):
+        if np.any(arr.max(axis=1, initial=0) > np.arange(1, arr.shape[0] + 1)):
             raise ValueError("a top-k prefix cannot require more than k items")
         _store(self, matrix=arr.copy())
 

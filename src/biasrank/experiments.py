@@ -359,11 +359,7 @@ class OrderStatsReport:
 
     def tail_frequency(self, threshold: float) -> float:
         """Fraction of trials with top-k target count <= threshold."""
-        idx = int(math.floor(threshold))
-        if idx < 0:
-            return 0.0
-        idx = min(idx, self.nkb_counts.size - 1)
-        return float(self.nkb_counts[: idx + 1].sum() / self.trials)
+        return float(self.nkb_counts[: max(0, math.floor(threshold) + 1)].sum() / self.trials)
 
 
 def estimate_order_stats(
@@ -483,10 +479,7 @@ class SupernumeraryReport:
     schemes: tuple[SupernumerarySchemeStats, ...]
 
     def by_scheme(self, name: str) -> SupernumerarySchemeStats:
-        for s in self.schemes:
-            if s.scheme == name:
-                return s
-        raise KeyError(name)
+        return {s.scheme: s for s in self.schemes}[name]
 
 
 def supernumerary_csv(reports: Sequence[SupernumeraryReport]) -> str:

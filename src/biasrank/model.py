@@ -143,14 +143,9 @@ class DiscountVector:
     @classmethod
     def dcg(cls, n: int, log_base: float | None = None) -> "DiscountVector":
         """1 / log(k + 1) for k = 1..n; natural log unless a base > 1 is given."""
-        k = np.arange(1, n + 1, dtype=float)
-        if log_base is None:
-            v = 1.0 / np.log(k + 1.0)
-        else:
-            if log_base <= 1.0:
-                raise ValueError("log base must exceed 1")
-            v = math.log(log_base) / np.log(k + 1.0)
-        return cls(v)
+        if log_base is not None and log_base <= 1.0:
+            raise ValueError("log base must exceed 1")
+        return cls((1.0 if log_base is None else math.log(log_base)) / np.log(np.arange(2, n + 2, dtype=float)))
 
     @classmethod
     def zipf(cls, n: int) -> "DiscountVector":
@@ -177,10 +172,8 @@ class DiscountVector:
         own = {"dcg": "log_base", "custom": "values"}.get(kind)
         if foreign := [key for key in d if key not in ("kind", own)]:
             raise ValueError(f"discount kind {kind!r} takes no field {foreign[0]!r}")
-        if kind == "dcg":
-            return cls.dcg(n, log_base=base)
         if kind != "custom":
-            return getattr(cls, kind)(n)
+            return cls.dcg(n, log_base=base) if kind == "dcg" else getattr(cls, kind)(n)
         values = d.get("values")
         if values is None:
             raise ValueError('custom discount requires a "values" array')
@@ -315,12 +308,9 @@ def validate_discount(v) -> DiscountDiagnostics:
     vv = v.values if isinstance(v, DiscountVector) else np.asarray(v, dtype=float)
     if vv.ndim != 1 or vv.size == 0:
         raise ValueError("discount must be a nonempty 1-D sequence")
-    nonincreasing = bool(np.all(vv[:-1] >= vv[1:])) if vv.size > 1 else True
-    if vv.size < 3:
-        convex = True
-    else:
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN, which compares False
         d = vv[:-1] - vv[1:]
-        convex = bool(np.all(d[:-1] >= d[1:]))
+    nonincreasing, convex = bool(np.all(vv[:-1] >= vv[1:])), bool(np.all(d[:-1] >= d[1:]))
     total = float(vv.sum())
     ratio = 0.0 if total == 0.0 else float((vv[0] - vv[-1]) / total)
     return DiscountDiagnostics(nonincreasing, convex, ratio)

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import struct
 import subprocess
 import sys
 import tempfile
@@ -12,6 +13,7 @@ from pathlib import Path
 from unittest import mock
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -608,11 +610,12 @@ class TestIngest:
             ingest_scores(str(csv))
 
     def test_overflowing_mean_is_one_line(self, tmp_path, capsys):
+        # group b's summary is finite, but ingest writes nothing when any number is not
         csv = tmp_path / "scores.csv"
-        csv.write_text("score,group\n1e308,a\n1e308,a\n", encoding="utf-8")
-        assert main(["ingest", str(csv)]) == 3
-        out, err = capsys.readouterr()
-        assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: Out of range float values")
+        csv.write_text("score,group\n1e308,a\n1e308,a\n1,b\n", encoding="utf-8")
+        assert main(["ingest", str(csv), "--out", str(tmp_path / "out.json")]) == 3
+        assert capsys.readouterr() == ("", "error: summary.a.mean is not a finite number\n")
+        assert not (tmp_path / "out.json").exists()
 
     def test_recovers_generator_moments(self, tmp_path):
         rng = np.random.default_rng(404)
@@ -796,6 +799,24 @@ class TestExitCodes:
             assert len(err.splitlines()) == 1 and err.startswith("error: ")
         else:
             assert err == ""
+
+    @pytest.mark.parametrize("depth", [1000, 1500, 10**6], ids=["1000-levels", "1500-levels", "million-levels"])
+    def test_deeply_nested_arrays(self, tmp_path, capsys, depth):
+        path = tmp_path / "inst.json"
+        path.write_text("[" * depth + "]" * depth)
+        assert main(["solve", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "argv, files, field",
+        [OVERFLOWING["huge-utility-solve"] + ("latent_utility",), OVERFLOWING["huge-sums-simulate"] + ("mean.u_cons",)],
+        ids=["solve", "simulate"],
+    )
+    def test_non_finite_result_names_its_field(self, tmp_path, capsys, argv, files, field):
+        paths = {name: write_json(tmp_path, f"{name}.json", doc) for name, doc in files.items()}
+        assert main([paths.get(arg, arg) for arg in argv]) == 3
+        assert capsys.readouterr() == ("", f"error: {field} is not a finite number\n")
 
     @pytest.mark.parametrize(
         "discount, code",
@@ -1265,6 +1286,140 @@ class TestJsonText:
         assert capsys.readouterr().out == want
 
 
+def same_json(a, b) -> bool:
+    """Equal JSON trees: the same types, floats bit for bit, and objects with the same keys in the same order."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, float):
+        return struct.pack("<d", a) == struct.pack("<d", b)
+    if isinstance(a, dict):
+        return list(a) == list(b) and all(same_json(a[k], b[k]) for k in a)
+    if isinstance(a, list):
+        return len(a) == len(b) and all(map(same_json, a, b))
+    return a == b
+
+
+def load_both(text: str) -> tuple:
+    """``text`` written to a file, then read by ``cli._load_object`` and by ``json.loads`` with its object check:
+    each one's value, or its error's type and message."""
+    results = []
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "doc.json"
+        path.write_text(text, encoding="utf-8")
+        for load in (lambda: cli._load_object(str(path), "test"), lambda: json.loads(path.read_text(encoding="utf-8"))):
+            try:
+                value = load()
+                results.append(value if isinstance(value, dict) else "ValueError: test JSON must be an object")
+            except ValueError as exc:
+                results.append(f"{type(exc).__name__}: {exc}")
+    return tuple(results)
+
+
+@st.composite
+def json_texts(draw):
+    """A JSON text of an object, in one of json.dumps' layouts, with one character cut or inserted now and then."""
+    text = json.dumps(
+        {"doc": draw(DOCUMENTS | st.text())},
+        ensure_ascii=draw(st.booleans()),
+        indent=draw(st.sampled_from([None, 0, 2, "\t"])),
+        separators=draw(st.sampled_from([None, (",", ":")])),
+    )
+    edit = draw(st.integers(0, 3))
+    at = draw(st.integers(0, len(text)))
+    if edit == 1:
+        text = text[:at] + text[at + 1 :]
+    elif edit == 2:
+        text = text[:at] + draw(st.sampled_from(list('{}[],:"0-.eE \\\n\r\t')) | st.characters()) + text[at:]
+    return text
+
+
+# Number texts: a sign, an integer part, then an optional fraction and exponent; digit runs reach 40.
+FLOAT_TEXTS = st.builds(
+    "{}{}{}{}".format,
+    st.sampled_from(["", "-"]),
+    st.from_regex(r"0|[1-9][0-9]{0,39}", fullmatch=True),
+    st.just("") | st.from_regex(r"\.[0-9]{1,40}", fullmatch=True),
+    st.just("") | st.from_regex(r"[eE][+-]?[0-9]{1,3}", fullmatch=True),
+)
+
+
+class TestLoadObject:
+    """``_load_object`` parses as ``json.loads`` does: the same value, types, float bits, key order and error
+    message, with orjson on the texts its checks admit and json on the rest."""
+
+    @given(text=json_texts())
+    @example(text='{"a": "\\ud800", "b": "\\udc00\\ud800"}')
+    @example(text='{"a": 1, "a": [2], "b": 3, "a": {}}')
+    @example(text='{"a":[18446744073709551616]}')
+    @example(text='\ufeff{"a": 1}')
+    @example(text='{"a": [1e-7, -0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, -0]}')
+    @example(text=' {"a":\t[1 ,2]\r\n}\n ')
+    @settings(max_examples=250, deadline=None)
+    def test_equals_json_loads(self, text):
+        got, want = load_both(text)
+        assert same_json(got, want), (text, got, want)
+
+    @given(number=FLOAT_TEXTS)
+    @example(number="0.1234567890123456789012345678901234567890")
+    @example(number="123456789012345678.123456789012345678e-300")
+    @example(number="2.47032822920623272e-324")
+    @example(number="1797693134862315708145274237317043567981e269")
+    @settings(max_examples=250, deadline=None)
+    def test_float_texts(self, number):
+        got, want = load_both(f'{{"x": {number}, "y": [{number}]}}')
+        assert same_json(got, want), (number, got, want)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            *(f'{{"x": {value}}}' for value in (2**63 - 1, 2**63, -(2**63), -(2**63) - 1, 2**64 - 1, 2**64, 10**19)),
+            '{"x": -123456789012345678901234567890}',
+            '{"x":[18446744073709551616,-9223372036854775809],"y":{"z":-18446744073709551617}}',
+            '{"x": [1, 100000000000000000000000000000000000000001]}',
+            '{"1234567890123456789012": "x1234567890123456789012", "y": "1234567890123456789012345"}',
+            '{"x": NaN, "y": [Infinity, -Infinity]}',
+            '{"x": 1e400, "y": -1e400, "z": 1.7976931348623159e308}',
+            '{"x": 1,}',
+            '{"x": 01}',
+            '{"x": [1, 2}',
+            "",
+            "[1, 2]",
+        ],
+    )
+    def test_texts_orjson_reads_differently_or_refuses(self, text):
+        got, want = load_both(text)
+        assert same_json(got, want), (got, want)
+
+    def test_repair_instance_takes_orjson(self, tmp_path, monkeypatch):
+        """The 6400-item instance and its bounds parse without json.loads, to the bytes json's parse gives."""
+        rng = np.random.default_rng(31)
+        labels = rng.integers(-1, 3, 6400)
+        items = zip(rng.uniform(0.0, 1.0, 6400).tolist(), labels.tolist())
+        doc = {
+            "n": 1600,
+            "v": {"kind": "dcg"},
+            "groups": [np.flatnonzero(labels == s).tolist() for s in range(3)],
+            "items": [{"id": i, "w": w, "groups": [g] if g >= 0 else []} for i, (w, g) in enumerate(items)],
+        }
+        inst, bounds, out = write_json(tmp_path, "inst.json", doc), tmp_path / "bounds.json", tmp_path / "out.json"
+
+        def run() -> tuple[bytes, bytes]:
+            assert main(["derive-constraints", inst, "--out", str(bounds)]) == 0
+            assert main(["solve", inst, "--constraints", str(bounds), "--betas", "0.5,0.7,0.9", "--out", str(out)]) == 0
+            return bounds.read_bytes(), out.read_bytes()
+
+        with monkeypatch.context() as patched:
+            patched.setattr(json, "loads", mock.Mock(side_effect=AssertionError("json.loads called")))
+            fast = run()
+
+        def refuse(text):
+            raise orjson.JSONDecodeError("refused", text, 0)
+
+        with monkeypatch.context() as patched:
+            patched.setattr(orjson, "loads", refuse)
+            assert run() == fast
+
+
 FUZZ_SWEEP = {**TRIAL_CONFIG, "alphas": [0.0, 0.25], "betas": [0.5], "trials": 3}
 FUZZ_SUPERNUMERARY = {**SUPERNUMERARY_CONFIG, "discount": {"kind": "dcg"}, "trials": 3}
 FUZZ_CONSTRAINTS = {"n": 2, "p": 2, "L": [[1, 0], [1, 1]]}
@@ -1352,6 +1507,13 @@ class TestModuleEntry:
 
     def test_no_subcommand_is_usage_error(self):
         assert self.run().returncode == 1
+
+    def test_most_nested_text_orjson_reads(self, tmp_path):
+        # 2**14 objects deep, orjson's recursion stays far inside an 8 MiB stack; the instance has no "n"
+        path = tmp_path / "inst.json"
+        path.write_text('{"a": ' * 2**14 + "1" + "}" * 2**14)
+        proc = self.run("solve", str(path))
+        assert (proc.returncode, proc.stderr) == (3, "error: instance JSON missing key 'n'\n")
 
     def test_tiny_sweep(self, tmp_path):
         doc = {**TRIAL_CONFIG, "alphas": [0.0, 0.25], "betas": [0.5], "trials": 3}

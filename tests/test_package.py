@@ -1,10 +1,14 @@
-"""The package's public surface, and the trace points that
-perfbench/tracing.py wraps: the benchmark's per-layer metrics read spans
-recorded at these names, so renaming or moving one of them breaks
-``--trace 1`` runs."""
+"""The package's public surface, its declared dependencies, and the trace
+points that perfbench/tracing.py wraps: the benchmark's per-layer metrics
+read spans recorded at these names, so renaming or moving one of them
+breaks ``--trace 1`` runs."""
 
+import ast
 import importlib.util
 import json
+import re
+import sys
+import tomllib
 import types
 from pathlib import Path
 
@@ -52,6 +56,20 @@ def test_src_line_budget():
         f"src/biasrank/*.py has {lines} lines, over the budget of {SRC_LINE_BUDGET}: "
         "raise SRC_LINE_BUDGET in the same diff and say why in CHANGES.md"
     )
+
+
+def test_every_third_party_import_is_a_declared_dependency():
+    root = Path(__file__).resolve().parents[1]
+    requirements = tomllib.loads((root / "pyproject.toml").read_text(encoding="utf-8"))["project"]["dependencies"]
+    declared = {re.match(r"[A-Za-z0-9_.-]+", req).group().lower() for req in requirements}
+    imported = set()
+    for path in (root / "src" / "biasrank").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.partition(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.partition(".")[0])
+    assert imported - set(sys.stdlib_module_names) == declared
 
 
 def load_tracing():
