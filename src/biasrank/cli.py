@@ -29,6 +29,7 @@ Exit codes: 0 success, 1 usage error, 2 infeasible constraints,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import gc
 import json
@@ -69,6 +70,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INFEASIBLE = 2
 EXIT_IO = 3
+_CHUNK = 2**15  # bytes of text that _orjson_agrees reads at a time
 
 
 class _UsageError(Exception):
@@ -91,19 +93,29 @@ def _master_seed(text: str) -> int:
     return value
 
 
-# Each digit to "0", "." to itself and every other byte to " ": " " and 19 "0"s mark an integer of 19 digits or more.
-_DIGITS = bytes(48 if 48 <= c <= 57 else 46 if c == 46 else 32 for c in range(256))
+def _orjson_agrees(text: str) -> bool:
+    """Whether ``orjson.loads(text)`` must equal ``json.loads(text)``: the text holds no integer of 19 digits or
+    more (orjson floats one outside [-2**63, 2**64)) and at most 2**14 ``[`` and ``{`` (it has no depth limit).
+    Both checks read the encoded text ``_CHUNK`` bytes at a time, so no temporary grows with the text."""
+    data, openers = text.encode(), 0
+    for start in range(0, len(data), _CHUNK):
+        # the chunk, the byte before it (a space before the text) and the 19 after it, for a digit run across its end
+        codes = np.frombuffer(data[start - 1 : start + _CHUNK + 19] if start else b" " + data[: _CHUNK + 19], np.uint8)
+        openers += np.count_nonzero(codes[1 : _CHUNK + 1] | 32 == 123)  # only "[" and "{" give 123 with bit 32 set
+        run = digit = codes - 48 < 10  # uint8 arithmetic takes every byte below "0" past 9
+        for shift in (1, 2, 4, 8, 3):  # run[i]: digits from i on, 2, 4, 8, 16 and then 19 of them
+            run = run[:-shift] & run[shift:]
+        # a byte that is neither a digit nor "." before 19 digits starts an integer (or exponent) of 19 digits or more
+        if openers > 2**14 or np.count_nonzero(run[1:] & ~digit[:-19] & (codes[:-19] != 46)):
+            return False
+    return True
 
 
 def _load_object(path: str, what: str) -> dict:
-    """The JSON object at ``path`` as ``json.loads`` reads it: by orjson where it must agree, with no integer of 19
-    digits (it floats one outside [-2**63, 2**64)) and at most 2**14 ``[`` and ``{`` (it has no depth limit)."""
+    """The JSON object at ``path`` as ``json.loads`` reads it, by orjson where :func:`_orjson_agrees` allows."""
     text = Path(path).read_text(encoding="utf-8")
-    data = b" " + text.encode()
-    codes = np.frombuffer(data, np.uint8)
-    fits = b" " + b"0" * 19 not in data.translate(_DIGITS) and np.count_nonzero((codes == 91) | (codes == 123)) <= 2**14
     try:
-        d = orjson.loads(text) if fits else json.loads(text)
+        d = orjson.loads(text) if _orjson_agrees(text) else json.loads(text)
     except orjson.JSONDecodeError:  # NaN, infinities, 1e400, lone surrogates, a BOM or invalid JSON, for json's message
         d = json.loads(text)
     if not isinstance(d, dict):
@@ -119,10 +131,10 @@ def _write_output(text: str, out: str | None) -> None:
 
 
 def _json_text(value, indent: str = "\n") -> str:
-    """``json.dumps(value, indent=2, sort_keys=True, allow_nan=False)`` for a document with text keys, from C-encoder
-    calls: one for each object of numbers, list of numbers or list of nonempty number lists, whose item separator
-    holds the line break (a matrix's row breaks go in after, at ``],``, which no number's text holds). Other objects,
-    lists and keys recurse, with ``indent`` the line break and indent before their first line."""
+    """``json.dumps(value, indent=2, sort_keys=True, allow_nan=False)`` for a document with text keys: one C-encoder
+    call for each object or list of numbers, whose item separator holds the line break, and one orjson call for each
+    matrix of integers, whose bytes json's are. Other objects, lists and keys recurse, with ``indent`` the line break
+    and indent before their first line."""
     if not isinstance(value, (dict, list, tuple)) or not value:
         return json.dumps(value, allow_nan=False)
     inner = indent + "  "
@@ -133,12 +145,11 @@ def _json_text(value, indent: str = "\n") -> str:
             body = ("," + inner).join(f"{_json_text(k)}: {_json_text(value[k], inner)}" for k in sorted(value))
         return "{" + inner + body + indent + "}"
     types = {type(x) for x in value}
+    if types == {list} and {type(x) for row in value for x in row} == {int}:
+        with contextlib.suppress(orjson.JSONEncodeError):  # an integer outside 64 bits takes the rows' json calls
+            return orjson.dumps(value, option=orjson.OPT_INDENT_2).decode().replace("\n", indent)
     if types <= JSON_NUMBER:
         body = json.dumps(value, separators=("," + inner, ": "), allow_nan=False)[1:-1]
-    elif types == {list} and all(value) and {type(x) for row in value for x in row} <= JSON_NUMBER:
-        deeper = inner + "  "
-        rows = json.dumps(value, separators=("," + deeper, ": "), allow_nan=False)[2:-2]
-        body = "[" + deeper + rows.replace("]," + deeper + "[", inner + "]," + inner + "[" + deeper) + inner + "]"
     else:
         body = ("," + inner).join(_json_text(x, inner) for x in value)
     return "[" + inner + body + indent + "]"

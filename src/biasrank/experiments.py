@@ -316,26 +316,11 @@ def run_sweep(
     target group holds.
     """
     u_opt, u_uncons, _, u_cons, _ = _run_grid(base, alphas, betas, trials, seed)
-    mo, so = _mean_se(u_opt)
-    mu, su = _mean_se(u_uncons)
-    mc, sc = _mean_se(u_cons)
-    rows = [
-        SweepRow(
-            alpha=float(alpha),
-            beta=float(beta),
-            m_a=base.m_a,
-            m_b=base.m_b,
-            n=base.n,
-            trials=trials,
-            mean_cons=float(mc[b, a]),
-            se_cons=float(sc[b, a]),
-            mean_uncons=float(mu[b]),
-            se_uncons=float(su[b]),
-            mean_opt=float(mo),
-            se_opt=float(so),
-        )
-        for b, beta in enumerate(betas)
-        for a, alpha in enumerate(alphas)
+    (mo, so), (mu, su), (mc, sc) = ([x.tolist() for x in _mean_se(u)] for u in (u_opt, u_uncons, u_cons))
+    rows = [  # SweepRow's fields are the CSV's columns, in order
+        SweepRow(alpha, beta, base.m_a, base.m_b, base.n, trials, mc[b][a], sc[b][a], mu[b], su[b], mo, so)
+        for b, beta in enumerate(map(float, betas))
+        for a, alpha in enumerate(map(float, alphas))
     ]
     return SweepReport(master_seed=seed.master_seed, rows=tuple(rows))
 

@@ -82,13 +82,16 @@ def rank_constrained_greedy(instance: Instance, weights, L: ConstraintMatrix) ->
 
 def _greedy(labels: np.ndarray, w: np.ndarray, Lmat: np.ndarray) -> list[int]:
     """The greedy on plain arrays: item group ids (-1 for none), weights and
-    the (n, p) bound matrix.  Does not check feasibility first; raises
-    InfeasibleConstraintsError when the fill runs into it.
+    the (n, p) bound matrix, its columns nondecreasing.  Does not check
+    feasibility first; raises InfeasibleConstraintsError when the fill runs
+    into it.
 
-    Each position leaves its prefix met, so the unmet demand at j is at most
-    S's step there.  At ``lazy`` positions (see the module docstring) j takes
-    the owing group's heaviest item, or the heaviest free one when no group
-    owes; only the others bring ``slack`` up to date and scan its tail."""
+    Each pick is the heaviest item left of the owing group or of all, so
+    group s has always taken ``by_group[s][:counts[s]]``.  Each position
+    leaves its prefix met, so at a ``lazy`` position (see the module
+    docstring), where at most one column steps, only its group can owe.
+    Only the other positions update ``slack``, scan its tail and ask every
+    group."""
     n, p = Lmat.shape
     order = _order(w)
     bounded = np.flatnonzero(Lmat[-1])  # a group bounded by 0 at n never forces a placement,
@@ -102,16 +105,19 @@ def _greedy(labels: np.ndarray, w: np.ndarray, Lmat: np.ndarray) -> list[int]:
     # due[s][c]: index of the first prefix whose bound on bounded group s reaches c + 1, else n
     due = [np.searchsorted(col, np.arange(1, n + 2)).tolist() for col in Lmat[:, bounded].T]
     slack = Lmat.sum(axis=1) - np.arange(1, n + 1)  # S_k - k until the first placement
-    lazy = ((np.diff(slack, prepend=0) <= 0) & (slack >= np.maximum.accumulate(slack[::-1])[::-1])).tolist()
+    lazy = (np.diff(slack, prepend=0) <= 0) & (slack >= np.maximum.accumulate(slack[::-1])[::-1])
+    # per position, the bounded group whose column steps there if it is lazy (-1 for none), else -2
+    steps = np.diff(Lmat[:, bounded], axis=0, prepend=0) > 0
+    stepping = np.where(lazy, steps @ np.arange(1, len(bounded) + 1) - 1, -2).tolist()
     taken = bytearray(len(group_of))
-    counts, heads = [0] * len(bounded), [0] * len(bounded)
+    counts = [0] * len(bounded)
     free = 0
     ranks: list[int] = []
     queued: list[int] = []  # due prefixes of placements not yet taken off slack
 
-    for j in range(1, n + 1):
-        k, over = j, 0
-        if not lazy[j - 1]:
+    for j, stepped in enumerate(stepping, 1):
+        k, owing = j, () if stepped < 0 else (stepped,)
+        if stepped == -2:
             for d in queued:
                 slack[d:] -= 1
             queued.clear()
@@ -119,18 +125,14 @@ def _greedy(labels: np.ndarray, w: np.ndarray, Lmat: np.ndarray) -> list[int]:
             over = int(slack[k - 1]) + j - 1  # unmet demand at k minus its k - j + 1 open positions
             if over > 0:
                 raise InfeasibleConstraintsError(f"unmet demand exceeds open positions by {over} at prefix {k}")
+            owing = range(len(bounded)) if over == 0 else ()
         r = len(taken)
-        if over == 0:
-            for s, d in enumerate(due):
-                if d[counts[s]] >= k:  # the bound at k asks for no more group-s items
-                    continue
-                q, h = by_group[s], heads[s]
-                while h < len(q) and taken[q[h]]:
-                    h += 1
-                if h == len(q):
-                    raise InfeasibleConstraintsError(f"group {bounded[s]} ran out of items at position {j}")
-                heads[s] = h
-                r = min(r, q[h])
+        for s in owing:
+            if due[s][counts[s]] >= k:  # the bound at k asks for no more group-s items
+                continue
+            if counts[s] == len(by_group[s]):
+                raise InfeasibleConstraintsError(f"group {bounded[s]} ran out of items at position {j}")
+            r = min(r, by_group[s][counts[s]])
         if r == len(taken):  # no group is forced at j
             while taken[free]:
                 free += 1

@@ -556,15 +556,8 @@ def binomial_negative_moment(n: int, beta: float, power: int) -> NegativeMomentR
     if beta == 1.0:
         # N is degenerate at 0.
         return NegativeMomentResult(exact=0.5**power, approx=approx)
-    q = 1.0 - beta
     js = np.arange(n + 1, dtype=float)
-    lg = math.lgamma(n + 1)
-    log_pmf = (
-        lg
-        - np.array([math.lgamma(j + 1) + math.lgamma(n - j + 1) for j in range(n + 1)])
-        + js * math.log(q)
-        + (n - js) * math.log(beta)
-    )
+    log_pmf = np.array([log_binom(n, j) for j in range(n + 1)]) + js * math.log(1.0 - beta) + (n - js) * math.log(beta)
     ratios = (n / (2.0 * n - js)) ** power
     exact = float(np.exp(log_pmf) @ ratios)
     return NegativeMomentResult(exact=exact, approx=approx)

@@ -5,10 +5,12 @@ import io
 import json
 import math
 import os
+import re
 import struct
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -1273,6 +1275,38 @@ class TestJsonText:
         else:
             assert cli._json_text(doc) == want
 
+    @pytest.mark.parametrize(
+        "doc, orjson_outcome",
+        [
+            ({"L": [[2**63 - 1, -(2**63)], [2**63, 2**64 - 1]]}, "written"),
+            ({"L": [[7]]}, "written"),
+            ({"a": {"b": {"L": [[1, -2, 0], [30, 4, 5]], "n": 2}}, "c": [1]}, "written"),
+            ({"L": [[0, 2**64]]}, "refused"),
+            ({"L": [[-(2**63) - 1, 1]]}, "refused"),
+            ({"L": [[1, 2], [2**70, 3]]}, "refused"),
+            ({"L": [[True, False], [False, True]]}, "not asked"),
+            ({"L": [[1, 2.0]]}, "not asked"),
+        ],
+    )
+    def test_integer_matrices(self, doc, orjson_outcome):
+        """orjson writes a matrix of ints within 64 bits; one past them, or a bool or float cell, takes json."""
+        with mock.patch.object(orjson, "dumps", wraps=orjson.dumps) as spy:
+            assert cli._json_text(doc) == json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+        assert spy.call_count == (orjson_outcome != "not asked")
+        if spy.called:
+            (matrix,), _ = spy.call_args
+            with contextlib.nullcontext() if orjson_outcome == "written" else pytest.raises(orjson.JSONEncodeError):
+                orjson.dumps(matrix)
+
+    def test_derived_bounds_written_by_orjson(self, tmp_path):
+        """derive-constraints writes the 1600 x 3 ``L`` of the 6400-item instance with one orjson call."""
+        inst, out = write_json(tmp_path, "inst.json", repair_instance()), tmp_path / "bounds.json"
+        with mock.patch.object(orjson, "dumps", wraps=orjson.dumps) as spy:
+            assert main(["derive-constraints", inst, "--out", str(out)]) == 0
+        doc = json.loads(out.read_text(encoding="utf-8"))
+        assert [call.args[0] for call in spy.call_args_list] == [doc["L"]] and len(doc["L"]) == 1600
+        assert out.read_text(encoding="utf-8") == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
     @pytest.mark.parametrize("command", sorted(PRINTED))
     def test_printed_bytes(self, tmp_path, capsys, command):
         argv, want = PRINTED[command]
@@ -1297,6 +1331,25 @@ def same_json(a, b) -> bool:
     if isinstance(a, list):
         return len(a) == len(b) and all(map(same_json, a, b))
     return a == b
+
+
+def whole_text_agrees(text: str) -> bool:
+    """The loader's two checks as whole-text scans: no character other than a digit or "." (nor the start of the
+    text) before 19 digits, and at most 2**14 ``[`` and ``{``."""
+    return re.search(r"(?:^|[^0-9.])[0-9]{19}", text) is None and text.count("[") + text.count("{") <= 2**14
+
+
+def repair_instance() -> dict:
+    """An instance shaped as perfbench's ``repair`` ones: 6400 items, n = 1600, three groups and ungrouped items."""
+    rng = np.random.default_rng(31)
+    labels = rng.integers(-1, 3, 6400)
+    items = zip(rng.uniform(0.0, 1.0, 6400).tolist(), labels.tolist())
+    return {
+        "n": 1600,
+        "v": {"kind": "dcg"},
+        "groups": [np.flatnonzero(labels == s).tolist() for s in range(3)],
+        "items": [{"id": i, "w": w, "groups": [g] if g >= 0 else []} for i, (w, g) in enumerate(items)],
+    }
 
 
 def load_both(text: str) -> tuple:
@@ -1390,18 +1443,53 @@ class TestLoadObject:
         got, want = load_both(text)
         assert same_json(got, want), (got, want)
 
+    @pytest.mark.parametrize(
+        "payload",
+        ["-9999999999999999999", "-999999999999999999", "0.12345678901234567890123", "[" * 40 + "]" * 40],
+        ids=["int19", "int18", "fraction23", "nested40"],
+    )
+    @pytest.mark.parametrize("edge", [1, 2])
+    def test_runs_across_chunk_edges(self, payload, edge):
+        """A 19-digit integer (orjson floats it), an 18-digit one, a 23-digit fraction and 40 nested lists start at
+        every offset from -20 to +20 bytes around a chunk edge, in texts with 2**14 and 2**14 + 1 openers: the
+        checks answer as the whole-text scans do, and the text loads as json.loads reads it."""
+        for offset in range(-20, 21):
+            at = edge * cli._CHUNK + offset
+            for openers in (2**14, 2**14 + 1):
+                head = '{"pad": "' + "x" * (at - 17) + '", "n": '  # the payload starts at byte ``at``
+                tail = ', "z": "' + "{" * (openers - 1 - payload.count("[")) + '"}'
+                text = head + payload + tail
+                assert cli._orjson_agrees(text) == whole_text_agrees(text), (payload, at, openers)
+                got, want = load_both(text)
+                assert same_json(got, want), (payload, at, openers)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            *("", "1" * 18, "1" * 19, "-" + "1" * 19, "." + "1" * 19, "1." + "1" * 19, "e" + "1" * 25, "é" + "1" * 19),
+            *("[" * 2**14, "{" * 2**14 + "[", "[]" * 2**14 + "x" * 2**16),
+        ],
+    )
+    def test_text_start_and_opener_count(self, text):
+        """The start of the text counts as a byte before a digit run, and every opener counts once."""
+        assert cli._orjson_agrees(text) == whole_text_agrees(text)
+
+    def test_checks_hold_no_whole_text_temporary(self):
+        """On the 6400-item instance's 364 KiB text, the checks peak at one encoded copy of the text plus at most
+        256 KiB: no temporary grows with the text."""
+        text = json.dumps(repair_instance())
+        tracemalloc.start()
+        try:
+            assert cli._orjson_agrees(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= len(text.encode()) + 256 * 1024
+
     def test_repair_instance_takes_orjson(self, tmp_path, monkeypatch):
         """The 6400-item instance and its bounds parse without json.loads, to the bytes json's parse gives."""
-        rng = np.random.default_rng(31)
-        labels = rng.integers(-1, 3, 6400)
-        items = zip(rng.uniform(0.0, 1.0, 6400).tolist(), labels.tolist())
-        doc = {
-            "n": 1600,
-            "v": {"kind": "dcg"},
-            "groups": [np.flatnonzero(labels == s).tolist() for s in range(3)],
-            "items": [{"id": i, "w": w, "groups": [g] if g >= 0 else []} for i, (w, g) in enumerate(items)],
-        }
-        inst, bounds, out = write_json(tmp_path, "inst.json", doc), tmp_path / "bounds.json", tmp_path / "out.json"
+        inst = write_json(tmp_path, "inst.json", repair_instance())
+        bounds, out = tmp_path / "bounds.json", tmp_path / "out.json"
 
         def run() -> tuple[bytes, bytes]:
             assert main(["derive-constraints", inst, "--out", str(bounds)]) == 0
