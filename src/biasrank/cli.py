@@ -35,6 +35,7 @@ import gc
 import json
 import math
 import sys
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import numpy as np
@@ -112,7 +113,8 @@ def _orjson_agrees(text: str) -> bool:
 
 
 def _load_object(path: str, what: str) -> dict:
-    """The JSON object at ``path`` as ``json.loads`` reads it, by orjson where :func:`_orjson_agrees` allows."""
+    """The JSON object at ``path`` as ``json.loads`` reads it, by orjson where :func:`_orjson_agrees` allows; a text
+    nested past json's recursion limit, with at most 2**14 openers, parses here where json raises RecursionError."""
     text = Path(path).read_text(encoding="utf-8")
     try:
         d = orjson.loads(text) if _orjson_agrees(text) else json.loads(text)
@@ -184,40 +186,23 @@ def _trials(args, d: dict, default: int) -> int:
     return args.trials if args.trials is not None else read_number(d.get("trials", default), "trials", whole=True)
 
 
-def _trial_config_from_json(d: dict) -> TrialConfig:
-    try:
-        n = read_number(d["n"], "n", whole=True)
-        return TrialConfig(
-            m_a=read_number(d["m_a"], "m_a", whole=True),
-            m_b=read_number(d["m_b"], "m_b", whole=True),
-            n=n,
-            beta=read_number(d["beta"], "beta"),
-            alpha=read_number(d.get("alpha", 0.0), "alpha"),
-            dist_a=distribution_from_json(d["dist_a"]),
-            dist_b=distribution_from_json(d["dist_b"]),
-            discount=DiscountVector.from_json_dict(d.get("discount", {"kind": "constant"}), n),
-            target_group=read_number(d.get("target_group", TrialConfig.target_group), "target_group", whole=True),
-        )
-    except KeyError as exc:
-        raise ValueError(f"trial config missing key {exc}") from exc
-
-
-def _supernumerary_config_from_json(d: dict, alpha: float) -> SupernumeraryConfig:
-    try:
-        n, m_a, m_b = (read_number(d[key], key, whole=True) for key in ("n", "m_a", "m_b"))
-        return SupernumeraryConfig(
-            n=n,
-            m_a=m_a,
-            m_b=m_b,
-            alpha=read_number(alpha, "alpha"),
-            gamma=read_number(d["gamma"], "gamma"),
-            dist_a=distribution_from_json(d["dist_a"]),
-            dist_b=distribution_from_json(d["dist_b"]),
-            score_offset=read_number(d.get("score_offset", SupernumeraryConfig.score_offset), "score_offset"),
-            discount=DiscountVector.from_json_dict(d.get("discount", {"kind": "constant"}), m_a + m_b),
-        )
-    except KeyError as exc:
-        raise ValueError(f"supernumerary config missing key {exc}") from exc
+def _config_from_json(cls, d: dict, what: str, positions: tuple[str, ...]):
+    """The ``cls`` config that ``d`` names, field by field in order: a distribution by :func:`distribution_from_json`,
+    the discount (constant by default) by :meth:`DiscountVector.from_json_dict` for the sum of the ``positions``
+    fields, and any other field by :func:`read_number`, whole for an ``int``, or its default where ``d`` lacks it."""
+    values = {}
+    for f in fields(cls):  # annotations are strings (postponed evaluation)
+        value = d.get(f.name, {"kind": "constant"} if f.type == "DiscountVector" else f.default)
+        if value is MISSING:
+            raise ValueError(f"{what} missing key {f.name!r}")
+        if f.type == "Distribution":
+            value = distribution_from_json(value)
+        elif f.type == "DiscountVector":
+            value = DiscountVector.from_json_dict(value, sum(values[key] for key in positions))
+        else:
+            value = read_number(value, f.name, whole=f.type == "int")
+        values[f.name] = value
+    return cls(**values)
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +241,7 @@ def _cmd_derive_constraints(args) -> int:
 
 def _cmd_simulate(args) -> int:
     d = _load_object(args.config, "trial config")
-    cfg = _trial_config_from_json(d)
+    cfg = _config_from_json(TrialConfig, {"alpha": 0.0, **d}, "trial config", ("n",))
     seed = SeedSpec(args.seed)
     trials = _trials(args, d, 1)
     reports = run_trials(cfg, trials, seed)
@@ -276,7 +261,7 @@ def _cmd_sweep(args) -> int:
     if not (alphas and betas):
         raise ValueError('sweep config needs nonempty "alphas" and "betas" lists')
     trials = _trials(args, d, 1000)
-    base = _trial_config_from_json({**d, "alpha": alphas[0], "beta": betas[0]})
+    base = _config_from_json(TrialConfig, {**d, "alpha": alphas[0], "beta": betas[0]}, "trial config", ("n",))
     report = run_sweep(base, alphas, betas, trials, SeedSpec(args.seed))
     _write_output(report.to_csv(), args.out)
     return EXIT_OK
@@ -307,13 +292,14 @@ def _cmd_orderstats(args) -> int:
 
 
 def _cmd_supernumerary(args) -> int:
-    d = _load_object(args.config, "supernumerary config")
+    what = "supernumerary config"
+    d = _load_object(args.config, what)
     alphas = read_list(d["alphas"], "alphas") if "alphas" in d else [d["alpha"]] if "alpha" in d else []
     if not alphas:
-        raise ValueError('supernumerary config needs "alpha" or a nonempty "alphas" list')
+        raise ValueError(f'{what} needs "alpha" or a nonempty "alphas" list')
     trials = _trials(args, d, 1000)
     seed = SeedSpec(args.seed)
-    configs = [_supernumerary_config_from_json(d, a) for a in alphas]
+    configs = [_config_from_json(SupernumeraryConfig, {**d, "alpha": a}, what, ("m_a", "m_b")) for a in alphas]
     reports = [supernumerary_compare(c, trials, seed) for c in configs]
     _write_output(supernumerary_csv(reports), args.out)
     return EXIT_OK

@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import dataclasses
 import gc
 import io
 import json
@@ -20,7 +21,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import biasrank
-from biasrank import ConstraintMatrix, DiscountVector, cli, model, satisfies, stats
+from biasrank import ConstraintMatrix, DiscountVector, cli, experiments, model, satisfies, stats
 from biasrank.cli import ingest_scores, main
 
 FACT_INSTANCE_W = {
@@ -582,6 +583,84 @@ class TestDiscountParity:
         doc = {**FACT_INSTANCE_W, "v": discount} if command == "solve" else {**TRIAL_CONFIG, "discount": discount}
         assert main([command, write_json(tmp_path, "doc.json", {**doc, "n": n})]) == 3
         assert capsys.readouterr().err == f"error: discount length must be at least 1, got {n}\n"
+
+
+def config_json(cfg) -> dict:
+    """A trial or seat-expansion config as a JSON document: each distribution and the discount as its own object."""
+    doc = {}
+    for f in dataclasses.fields(cfg):
+        value = getattr(cfg, f.name)
+        doc[f.name] = value.to_json_dict() if hasattr(value, "to_json_dict") else value
+    return json.loads(json.dumps(doc))
+
+
+SHIFTED_UNIFORM = stats.ShiftedScaled(stats.Uniform(0.5, 2.0), 3.0, -1.0)
+# Every field away from its default, the discount custom, a law shifted_scaled.
+NON_DEFAULT_CONFIGS = {
+    "trial": experiments.TrialConfig(
+        m_a=7,
+        m_b=5,
+        n=4,
+        beta=0.3,
+        alpha=0.6,
+        dist_a=SHIFTED_UNIFORM,
+        dist_b=stats.Normal(1.0, 2.0),
+        discount=DiscountVector(np.array([4.0, 3.0, 2.0, 0.5])),
+        target_group=0,
+    ),
+    "supernumerary": experiments.SupernumeraryConfig(
+        n=4,
+        m_a=3,
+        m_b=2,
+        alpha=0.4,
+        gamma=1.3,
+        dist_a=stats.LogNormal(0.2, 0.7),
+        dist_b=SHIFTED_UNIFORM,
+        discount=DiscountVector(np.array([5.0, 4.0, 3.0, 2.0, 1.0])),
+        score_offset=12.5,
+    ),
+}
+# The keys each command must find in its config: the others have defaults or come from "alphas" and "betas".
+REQUIRED_KEYS = {
+    "simulate": ("m_a", "m_b", "n", "beta", "dist_a", "dist_b"),
+    "sweep": ("m_a", "m_b", "n", "dist_a", "dist_b"),
+    "supernumerary": ("n", "m_a", "m_b", "gamma", "dist_a", "dist_b"),
+}
+
+
+class TestConfigReader:
+    @pytest.mark.parametrize(
+        "name, what, positions",
+        [("trial", "trial config", ("n",)), ("supernumerary", "supernumerary config", ("m_a", "m_b"))],
+    )
+    def test_non_default_config_reads_back_equal(self, name, what, positions):
+        cfg = NON_DEFAULT_CONFIGS[name]
+        defaults = [f for f in dataclasses.fields(cfg) if f.default is not dataclasses.MISSING]
+        assert defaults and all(getattr(cfg, f.name) != f.default for f in defaults)
+        read = cli._config_from_json(type(cfg), config_json(cfg), what, positions)
+        assert read == cfg
+        assert list(map(type, vars(read).values())) == list(map(type, vars(cfg).values()))  # as 7 == 7.0
+
+    @pytest.mark.parametrize("command, key", [(c, key) for c, keys in REQUIRED_KEYS.items() for key in keys])
+    def test_missing_key_is_one_line(self, tmp_path, capsys, command, key):
+        doc = {k: v for k, v in TestDiscountParity.CONFIGS[command].items() if k != key}
+        what = "supernumerary config" if command == "supernumerary" else "trial config"
+        assert main([command, write_json(tmp_path, "cfg.json", doc)]) == 3
+        assert capsys.readouterr().err == f"error: {what} missing key '{key}'\n"
+
+    @pytest.mark.parametrize(
+        "command, faults, message",
+        [
+            ("simulate", {"m_a": "12", "n": None}, "m_a must be a whole number, got a string"),
+            ("sweep", {"m_b": None, "n": None, "dist_a": {"kind": "x"}}, "trial config missing key 'm_b'"),
+            ("supernumerary", {"score_offset": "105", "discount": {"kind": "lcg"}}, "unknown discount kind 'lcg'"),
+        ],
+    )
+    def test_first_fault_in_field_order(self, tmp_path, capsys, command, faults, message):
+        """A config with several faults reports the one in the dataclass's first field (None: the key is missing)."""
+        doc = {k: v for k, v in {**TestDiscountParity.CONFIGS[command], **faults}.items() if v is not None}
+        assert main([command, write_json(tmp_path, "cfg.json", doc)]) == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 class TestIngest:

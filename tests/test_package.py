@@ -8,7 +8,6 @@ import importlib.util
 import json
 import re
 import sys
-import tomllib
 import types
 from pathlib import Path
 
@@ -18,7 +17,7 @@ from biasrank import cli, constraints, experiments, model, solver, stats
 SUBMODULES = (model, constraints, solver, stats, experiments)
 
 # The lines of src/biasrank/*.py, as ``wc -l`` counts them.
-SRC_LINE_BUDGET = 2485
+SRC_LINE_BUDGET = 2462
 
 
 class TestPublicSurface:
@@ -59,6 +58,8 @@ def test_src_line_budget():
 
 
 def test_every_third_party_import_is_a_declared_dependency():
+    import tomllib  # Python 3.11+: imported here, so on 3.10 only this test fails and the module's others still run
+
     root = Path(__file__).resolve().parents[1]
     requirements = tomllib.loads((root / "pyproject.toml").read_text(encoding="utf-8"))["project"]["dependencies"]
     declared = {re.match(r"[A-Za-z0-9_.-]+", req).group().lower() for req in requirements}
