@@ -186,10 +186,13 @@ def _trials(args, d: dict, default: int) -> int:
     return args.trials if args.trials is not None else read_number(d.get("trials", default), "trials", whole=True)
 
 
-def _config_from_json(cls, d: dict, what: str, positions: tuple[str, ...]):
+def _config_from_json(cls, d: dict, what: str, positions: tuple[str, ...], others: tuple[str, ...] = ()):
     """The ``cls`` config that ``d`` names, field by field in order: a distribution by :func:`distribution_from_json`,
     the discount (constant by default) by :meth:`DiscountVector.from_json_dict` for the sum of the ``positions``
-    fields, and any other field by :func:`read_number`, whole for an ``int``, or its default where ``d`` lacks it."""
+    fields, and any other field by :func:`read_number`, whole for an ``int``, or its default where ``d`` lacks it.
+    A key of ``d`` other than a field, ``"trials"`` and the ``others`` the command reads raises ValueError first."""
+    if foreign := [key for key in d if key not in (*others, "trials") and key not in cls.__dataclass_fields__]:
+        raise ValueError(f"{what} takes no key {foreign[0]!r}")
     values = {}
     for f in fields(cls):  # annotations are strings (postponed evaluation)
         value = d.get(f.name, {"kind": "constant"} if f.type == "DiscountVector" else f.default)
@@ -261,7 +264,10 @@ def _cmd_sweep(args) -> int:
     if not (alphas and betas):
         raise ValueError('sweep config needs nonempty "alphas" and "betas" lists')
     trials = _trials(args, d, 1000)
-    base = _config_from_json(TrialConfig, {**d, "alpha": alphas[0], "beta": betas[0]}, "trial config", ("n",))
+    # a trial config whose grid takes the place of its alpha and beta
+    base = _config_from_json(
+        TrialConfig, {**d, "alpha": alphas[0], "beta": betas[0]}, "sweep config", ("n",), ("alphas", "betas")
+    )
     report = run_sweep(base, alphas, betas, trials, SeedSpec(args.seed))
     _write_output(report.to_csv(), args.out)
     return EXIT_OK
@@ -299,7 +305,9 @@ def _cmd_supernumerary(args) -> int:
         raise ValueError(f'{what} needs "alpha" or a nonempty "alphas" list')
     trials = _trials(args, d, 1000)
     seed = SeedSpec(args.seed)
-    configs = [_config_from_json(SupernumeraryConfig, {**d, "alpha": a}, what, ("m_a", "m_b")) for a in alphas]
+    configs = [
+        _config_from_json(SupernumeraryConfig, {**d, "alpha": a}, what, ("m_a", "m_b"), ("alphas",)) for a in alphas
+    ]
     reports = [supernumerary_compare(c, trials, seed) for c in configs]
     _write_output(supernumerary_csv(reports), args.out)
     return EXIT_OK

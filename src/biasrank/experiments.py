@@ -14,11 +14,10 @@ Trials are independent: trial i derives its own stream from
 :func:`run_trial` stays as the scalar definition and oracle.  The batched
 engines (sweeps and ``simulate``, :func:`estimate_order_stats` and
 :func:`supernumerary_compare`) draw through one helper, ``_draw_blocks``:
-it walks the trials in blocks of ``max(1, BLOCK_ELEMENTS // m)``, puts
-each trial's generator in the state ``SeedSpec.rng_for_trial(i)`` defines
-(:meth:`SeedSpec.rngs_for_trials`), and has each group's distribution
-write its draws straight into that group's columns of the trial's row of
-one (rows, m) matrix.  Each engine then checks, sorts only what it needs
+it hands ``SeedSpec`` blocks of ``max(1, BLOCK_ELEMENTS // m)`` rows of
+one (rows, m) matrix, and each trial's groups draw, from the stream
+``SeedSpec.rng_for_trial(i)`` defines, straight into their columns of the
+trial's row.  Each engine then checks, sorts only what it needs
 (selected candidates, or each group's columns in place), scores the whole
 block at once, and reproduces the per-trial loop bit for bit, whatever the
 block size.
@@ -199,13 +198,8 @@ def _draw_blocks(seed: SeedSpec, trials: int, groups) -> Iterator[tuple[slice, n
     buf = np.empty((min(block, trials), at))
     # Each row's group views, made once for all blocks.
     rows = [[(dist, size, row[col]) for dist, size, col in cols] for row in buf]
-    rngs = seed.rngs_for_trials(0, trials)
-    for start in range(0, trials, block):
-        stop = min(start + block, trials)
-        for draws, rng in zip(rows[: stop - start], rngs):
-            for dist, size, out in draws:
-                dist.draw(rng, size, out)
-        yield slice(start, stop), buf[: stop - start]
+    for part in seed._draw_trials(trials, rows):
+        yield part, buf[: part.stop - part.start]
 
 
 def _utilities(w: np.ndarray, ids: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -258,6 +258,8 @@ def distribution_from_json(d: dict) -> Distribution:
     cls = next((c for c in Distribution.__args__ if c.kind == kind), None)
     if cls is None:
         raise ValueError(f"unknown distribution kind {kind!r}")
+    if foreign := [key for key in d if key != "kind" and key not in cls.__dataclass_fields__]:
+        raise ValueError(f"{kind} distribution takes no field {foreign[0]!r}")
     values = {}
     for f in fields(cls):
         nested = f.type == "Distribution"  # annotations are strings (postponed evaluation)
@@ -276,8 +278,8 @@ _MASK32 = 0xFFFFFFFF
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
-# Trials whose generator states SeedSpec.rngs_for_trials derives together;
-# a block costs about 0.3 ms of numpy calls whatever its size.
+# Trials whose states SeedSpec._draw_trials derives together, in whole draw
+# blocks; a chunk costs about 0.3 ms of numpy calls whatever its size.
 SEED_BLOCK = 1024
 
 # NumPy's SeedSequence hash constants (NEP 19) and PCG64's LCG multiplier.
@@ -389,10 +391,9 @@ class SeedSpec:
     identical streams, so any trial is reproducible in isolation and
     aggregation is independent of execution order and batch size.
 
-    The batched engines draw through :meth:`rngs_for_trials`, which derives
-    the same PCG64 states for a block of trials at once in numpy and stores
-    each into one reused generator, instead of building a SeedSequence, a
-    PCG64 and a Generator per trial.
+    The batched engines draw through ``_draw_trials``, which derives these
+    states in numpy and stores each into one reused generator, instead of
+    building a SeedSequence, a PCG64 and a Generator per trial.
     """
 
     master_seed: int = 0
@@ -409,28 +410,18 @@ class SeedSpec:
     def rng_for_trial(self, trial_index: int) -> np.random.Generator:
         return np.random.default_rng(self.trial_seed(trial_index))
 
-    def rngs_for_trials(self, start: int, stop: int) -> Iterator[np.random.Generator]:
-        """One generator per trial index in start..stop-1, in the state
-        ``rng_for_trial(i)`` starts in, so the draws are the same.
+    def _draw_trials(self, trials: int, rows: list) -> Iterator[slice]:
+        """Draw trials 0..trials-1, ``len(rows)`` at a time, and yield each block's ``part`` once it is drawn: for
+        trial ``part.start + j``, each ``(dist, size, out)`` of ``rows[j]`` in turn calls ``dist.draw(rng, size, out)``
+        with ``rng`` in the state ``rng_for_trial`` starts it in.
 
-        NumPy's SeedSequence hash and PCG64 seeding are fixed, documented
-        algorithms (NEP 19), so the states of ``SEED_BLOCK`` trials are
-        derived together in numpy and stored into one reused Generator: the
-        same object is yielded every time, and each one is valid only until
-        the next is requested.  Each call reads the build's 128-bit word
-        order from ``rng_for_trial(start)``'s raw state and checks the first
-        stored state against that generator's; an unknown layout, or a numpy
-        release that seeds differently, raises RuntimeError rather than
-        changing the output bytes.
+        NumPy's SeedSequence hash and PCG64 seeding are fixed algorithms (NEP 19), so the states of about
+        ``SEED_BLOCK`` trials, whole blocks of them, are derived together in numpy and stored into one reused
+        Generator.  Each call reads the build's 128-bit word order from ``rng_for_trial(0)``'s raw state and checks
+        the first stored state against that generator's; an unknown layout, or a numpy release that seeds
+        differently, raises RuntimeError rather than changing the output bytes.
         """
-        if start < 0:
-            raise ValueError("trial index must be nonnegative")
-        return self._rngs(start, stop)
-
-    def _rngs(self, start: int, stop: int) -> Iterator[np.random.Generator]:
-        if stop <= start:
-            return
-        rng = np.random.default_rng(self.trial_seed(start))
+        rng = np.random.default_rng(self.trial_seed(0))
         bitgen = rng.bit_generator
         want = bitgen.state
         # numpy's pcg64_state: {pcg64_random_t *pcg_state; int has_uint32;
@@ -446,21 +437,26 @@ class SeedSpec:
         # Per trial, one 32-byte store and one clearing the buffered uint32;
         # memoryview slice stores cost about half of numpy row assignments.
         store, clear, zeros = memoryview(words).cast("B"), memoryview(buffered).cast("B"), bytes(8)
-        for lo in range(start, stop, SEED_BLOCK):
-            seeds = _trial_seeds(self.master_seed, lo, min(lo + SEED_BLOCK, stop))
-            states = np.take(_srandom(*_seed_words(seeds)), layout, axis=1)
-            raw = memoryview(states).cast("B")
-            if lo == start:
+        block = len(rows)
+        chunk = max(1, SEED_BLOCK // block) * block
+        for lo in range(0, trials, chunk):
+            seeds = _trial_seeds(self.master_seed, lo, min(lo + chunk, trials))
+            raw = memoryview(np.take(_srandom(*_seed_words(seeds)), layout, axis=1)).cast("B")
+            if lo == 0:
                 store[:] = raw[:32]
                 if bitgen.state != want:
                     raise RuntimeError(
-                        f"block seeding derived a PCG64 state for trial {start} that differs from "
+                        "block seeding derived a PCG64 state for trial 0 that differs from "
                         f"default_rng's under numpy {np.__version__}"
                     )
-            for at in range(0, 32 * seeds.size, 32):
-                store[:] = raw[at : at + 32]
-                clear[:] = zeros
-                yield rng
+            offsets = iter(range(0, len(raw), 32))
+            for start in range(lo, lo + seeds.size, block):
+                for draws, at in zip(rows, offsets):  # the last block stops with the offsets
+                    store[:] = raw[at : at + 32]
+                    clear[:] = zeros
+                    for dist, size, out in draws:
+                        dist.draw(rng, size, out)
+                yield slice(start, min(start + block, trials))
 
 
 # ---------------------------------------------------------------------------

@@ -644,7 +644,7 @@ class TestConfigReader:
     @pytest.mark.parametrize("command, key", [(c, key) for c, keys in REQUIRED_KEYS.items() for key in keys])
     def test_missing_key_is_one_line(self, tmp_path, capsys, command, key):
         doc = {k: v for k, v in TestDiscountParity.CONFIGS[command].items() if k != key}
-        what = "supernumerary config" if command == "supernumerary" else "trial config"
+        what = {"simulate": "trial config", "sweep": "sweep config", "supernumerary": "supernumerary config"}[command]
         assert main([command, write_json(tmp_path, "cfg.json", doc)]) == 3
         assert capsys.readouterr().err == f"error: {what} missing key '{key}'\n"
 
@@ -652,7 +652,7 @@ class TestConfigReader:
         "command, faults, message",
         [
             ("simulate", {"m_a": "12", "n": None}, "m_a must be a whole number, got a string"),
-            ("sweep", {"m_b": None, "n": None, "dist_a": {"kind": "x"}}, "trial config missing key 'm_b'"),
+            ("sweep", {"m_b": None, "n": None, "dist_a": {"kind": "x"}}, "sweep config missing key 'm_b'"),
             ("supernumerary", {"score_offset": "105", "discount": {"kind": "lcg"}}, "unknown discount kind 'lcg'"),
         ],
     )
@@ -661,6 +661,30 @@ class TestConfigReader:
         doc = {k: v for k, v in {**TestDiscountParity.CONFIGS[command], **faults}.items() if v is not None}
         assert main([command, write_json(tmp_path, "cfg.json", doc)]) == 3
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "command, extra, message",
+        [
+            ("simulate", {"alphas": [0.5]}, "trial config takes no key 'alphas'"),
+            ("sweep", {"trails": 3}, "sweep config takes no key 'trails'"),
+            ("supernumerary", {"beta": 0.5}, "supernumerary config takes no key 'beta'"),
+            ("orderstats", {"kind": "lognormal", "a": 0.0}, "lognormal distribution takes no field 'a'"),
+            (
+                "simulate",
+                {"dist_b": {"kind": "shifted_scaled", "base": {"kind": "uniform", "sigma": 1.0}}},
+                "uniform distribution takes no field 'sigma'",
+            ),
+        ],
+        ids=["trial", "sweep", "supernumerary", "orderstats-dist", "nested-dist"],
+    )
+    def test_unread_key_is_one_line(self, tmp_path, capsys, command, extra, message):
+        if command == "orderstats":
+            path = write_json(tmp_path, "dist.json", extra)
+            argv = ["orderstats", "--k", "2", "--l", "1", "--ma", "5", "--mb", "5", "--dist", path]
+        else:
+            argv = [command, write_json(tmp_path, "cfg.json", {**TestDiscountParity.CONFIGS[command], **extra})]
+        assert main(argv) == 3
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 class TestIngest:
@@ -732,7 +756,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("command", ["sweep", "simulate"])
     def test_infeasible_alpha(self, tmp_path, capsys, command):
         # floor(0.5 * 8) = 4 target items are needed but only 3 exist
-        doc = {**TRIAL_CONFIG, "m_b": 3, "alphas": [0.0, 0.5], "betas": [0.5], "alpha": 0.5}
+        grid = {"alphas": [0.0, 0.5], "betas": [0.5]} if command == "sweep" else {}
+        doc = {**TRIAL_CONFIG, "m_b": 3, **grid, "alpha": 0.5}
         code = main([command, write_json(tmp_path, "cfg.json", doc)])
         assert code == 2
         assert capsys.readouterr().err == "infeasible: no ranking satisfies the constraint matrix\n"

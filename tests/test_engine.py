@@ -82,18 +82,22 @@ def feasible(cfg: TrialConfig, alpha: float) -> bool:
     return math.floor(alpha * cfg.n + 1e-9) <= size
 
 
-# Engine blocks of 1, 3 and 7 trials put block edges inside short trial
-# ranges, so the oracle's cost does not grow with the production block.
+# Engine blocks of 1, 3 and 7 trials, seeded two blocks at a time, put
+# block and seeding-chunk edges inside short trial ranges, so the oracle's
+# cost does not grow with the production block.
 BLOCK_ROWS = (1, 3, 7)
 ENGINE_BLOCKS = st.sampled_from([*BLOCK_ROWS, None])
 
 
+@contextlib.contextmanager
 def blocks_of(rows, m):
-    """Engine blocks of ``rows`` trials of m utilities each, or of the
-    production size when ``rows`` is None."""
+    """Engine blocks of ``rows`` trials of m utilities each, seeded two
+    blocks a chunk, or of the production sizes when ``rows`` is None."""
     if rows is None:
-        return contextlib.nullcontext()
-    return mock.patch.object(experiments, "BLOCK_ELEMENTS", rows * m)
+        yield
+        return
+    with mock.patch.object(experiments, "BLOCK_ELEMENTS", rows * m), mock.patch.object(stats, "SEED_BLOCK", 2 * rows):
+        yield
 
 
 def assert_sweep_equals_loop(cfg, alphas, betas, trials, spec, block):
@@ -500,33 +504,61 @@ def trial_ranges(draw):
     return start, start + draw(st.integers(0, 20))
 
 
-class TestBlockSeeding:
-    @given(seed=SEEDS, span=trial_ranges(), block=SEED_BLOCKS)
-    @settings(max_examples=60, deadline=None)
-    def test_states_equal_rng_for_trial(self, seed, span, block):
-        spec = SeedSpec(seed)
-        start, stop = span
-        with mock.patch.object(stats, "SEED_BLOCK", block):
-            states = [rng.bit_generator.state for rng in spec.rngs_for_trials(start, stop)]
-        assert states == [spec.rng_for_trial(i).bit_generator.state for i in range(start, stop)]
+class Drawn:
+    """``dist`` as one group of a trial's draws that keeps each draw's bytes;
+    ``draw(rng, size, out)`` must return ``out`` itself."""
 
-    @given(seed=SEEDS, span=trial_ranges(), block=SEED_BLOCKS, size=st.integers(0, 12))
-    @settings(max_examples=40, deadline=None)
-    def test_first_draws_equal_for_every_distribution_kind(self, seed, span, block, size):
-        spec = SeedSpec(seed)
+    def __init__(self, dist):
+        self.dist, self.drawn = dist, []
+
+    def draw(self, rng, size, out=None):
+        x = self.dist.draw(rng, size, out)
+        assert out is None or x is out
+        self.drawn.append(x.tobytes())
+        return x
+
+
+def rows_of(block, *groups):
+    """``block`` rows of draws for ``SeedSpec._draw_trials``, every row the same ``(dist, size, out)`` groups."""
+    return [list(groups)] * block
+
+
+class TestBlockSeeding:
+    @given(seed=SEEDS, span=trial_ranges())
+    @settings(max_examples=60, deadline=None)
+    def test_states_equal_rng_for_trial(self, seed, span):
         start, stop = span
+        states = stats._srandom(*stats._seed_words(stats._trial_seeds(seed, start, stop))).tolist()
+        want = []
+        for i in range(start, stop):
+            state = SeedSpec(seed).rng_for_trial(i).bit_generator.state["state"]
+            want.append([state["state"] >> 64, state["state"] % 2**64, state["inc"] >> 64, state["inc"] % 2**64])
+        assert states == want
+
+    @given(
+        seed=SEEDS, trials=st.integers(1, 20), block=st.sampled_from(BLOCK_ROWS), chunk=SEED_BLOCKS, size=st.integers(0, 12)
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_first_draws_equal_for_every_distribution_kind(self, seed, trials, block, chunk, size):
+        """Each trial draws twice, into the middle columns of a block row, leaving the rest alone, then as a new
+        array; seeding chunks and blocks of 1, 3 and 7 trials put their edges inside short runs."""
+        spec = SeedSpec(seed)
         for dist in FIVE_KINDS + UNIFORMS:
-            want = [dist.draw(spec.rng_for_trial(i), size).tobytes() for i in range(start, stop)]
-            with mock.patch.object(stats, "SEED_BLOCK", block):
-                got = [dist.draw(rng, size).tobytes() for rng in spec.rngs_for_trials(start, stop)]
-                # into the middle columns of a block row, leaving the rest alone
-                block_rows = np.full((stop - start, size + 3), np.nan)
-                for row, rng in zip(block_rows, spec.rngs_for_trials(start, stop)):
-                    out = row[2 : 2 + size]
-                    assert dist.draw(rng, size, out) is out
-            assert got == want
-            assert [row[2 : 2 + size].tobytes() for row in block_rows] == want
-            assert np.isnan(block_rows[:, :2]).all() and np.isnan(block_rows[:, 2 + size :]).all()
+            want = []
+            for i in range(trials):
+                rng = spec.rng_for_trial(i)
+                want += [dist.draw(rng, size).tobytes(), dist.draw(rng, size).tobytes()]
+            drawn = Drawn(dist)
+            buf = np.full((block, size + 3), np.nan)
+            rows = [[(drawn, size, row[2 : 2 + size]), (drawn, size, None)] for row in buf]
+            written = []
+            with mock.patch.object(stats, "SEED_BLOCK", chunk):
+                for part in spec._draw_trials(trials, rows):
+                    w = buf[: part.stop - part.start]
+                    written += [row[2 : 2 + size].tobytes() for row in w]
+                    assert np.isnan(w[:, :2]).all() and np.isnan(w[:, 2 + size :]).all()
+            assert drawn.drawn == want
+            assert written == want[::2]
 
     @given(seed=SEEDS, span=trial_ranges())
     @settings(max_examples=100, deadline=None)
@@ -535,35 +567,29 @@ class TestBlockSeeding:
         start, stop = span
         assert stats._trial_seeds(seed, start, stop).tolist() == [spec.trial_seed(i) for i in range(start, stop)]
 
-    def test_range_across_default_block_edge(self):
+    def test_run_across_default_chunk_edge(self):
         spec = SeedSpec(2**64 - 1)
-        start, stop = 3, stats.SEED_BLOCK + 9
-        draws = [rng.uniform(size=2) for rng in spec.rngs_for_trials(start, stop)]
-        assert np.array_equal(draws, [spec.rng_for_trial(i).uniform(size=2) for i in range(start, stop)])
-
-    def test_yields_one_reused_generator(self):
-        rngs = list(SeedSpec(5).rngs_for_trials(0, 4))
-        assert len(rngs) == 4 and all(r is rngs[0] for r in rngs)
-
-    def test_empty_and_negative_ranges(self):
-        assert list(SeedSpec(1).rngs_for_trials(4, 4)) == []
-        assert list(SeedSpec(1).rngs_for_trials(4, 2)) == []
-        with pytest.raises(ValueError):
-            SeedSpec(1).rngs_for_trials(-1, 3)
+        drawn = Drawn(Uniform(0.0, 1.0))
+        trials = stats.SEED_BLOCK + 9  # 1022 trials a chunk in blocks of 7
+        parts = list(spec._draw_trials(trials, rows_of(7, (drawn, 2, None))))
+        assert parts == [slice(i, min(i + 7, trials)) for i in range(0, trials, 7)]
+        assert drawn.drawn == [spec.rng_for_trial(i).uniform(size=2).tobytes() for i in range(trials)]
 
     def test_changed_seeding_fails_loudly(self):
         # a numpy release that seeded PCG64 differently would derive other states
         with mock.patch.object(stats, "_PCG64_MULT", stats._PCG64_MULT + 2):
             with pytest.raises(RuntimeError, match=f"numpy {np.__version__}"):
-                next(SeedSpec(3).rngs_for_trials(7, 9))
+                next(SeedSpec(3)._draw_trials(9, rows_of(2)))
 
     def test_buffered_uint32_does_not_leak_into_the_next_trial(self):
         # three bounded 32-bit draws leave half of a 64-bit output buffered
-        spec = SeedSpec(11)
-        got = []
-        for rng in spec.rngs_for_trials(0, 6):
-            got.append((rng.bit_generator.state, rng.integers(0, 7, 3).tolist()))
-            assert rng.bit_generator.state["has_uint32"] == 1
+        class Bounded:
+            def draw(self, rng, size, out):
+                got.append((rng.bit_generator.state, rng.integers(0, 7, 3).tolist()))
+                assert rng.bit_generator.state["has_uint32"] == 1
+
+        spec, got = SeedSpec(11), []
+        list(spec._draw_trials(6, rows_of(4, (Bounded(), 0, None))))
         want = []
         for i in range(6):
             rng = spec.rng_for_trial(i)
@@ -587,11 +613,11 @@ class TestBlockSeeding:
         swap_halves = (1, 0, 3, 2)
         with mock.patch.object(stats, "_PCG128_LAYOUTS", ((2, 3, 0, 1),)):
             with pytest.raises(RuntimeError, match=f"layout under numpy {np.__version__}"):
-                next(SeedSpec(3).rngs_for_trials(7, 9))
+                next(SeedSpec(3)._draw_trials(9, rows_of(2)))
         srandom = stats._srandom
         with mock.patch.object(stats, "_srandom", lambda *words: srandom(*words)[:, swap_halves]):
             with pytest.raises(RuntimeError, match=f"differs from default_rng's under numpy {np.__version__}"):
-                next(SeedSpec(3).rngs_for_trials(7, 9))
+                next(SeedSpec(3)._draw_trials(9, rows_of(2)))
 
 
 def per_trial_order_stats(k, l, m_a, m_b, dist, trials, seed):

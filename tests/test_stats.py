@@ -304,11 +304,16 @@ class TestDistributions:
         assert str(info.value) == message
 
     def test_json_defaults_and_unknown_keys(self):
-        assert distribution_from_json({"kind": "uniform", "b": 2, "extra": 1}) == Uniform(0.0, 2.0)
+        assert distribution_from_json({"kind": "uniform", "b": 2}) == Uniform(0.0, 2.0)
         assert distribution_from_json({"kind": "lognormal", "sigma": 0.5}) == LogNormal(0.0, 0.5)
         assert distribution_from_json({"kind": "normal", "mu": 3}) == Normal(3.0, 1.0)
-        d = {"kind": "shifted_scaled", "base": {"kind": "empirical", "sample": [2, 1], "x": 0}, "shift": 4}
+        d = {"kind": "shifted_scaled", "base": {"kind": "empirical", "sample": [2, 1]}, "shift": 4}
         assert distribution_from_json(d) == ShiftedScaled(Empirical([1.0, 2.0]), 1.0, 4.0)
+        # a key the kind does not read is refused, in a nested distribution too
+        with pytest.raises(ValueError, match="^uniform distribution takes no field 'extra'$"):
+            distribution_from_json({"kind": "uniform", "b": 2, "extra": 1})
+        with pytest.raises(ValueError, match="^empirical distribution takes no field 'x'$"):
+            distribution_from_json({**d, "base": {**d["base"], "x": 0}})
 
 
 class TestSeedSpec:
