@@ -125,13 +125,6 @@ def _load_object(path: str, what: str) -> dict:
     return d
 
 
-def _write_output(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        Path(out).write_text(text, encoding="utf-8")
-
-
 def _json_text(value, indent: str = "\n") -> str:
     """``json.dumps(value, indent=2, sort_keys=True, allow_nan=False)`` for a document with text keys: one C-encoder
     call for each object or list of numbers, whose item separator holds the line break, and one orjson call for each
@@ -164,14 +157,6 @@ def _non_finite_paths(value, path: str = ""):
     elif isinstance(value, (dict, list, tuple)):
         for key in sorted(value) if isinstance(value, dict) else range(len(value)):
             yield from _non_finite_paths(value[key], f"{path}.{key}" if path else str(key))
-
-
-def _dump_json(obj: dict, out: str | None) -> None:
-    try:
-        text = _json_text(obj)
-    except ValueError:  # allow_nan=False refused a NaN or an infinity
-        raise ValueError(f"{next(_non_finite_paths(obj))} is not a finite number") from None
-    _write_output(text + "\n", out)
 
 
 def _parse_betas(text: str, p: int) -> BiasModel:
@@ -212,7 +197,7 @@ def _config_from_json(cls, d: dict, what: str, positions: tuple[str, ...], other
 # Subcommands
 
 
-def _cmd_solve(args) -> int:
+def _cmd_solve(args) -> dict:
     inst = instance_from_json(_load_object(args.instance, "instance"))
     bias = _parse_betas(args.betas, inst.p) if args.betas else BiasModel(np.ones(inst.p))
     observed = observed_utilities(inst, bias)
@@ -224,41 +209,34 @@ def _cmd_solve(args) -> int:
             ranking = rank_constrained_bruteforce(inst, observed, L)
     else:
         ranking = rank_unconstrained(inst, observed)
-    _dump_json(
-        {
-            "positions": list(ranking.positions),
-            "latent_utility": ranking_utility(ranking, inst.v, inst.latent_utilities),
-            "observed_utility": ranking_utility(ranking, inst.v, observed),
-            "betas": [float(b) for b in bias.betas],
-        },
-        args.out,
-    )
-    return EXIT_OK
+    return {
+        "positions": list(ranking.positions),
+        "latent_utility": ranking_utility(ranking, inst.v, inst.latent_utilities),
+        "observed_utility": ranking_utility(ranking, inst.v, observed),
+        "betas": [float(b) for b in bias.betas],
+    }
 
 
-def _cmd_derive_constraints(args) -> int:
+def _cmd_derive_constraints(args) -> dict:
     inst = instance_from_json(_load_object(args.instance, "instance"))
-    _dump_json(derived_constraints(inst).to_json_dict(), args.out)
-    return EXIT_OK
+    return derived_constraints(inst).to_json_dict()
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args) -> dict:
     d = _load_object(args.config, "trial config")
     cfg = _config_from_json(TrialConfig, {"alpha": 0.0, **d}, "trial config", ("n",))
     seed = SeedSpec(args.seed)
     trials = _trials(args, d, 1)
     reports = run_trials(cfg, trials, seed)
-    body = {
+    return {
         "seed": seed.master_seed,
         "trials": trials,
         "reports": [vars(r) for r in reports],
         "mean": {key: sum(getattr(r, key) for r in reports) / trials for key in ("u_cons", "u_uncons", "u_opt")},
     }
-    _dump_json(body, args.out)
-    return EXIT_OK
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args) -> str:
     d = _load_object(args.config, "sweep config")
     alphas, betas = (read_numbers(read_list(d.get(key, []), key), key[:-1]).tolist() for key in ("alphas", "betas"))
     if not (alphas and betas):
@@ -269,35 +247,30 @@ def _cmd_sweep(args) -> int:
         TrialConfig, {**d, "alpha": alphas[0], "beta": betas[0]}, "sweep config", ("n",), ("alphas", "betas")
     )
     report = run_sweep(base, alphas, betas, trials, SeedSpec(args.seed))
-    _write_output(report.to_csv(), args.out)
-    return EXIT_OK
+    return report.to_csv()
 
 
-def _cmd_orderstats(args) -> int:
+def _cmd_orderstats(args) -> dict:
     dist = distribution_from_json(_load_object(args.dist, "distribution") if args.dist else {"kind": "uniform"})
     trials = args.trials if args.trials is not None else 10000
     seed = SeedSpec(args.seed)
     est = estimate_order_stats(args.k, args.l, args.ma, args.mb, dist, trials, seed)
-    _dump_json(
-        {
-            "seed": seed.master_seed,
-            "trials": trials,
-            "k": args.k,
-            "l": args.l,
-            "m_a": args.ma,
-            "m_b": args.mb,
-            "analytic": {
-                "expected_Nkb": expected_Nkb(args.k, args.ma, args.mb),
-                "expected_Pl": expected_Pl(args.l, args.ma, args.mb),
-            },
-            "monte_carlo": {key: getattr(est, key) for key in ("mean_Nkb", "se_Nkb", "mean_Pl", "se_Pl")},
+    return {
+        "seed": seed.master_seed,
+        "trials": trials,
+        "k": args.k,
+        "l": args.l,
+        "m_a": args.ma,
+        "m_b": args.mb,
+        "analytic": {
+            "expected_Nkb": expected_Nkb(args.k, args.ma, args.mb),
+            "expected_Pl": expected_Pl(args.l, args.ma, args.mb),
         },
-        args.out,
-    )
-    return EXIT_OK
+        "monte_carlo": {key: getattr(est, key) for key in ("mean_Nkb", "se_Nkb", "mean_Pl", "se_Pl")},
+    }
 
 
-def _cmd_supernumerary(args) -> int:
+def _cmd_supernumerary(args) -> str:
     what = "supernumerary config"
     d = _load_object(args.config, what)
     alphas = read_list(d["alphas"], "alphas") if "alphas" in d else [d["alpha"]] if "alpha" in d else []
@@ -309,8 +282,7 @@ def _cmd_supernumerary(args) -> int:
         _config_from_json(SupernumeraryConfig, {**d, "alpha": a}, what, ("m_a", "m_b"), ("alphas",)) for a in alphas
     ]
     reports = [supernumerary_compare(c, trials, seed) for c in configs]
-    _write_output(supernumerary_csv(reports), args.out)
-    return EXIT_OK
+    return supernumerary_csv(reports)
 
 
 def ingest_scores(csv_path: str):
@@ -354,17 +326,13 @@ def ingest_scores(csv_path: str):
     return dists, summary, list(by_group)
 
 
-def _cmd_ingest(args) -> int:
+def _cmd_ingest(args) -> dict:
     dists, summary, order = ingest_scores(args.csv)
-    _dump_json(
-        {
-            "groups": {g: dists[g].to_json_dict() for g in order},
-            "group_order": order,
-            "summary": summary,
-        },
-        args.out,
-    )
-    return EXIT_OK
+    return {
+        "groups": {g: dists[g].to_json_dict() for g in order},
+        "group_order": order,
+        "summary": summary,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -437,7 +405,16 @@ def main(argv=None) -> int:
             parser.print_usage(sys.stderr)
             return EXIT_USAGE
         with np.errstate(over="ignore", invalid="ignore"):  # a non-finite result fails a check or the writer
-            return args.func(args)
+            result = args.func(args)  # a JSON document, or CSV text
+            try:
+                text = result if isinstance(result, str) else _json_text(result) + "\n"
+            except ValueError:  # allow_nan=False refused a NaN or an infinity
+                raise ValueError(f"{next(_non_finite_paths(result))} is not a finite number") from None
+            if args.out is None:
+                sys.stdout.write(text)
+            else:
+                Path(args.out).write_text(text, encoding="utf-8")
+        return EXIT_OK
     except _UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return EXIT_USAGE

@@ -533,14 +533,8 @@ def supernumerary_compare(config: SupernumeraryConfig, trials: int, seed: SeedSp
             raise ValueError(messages[int(bad[:, i].argmax())])
         n_sup, reserved = n + x.astype(np.int64), n_f + x.astype(np.int64)
 
-        # Reserved seats go to the best reserved-count targets by observed
-        # score; open seats then take the best n - n_f of everyone else, so an
-        # item's open rank is its position less the reserved targets at or
-        # above it (among the candidates, off only for items neither admits).
-        # Placement is unconstrained, so the admitted set keeps its order.
-        t_rank = np.cumsum(is_t, axis=1)
-        open_rank = np.arange(1, sum(c) + 1) - np.minimum(t_rank, reserved[:, None])
-        admitted = (is_t & (t_rank <= reserved[:, None])) | (open_rank <= (n - n_f)[:, None])
+        # sup admits the observed top n and then the next x targets; placement is free, so they keep observed order
+        admitted = (np.arange(sum(c)) < n) | is_t & (np.cumsum(is_t, axis=1) <= reserved[:, None])
 
         # The floor(alpha * k) bounds of a shorter ranking, and the closed
         # form's ranking under them, are prefixes of a longer one's: one call

@@ -437,6 +437,8 @@ class SeedSpec:
         # Per trial, one 32-byte store and one clearing the buffered uint32;
         # memoryview slice stores cost about half of numpy row assignments.
         store, clear, zeros = memoryview(words).cast("B"), memoryview(buffered).cast("B"), bytes(8)
+        if not rows:  # no trials, so nothing to draw
+            return
         block = len(rows)
         chunk = max(1, SEED_BLOCK // block) * block
         for lo in range(0, trials, chunk):

@@ -116,6 +116,21 @@ OVERFLOWING["huge-utility-solve"] = (
     ["solve", "inst"],
     {"inst": {"n": 2, "v": {"kind": "constant"}, "groups": [], "items": [{"id": i, "w": 1.7e308} for i in range(2)]}},
 )
+# id -> (argv, config): each asks for no trials or a negative number of them; "cfg" is the config's path.
+NONPOSITIVE_TRIALS = {
+    f"{argv[0]}{trials}": ([*argv, "--trials", trials], doc)
+    for argv, doc in [
+        (["simulate", "cfg"], TRIAL_CONFIG),
+        (["sweep", "cfg"], {**TRIAL_CONFIG, "alphas": [0.0], "betas": [0.5]}),
+        (["supernumerary", "cfg"], SUPERNUMERARY_CONFIG),
+        (["orderstats", "--k", "1", "--l", "1", "--ma", "2", "--mb", "2", "--dist", "cfg"], {"kind": "uniform"}),
+    ]
+    for trials in ("0", "-1")
+}
+NONPOSITIVE_TRIALS["sweep-config0"] = (
+    ["sweep", "cfg"],
+    {**TRIAL_CONFIG, "alphas": [0.0], "betas": [0.5], "trials": 0},
+)
 
 
 @pytest.fixture
@@ -714,12 +729,22 @@ class TestIngest:
         with pytest.raises(ValueError, match="line 2"):
             ingest_scores(str(csv))
 
-    def test_overflowing_mean_is_one_line(self, tmp_path, capsys):
-        # group b's summary is finite, but ingest writes nothing when any number is not
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            # group b's summary is finite, but ingest writes nothing when any number is not
+            ("score,group\n1e308,a\n1e308,a\n1,b\n", "summary.a.mean is not a finite number"),
+            ("score,grp\n1.0,a\n", 'expected CSV header "score,group"'),
+            ("score,group\n1.0,a,b\n", "line 2: expected 2 fields, got 3"),
+            ("score,group\n\n", "CSV contains no data rows"),
+        ],
+        ids=["overflowing-mean", "other-header", "three-fields", "no-data-rows"],
+    )
+    def test_fault_is_one_line(self, tmp_path, capsys, text, message):
         csv = tmp_path / "scores.csv"
-        csv.write_text("score,group\n1e308,a\n1e308,a\n1,b\n", encoding="utf-8")
+        csv.write_text(text, encoding="utf-8")
         assert main(["ingest", str(csv), "--out", str(tmp_path / "out.json")]) == 3
-        assert capsys.readouterr() == ("", "error: summary.a.mean is not a finite number\n")
+        assert capsys.readouterr() == ("", f"error: {message}\n")
         assert not (tmp_path / "out.json").exists()
 
     def test_recovers_generator_moments(self, tmp_path):
@@ -892,6 +917,13 @@ class TestExitCodes:
         assert code == 3
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv, doc", NONPOSITIVE_TRIALS.values(), ids=NONPOSITIVE_TRIALS)
+    def test_nonpositive_trials_are_one_line(self, tmp_path, capsys, argv, doc):
+        cfg, out = write_json(tmp_path, "cfg.json", doc), tmp_path / "out"
+        assert main([cfg if arg == "cfg" else arg for arg in argv] + ["--out", str(out)]) == 3
+        assert capsys.readouterr() == ("", "error: trials must be positive\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("depth, code", [(900, 0), (2000, 3)], ids=["900-levels", "2000-levels"])
     def test_deeply_nested_json(self, tmp_path, capsys, depth, code):
@@ -1411,17 +1443,27 @@ class TestJsonText:
         assert [call.args[0] for call in spy.call_args_list] == [doc["L"]] and len(doc["L"]) == 1600
         assert out.read_text(encoding="utf-8") == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
-    @pytest.mark.parametrize("command", sorted(PRINTED))
+    @pytest.mark.parametrize("command", sorted(PRINTED) + ["supernumerary", "sweep"])
     def test_printed_bytes(self, tmp_path, capsys, command):
-        argv, want = PRINTED[command]
+        """Each command prints its result and writes the same bytes to ``--out``: the PRINTED text for a JSON
+        command, and for the CSV commands whatever they print."""
+        argv, want = PRINTED.get(command, ([command, "cfg", "--trials", "2", "--seed", "5"], None))
+        configs = {
+            "sweep": {**TRIAL_CONFIG, "alphas": [0.0, 0.25], "betas": [0.5]},
+            "supernumerary": SUPERNUMERARY_CONFIG,
+        }
         files = {
             "inst": write_json(tmp_path, "inst.json", FACT_INSTANCE_W),
-            "cfg": write_json(tmp_path, "cfg.json", TRIAL_CONFIG),
+            "cfg": write_json(tmp_path, "cfg.json", configs.get(command, TRIAL_CONFIG)),
             "csv": str(tmp_path / "scores.csv"),
         }
         (tmp_path / "scores.csv").write_text("score,group\n3.5,a\n1,b\n2,a\n", encoding="utf-8")
-        assert main([files.get(arg, arg) for arg in argv]) == 0
-        assert capsys.readouterr().out == want
+        argv, out = [files.get(arg, arg) for arg in argv], tmp_path / "out"
+        assert main(argv) == 0
+        printed = capsys.readouterr().out
+        assert printed == want if want else printed.startswith("# seed=5\n")
+        assert main(argv + ["--out", str(out)]) == 0
+        assert capsys.readouterr() == ("", "") and out.read_bytes() == printed.encode()
 
 
 def same_json(a, b) -> bool:

@@ -575,6 +575,12 @@ class TestBlockSeeding:
         assert parts == [slice(i, min(i + 7, trials)) for i in range(0, trials, 7)]
         assert drawn.drawn == [spec.rng_for_trial(i).uniform(size=2).tobytes() for i in range(trials)]
 
+    def test_no_trials_draw_nothing(self):
+        """No trials give ``_draw_blocks`` a buffer of no rows, and nothing is drawn or yielded."""
+        drawn = Drawn(Uniform())
+        assert list(experiments._draw_blocks(SeedSpec(0), 0, ((Uniform(), 3),))) == []
+        assert list(SeedSpec(0)._draw_trials(0, rows_of(0, (drawn, 3, None)))) == [] and drawn.drawn == []
+
     def test_changed_seeding_fails_loudly(self):
         # a numpy release that seeded PCG64 differently would derive other states
         with mock.patch.object(stats, "_PCG64_MULT", stats._PCG64_MULT + 2):
