@@ -5,9 +5,9 @@ A small numpy library with four layers:
 * :mod:`biasrank.model` - items, groups, bias factors, discount vectors,
   rankings, and utility evaluation;
 * :mod:`biasrank.constraints` - prefix lower-bound matrices, their
-  constructions, satisfaction and feasibility checks;
-* :mod:`biasrank.solver` - unconstrained, greedy-with-lookahead, and
-  brute-force optimal rankings;
+  constructions and the satisfaction check;
+* :mod:`biasrank.solver` - unconstrained, greedy-with-lookahead (which
+  alone decides feasibility), and brute-force optimal rankings;
 * :mod:`biasrank.stats` / :mod:`biasrank.experiments` - closed-form
   results for exchangeable two-group instances and the seeded Monte Carlo
   harness that checks them.

@@ -1,6 +1,6 @@
 """``python -m biasrank`` runs the command-line interface."""
 
-from .cli import entry
+from .cli import main
 
 if __name__ == "__main__":
-    entry()
+    raise SystemExit(main())

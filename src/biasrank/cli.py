@@ -430,7 +430,3 @@ def main(argv=None) -> int:
     finally:
         if collecting:
             gc.enable()
-
-
-def entry() -> None:
-    raise SystemExit(main())

@@ -23,7 +23,6 @@ __all__ = [
     "ConstraintMatrix",
     "InfeasibleConstraintsError",
     "NonDisjointGroupsError",
-    "check_feasibility",
     "derived_constraints",
     "satisfies",
     "simple_constraints",
@@ -84,6 +83,8 @@ class ConstraintMatrix:
     def from_json_dict(cls, d: dict) -> "ConstraintMatrix":
         if not isinstance(d, dict):
             raise ValueError("constraint JSON must be an object")
+        if foreign := [key for key in d if key not in ("n", "p", "L")]:
+            raise ValueError(f"constraint JSON takes no key {foreign[0]!r}")
         try:
             n, p = read_number(d["n"], "n", whole=True), read_number(d["p"], "p", whole=True)
             bounds, widths = read_rows(read_list(d["L"], "L"), "L row", "constraint bound")
@@ -147,26 +148,3 @@ def satisfies(ranking: Ranking, L: ConstraintMatrix, membership) -> bool:
         raise ValueError(f"membership has {p} groups but constraints have {L.p} columns")
     counts = prefix_group_counts(ranking, membership)
     return bool(np.all(counts >= L.matrix))
-
-
-def check_feasibility(L: ConstraintMatrix, membership) -> bool:
-    """Decide whether any ranking of L.n items satisfies L, for disjoint groups.
-
-    For disjoint groups the exact conditions are: nondecreasing columns
-    (guaranteed by construction), at least L.n items, final demand within
-    each group's size, and total demand at each prefix within the prefix
-    length.  Raises NonDisjointGroupsError when some item is in two or more
-    groups; use the brute-force solver for those.
-    """
-    mem = np.asarray(membership, dtype=bool)
-    m, p = mem.shape
-    if p != L.p:
-        raise ValueError(f"membership has {p} groups but constraints have {L.p} columns")
-    if np.any(np.count_nonzero(mem, axis=1) > 1):
-        raise NonDisjointGroupsError("groups overlap; use the brute-force solver")
-    mat = L.matrix
-    return bool(
-        L.n <= m
-        and np.all(mat[-1] <= np.count_nonzero(mem, axis=0))
-        and np.all(mat.sum(axis=1) <= np.arange(1, L.n + 1))
-    )

@@ -254,12 +254,6 @@ class Ranking:
         if len(set(pos)) != len(pos):
             raise ValueError("ranking must not repeat items")
 
-    def __len__(self) -> int:
-        return len(self.positions)
-
-    def __iter__(self):
-        return iter(self.positions)
-
 
 def observed_utilities(instance: Instance, bias: BiasModel) -> np.ndarray:
     """Shaded utilities: each item's latent utility times the product of its
@@ -342,8 +336,8 @@ def instance_to_json(instance: Instance) -> dict:
 
 
 def instance_from_json(d: dict) -> Instance:
-    """Parse the instance JSON schema straight into utility and membership
-    arrays.
+    """Parse the instance JSON schema, the keys n, v, groups and items alone,
+    straight into utility and membership arrays.
 
     The item ids must be exactly 0..m-1 in any order, the utilities finite,
     and the group ids in [0, p), where p is the number of top-level group
@@ -351,6 +345,8 @@ def instance_from_json(d: dict) -> Instance:
     """
     if not isinstance(d, dict):
         raise ValueError("instance JSON must be an object")
+    if foreign := [key for key in d if key not in ("n", "v", "groups", "items")]:
+        raise ValueError(f"instance JSON takes no key {foreign[0]!r}")
     try:
         n = read_number(d["n"], "n", whole=True)
         group_lists = read_list(d["groups"], "groups")

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .constraints import ConstraintMatrix, InfeasibleConstraintsError, check_feasibility
+from .constraints import ConstraintMatrix, InfeasibleConstraintsError, NonDisjointGroupsError
 from .model import Instance, Ranking, _order, _top
 
 __all__ = [
@@ -64,27 +64,26 @@ def rank_constrained_greedy(instance: Instance, weights, L: ConstraintMatrix) ->
     Fills positions 1..n in order; at each position places the heaviest item
     (ties by ascending id) whose placement leaves every later prefix bound
     satisfiable, by the slack lookahead of the module docstring.  Raises
-    NonDisjointGroupsError for overlapping groups and
-    InfeasibleConstraintsError for infeasible bounds.
+    NonDisjointGroupsError for overlapping groups before the fill, which alone
+    decides feasibility: its InfeasibleConstraintsError names the prefix or group.
     """
     n, p = instance.n, instance.p
     if L.n != n or L.p != p:
         raise ValueError(f"constraints are {L.n}x{L.p}, instance needs {n}x{p}")
-    mem = instance.membership_matrix
-    if not check_feasibility(L, mem):
-        raise InfeasibleConstraintsError("no ranking satisfies the constraint matrix")
-    w = _check_weights(instance, weights)
-    rows, cols = np.divmod(np.flatnonzero(mem), p)  # flat index item * p + group
-    labels = np.full(instance.m, -1)  # rows hold at most one group: its id, or -1
+    rows, cols = np.divmod(np.flatnonzero(instance.membership_matrix), p)  # flat index item * p + group
+    if np.any(np.diff(rows) == 0):  # an item in two groups
+        raise NonDisjointGroupsError("groups overlap; use the brute-force solver")
+    labels = np.full(instance.m, -1)  # each item's group id, or -1
     labels[rows] = cols
+    w = _check_weights(instance, weights)
     return Ranking(tuple(_greedy(labels, w, L.matrix)))
 
 
 def _greedy(labels: np.ndarray, w: np.ndarray, Lmat: np.ndarray) -> list[int]:
     """The greedy on plain arrays: item group ids (-1 for none), weights and
-    the (n, p) bound matrix, its columns nondecreasing.  Does not check
-    feasibility first; raises InfeasibleConstraintsError when the fill runs
-    into it.
+    the (n, p) bound matrix, its columns nondecreasing.  The one check of
+    feasibility for disjoint groups: raises InfeasibleConstraintsError when
+    the fill runs into it.
 
     Each pick is the heaviest item left of the owing group or of all, so
     group s has always taken ``by_group[s][:counts[s]]``.  Each position

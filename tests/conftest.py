@@ -6,7 +6,14 @@ import itertools
 
 import numpy as np
 
-from biasrank import ConstraintMatrix, DiscountVector, Instance
+from biasrank import (
+    ConstraintMatrix,
+    DiscountVector,
+    InfeasibleConstraintsError,
+    Instance,
+    rank_constrained_greedy,
+    satisfies,
+)
 
 
 def membership(m, groups) -> np.ndarray:
@@ -69,6 +76,19 @@ def random_feasible_constraints(rng, instance) -> ConstraintMatrix:
         L[k - 1] = row
         prev = row
     return ConstraintMatrix(L)
+
+
+def greedy_ranks(L, groups) -> bool:
+    """Whether ``rank_constrained_greedy`` ranks the items of the (m, p) matrix ``groups`` under L (False: it raises
+    InfeasibleConstraintsError); a ranking it returns must satisfy L.  The instance, whose utilities fall with the
+    id, raises ValueError when L has more rows than there are items."""
+    inst = Instance.from_arrays(np.linspace(1.0, 0.0, groups.shape[0]), groups, L.n, DiscountVector.constant(L.n))
+    try:
+        ranking = rank_constrained_greedy(inst, inst.latent_utilities, L)
+    except InfeasibleConstraintsError:
+        return False
+    assert satisfies(ranking, L, groups)
+    return True
 
 
 def dp_optimum(labels, w, v, L):

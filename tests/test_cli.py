@@ -689,13 +689,18 @@ class TestConfigReader:
                 {"dist_b": {"kind": "shifted_scaled", "base": {"kind": "uniform", "sigma": 1.0}}},
                 "uniform distribution takes no field 'sigma'",
             ),
+            ("solve", {"note": "x"}, "instance JSON takes no key 'note'"),
+            ("constraints", {"note": "x"}, "constraint JSON takes no key 'note'"),
         ],
-        ids=["trial", "sweep", "supernumerary", "orderstats-dist", "nested-dist"],
+        ids=["trial", "sweep", "supernumerary", "orderstats-dist", "nested-dist", "instance", "constraints"],
     )
     def test_unread_key_is_one_line(self, tmp_path, capsys, command, extra, message):
         if command == "orderstats":
             path = write_json(tmp_path, "dist.json", extra)
             argv = ["orderstats", "--k", "2", "--l", "1", "--ma", "5", "--mb", "5", "--dist", path]
+        elif command == "constraints":  # bounds the fact instance meets
+            path = write_json(tmp_path, "L.json", {"n": 2, "p": 2, "L": [[0, 0], [1, 1]], **extra})
+            argv = ["solve", write_json(tmp_path, "inst.json", FACT_INSTANCE_W), "--constraints", path]
         else:
             argv = [command, write_json(tmp_path, "cfg.json", {**TestDiscountParity.CONFIGS[command], **extra})]
         assert main(argv) == 3
@@ -772,11 +777,20 @@ class TestExitCodes:
         path.write_text("{not json")
         assert main(["solve", str(path)]) == 3
 
-    def test_infeasible_constraints(self, tmp_path):
-        inst = write_json(tmp_path, "inst.json", FACT_INSTANCE_W)
-        # demands a second group-1 item that does not exist
-        lpath = write_json(tmp_path, "L.json", {"n": 2, "p": 2, "L": [[0, 1], [0, 2]]})
-        assert main(["solve", inst, "--constraints", lpath]) == 2
+    @pytest.mark.parametrize(
+        "L, message",
+        [
+            ([[0, 1], [0, 2]], "group 1 ran out of items at position 2"),  # a second group-1 item does not exist
+            ([[1, 1], [1, 1]], "unmet demand exceeds open positions by 1 at prefix 1"),  # two items in one position
+        ],
+        ids=["group-runs-out", "over-demand"],
+    )
+    def test_infeasible_constraints(self, tmp_path, capsys, L, message):
+        inst, out = write_json(tmp_path, "inst.json", FACT_INSTANCE_W), tmp_path / "out"
+        lpath = write_json(tmp_path, "L.json", {"n": 2, "p": 2, "L": L})
+        assert main(["solve", inst, "--constraints", lpath, "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", f"infeasible: {message}\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["sweep", "simulate"])
     def test_infeasible_alpha(self, tmp_path, capsys, command):
@@ -786,6 +800,36 @@ class TestExitCodes:
         code = main([command, write_json(tmp_path, "cfg.json", doc)])
         assert code == 2
         assert capsys.readouterr().err == "infeasible: no ranking satisfies the constraint matrix\n"
+
+    @pytest.mark.parametrize(
+        "argv, files, message",
+        [
+            (
+                ["solve", "inst", "--constraints", "L"],
+                {"inst": FACT_INSTANCE_W, "L": {"n": 2, "p": 1, "L": [[0], [0]]}},
+                "constraints are 2x1, instance needs 2x2",
+            ),
+            (["simulate", "cfg"], {"cfg": {**TRIAL_CONFIG, "target_group": 2}}, "target group must be 0 or 1"),
+            (["simulate", "cfg"], {"cfg": {**TRIAL_CONFIG, "m_a": -1}}, "group sizes must be nonnegative"),
+            (
+                ORDERSTATS_DIST + ["d"],
+                {"d": {"kind": "empirical", "sample": [1.0, math.inf]}},
+                "empirical sample must be finite",
+            ),
+            (
+                ["solve", "inst"],
+                {"inst": {**FACT_INSTANCE_W, "v": {"kind": "custom", "values": [2.0, math.inf]}}},
+                "discount entries must be finite",
+            ),
+        ],
+        ids=["narrow-constraints", "target-group-2", "negative-m_a", "overflowing-sample", "overflowing-discount"],
+    )
+    def test_value_out_of_range_is_one_line(self, tmp_path, capsys, argv, files, message):
+        """A value of the right type outside its range; an infinity is written as the text 1e400."""
+        for name, doc in files.items():
+            (tmp_path / f"{name}.json").write_text(json.dumps(doc).replace("Infinity", "1e400"), encoding="utf-8")
+        assert main([str(tmp_path / f"{arg}.json") if arg in files else arg for arg in argv]) == 3
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
     def test_bad_betas_count(self, tmp_path):
         inst = write_json(tmp_path, "inst.json", FACT_INSTANCE_W)
@@ -1743,11 +1787,11 @@ class TestModuleEntry:
         assert self.run().returncode == 1
 
     def test_most_nested_text_orjson_reads(self, tmp_path):
-        # 2**14 objects deep, orjson's recursion stays far inside an 8 MiB stack; the instance has no "n"
+        # 2**14 objects deep, orjson's recursion stays far inside an 8 MiB stack; the instance's one key is "a"
         path = tmp_path / "inst.json"
         path.write_text('{"a": ' * 2**14 + "1" + "}" * 2**14)
         proc = self.run("solve", str(path))
-        assert (proc.returncode, proc.stderr) == (3, "error: instance JSON missing key 'n'\n")
+        assert (proc.returncode, proc.stderr) == (3, "error: instance JSON takes no key 'a'\n")
 
     def test_tiny_sweep(self, tmp_path):
         doc = {**TRIAL_CONFIG, "alphas": [0.0, 0.25], "betas": [0.5], "trials": 3}

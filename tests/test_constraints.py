@@ -8,13 +8,13 @@ from biasrank import (
     Instance,
     NonDisjointGroupsError,
     Ranking,
-    check_feasibility,
     derived_constraints,
     prefix_group_counts,
     satisfies,
     simple_constraints,
 )
 from conftest import (
+    greedy_ranks,
     membership,
     random_disjoint_instance,
     random_feasible_constraints,
@@ -166,26 +166,29 @@ class TestSatisfies:
 
 
 class TestCheckFeasibility:
+    """The greedy alone decides feasibility for disjoint groups."""
+
     def test_two_items_cannot_share_first_position(self):
         groups = membership(2, [{0}, {1}])
         L = ConstraintMatrix([[1, 1], [1, 1]])
-        assert not check_feasibility(L, groups)
+        assert not greedy_ranks(L, groups)
 
     def test_exact_packing(self):
         groups = membership(3, [{0, 1}, {2}])
         L = ConstraintMatrix([[0, 0], [1, 0], [2, 1]])
-        assert check_feasibility(L, groups)
+        assert greedy_ranks(L, groups)
 
     def test_demand_beyond_group_size(self):
         groups = membership(3, [{0}, {1, 2}])
         L = ConstraintMatrix([[0, 0], [1, 0], [2, 0]])
-        assert not check_feasibility(L, groups)  # group 0 has one member
-        assert not check_feasibility(ConstraintMatrix.zeros(4, 2), groups)  # 4 positions, 3 items
+        assert not greedy_ranks(L, groups)  # group 0 has one member
+        with pytest.raises(ValueError, match=r"^need 1 <= n <= m, got n=4, m=3$"):  # 4 positions, 3 items
+            greedy_ranks(ConstraintMatrix.zeros(4, 2), groups)
 
     def test_non_disjoint_rejected(self):
         groups = membership(2, [{0, 1}, {1}])
         with pytest.raises(NonDisjointGroupsError):
-            check_feasibility(ConstraintMatrix.zeros(2, 2), groups)
+            greedy_ranks(ConstraintMatrix.zeros(2, 2), groups)
 
     def test_simple_constraints_feasible_and_satisfiable(self):
         # alpha at most the group share: build the witness ranking by hand,
@@ -193,7 +196,7 @@ class TestCheckFeasibility:
         n, m_b = 6, 3
         groups = membership(6, [{0, 1, 2}, {3, 4, 5}])
         L = simple_constraints(0.5, 1, n, 2)
-        assert check_feasibility(L, groups)
+        assert greedy_ranks(L, groups)
         witness = Ranking((0, 3, 1, 4, 2, 5))
         assert satisfies(witness, L, groups)
 
@@ -211,7 +214,7 @@ class TestCheckFeasibility:
         groups = membership(m_a + m_b, [set(range(m_a)), set(range(m_a, m_a + m_b))])
         L = simple_constraints(alpha, 1, n, 2)
         if math.floor(alpha * n + 1e-9) <= m_b:
-            assert check_feasibility(L, groups)
+            assert greedy_ranks(L, groups)
 
 
 class TestConstraintMatrixType:

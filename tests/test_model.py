@@ -14,11 +14,11 @@ from biasrank import (
     Instance,
     NonDisjointGroupsError,
     Ranking,
-    check_feasibility,
     instance_from_json,
     instance_to_json,
     observed_utilities,
     prefix_group_counts,
+    rank_constrained_greedy,
     ranking_utility,
     validate_discount,
 )
@@ -284,7 +284,7 @@ class TestTypesAndJson:
         assert inst.membership_matrix.tolist() == mem
         assert inst == Instance([1.0, 2.0], np.array(mem), 1, v)
         with pytest.raises(NonDisjointGroupsError):
-            check_feasibility(ConstraintMatrix.zeros(1, 2), inst.membership_matrix)
+            rank_constrained_greedy(inst, inst.latent_utilities, ConstraintMatrix.zeros(1, 2))
 
     @pytest.mark.parametrize(
         "groups",

@@ -14,7 +14,6 @@ from biasrank import (
     Instance,
     NonDisjointGroupsError,
     Ranking,
-    check_feasibility,
     derived_constraints,
     instance_from_json,
     instance_to_json,
@@ -30,6 +29,7 @@ from biasrank.solver import _greedy
 from conftest import (
     dp_optimum,
     enumerate_best_feasible,
+    greedy_ranks,
     membership,
     random_disjoint_instance,
     random_feasible_constraints,
@@ -371,8 +371,10 @@ def memberships(draw):
 
 
 def matmul_feasibility(L, mem):
-    """check_feasibility with its row and column counts read through int64
-    matrix products: the oracle for the counting form."""
+    """The exact feasibility conditions for disjoint groups, with row and
+    column counts read through int64 matrix products: at least L.n items,
+    final demand within each group's size and total demand at each prefix
+    within its length.  The oracle for the greedy's outcome."""
     m, p = mem.shape
     if np.any(mem @ np.ones(p, dtype=np.int64) > 1):
         raise NonDisjointGroupsError("groups overlap; use the brute-force solver")
@@ -392,14 +394,18 @@ def overlap_outcome(check, *args):
 
 
 class TestMembershipReadByCounting:
-    """Feasibility and the greedy's labels read the membership matrix by
-    counting and agree with the matrix-product forms."""
+    """The greedy's overlap check, feasibility and labels read the
+    membership matrix by counting and agree with the matrix-product forms."""
 
     @given(problem=memberships())
     @settings(max_examples=300, deadline=None)
     def test_feasibility_equals_matmul_form(self, problem):
         mem, L = problem
-        assert overlap_outcome(check_feasibility, L, mem) == overlap_outcome(matmul_feasibility, L, mem)
+        if L.n > len(mem):  # more positions than items: no instance to rank
+            with pytest.raises(ValueError, match=rf"^need 1 <= n <= m, got n={L.n}, m={len(mem)}$"):
+                greedy_ranks(L, mem)
+        else:
+            assert overlap_outcome(greedy_ranks, L, mem) == overlap_outcome(matmul_feasibility, L, mem)
 
     @given(problem=memberships())
     @settings(max_examples=150, deadline=None)
@@ -440,7 +446,6 @@ class TestMembershipMemory:
 
     def test_feasibility_and_greedy_peak_below_one_byte_per_cell(self):
         inst, L = self.instance(), ConstraintMatrix.zeros(1, self.p)
-        assert traced_peak(check_feasibility, L, inst.membership_matrix) < self.m * self.p
         assert traced_peak(rank_constrained_greedy, inst, inst.latent_utilities, L) < self.m * self.p
 
     def test_parse_peaks_below_two_and_a_half_bytes_per_cell(self):
