@@ -29,7 +29,6 @@ Exit codes: 0 success, 1 usage error, 2 infeasible constraints,
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import gc
 import json
@@ -126,28 +125,23 @@ def _load_object(path: str, what: str) -> dict:
 
 
 def _json_text(value, indent: str = "\n") -> str:
-    """``json.dumps(value, indent=2, sort_keys=True, allow_nan=False)`` for a document with text keys: one C-encoder
-    call for each object or list of numbers, whose item separator holds the line break, and one orjson call for each
-    matrix of integers, whose bytes json's are. Other objects, lists and keys recurse, with ``indent`` the line break
-    and indent before their first line."""
+    """``json.dumps(value, indent=2, sort_keys=True, allow_nan=False)`` for a document with text keys, where each
+    ndarray (an integer matrix) stands for its ``tolist()``: one C-encoder call for each object or list of numbers,
+    whose item separator holds the line break, and one orjson call for each ndarray, whose bytes json's are. Other
+    objects, lists and keys recurse, with ``indent`` the line break and indent before their first line."""
+    if isinstance(value, np.ndarray):
+        return orjson.dumps(value, None, orjson.OPT_INDENT_2 | orjson.OPT_SERIALIZE_NUMPY).decode().replace("\n", indent)
     if not isinstance(value, (dict, list, tuple)) or not value:
         return json.dumps(value, allow_nan=False)
     inner = indent + "  "
-    if isinstance(value, dict):
-        if {type(v) for v in value.values()} <= JSON_NUMBER:
-            body = json.dumps(value, sort_keys=True, separators=("," + inner, ": "), allow_nan=False)[1:-1]
-        else:
-            body = ("," + inner).join(f"{_json_text(k)}: {_json_text(value[k], inner)}" for k in sorted(value))
-        return "{" + inner + body + indent + "}"
-    types = {type(x) for x in value}
-    if types == {list} and {type(x) for row in value for x in row} == {int}:
-        with contextlib.suppress(orjson.JSONEncodeError):  # an integer outside 64 bits takes the rows' json calls
-            return orjson.dumps(value, option=orjson.OPT_INDENT_2).decode().replace("\n", indent)
-    if types <= JSON_NUMBER:
-        body = json.dumps(value, separators=("," + inner, ": "), allow_nan=False)[1:-1]
+    brackets = "{}" if isinstance(value, dict) else "[]"
+    if {type(x) for x in (value.values() if isinstance(value, dict) else value)} <= JSON_NUMBER:
+        body = json.dumps(value, sort_keys=True, separators=("," + inner, ": "), allow_nan=False)[1:-1]
+    elif isinstance(value, dict):
+        body = ("," + inner).join(f"{_json_text(k)}: {_json_text(value[k], inner)}" for k in sorted(value))
     else:
         body = ("," + inner).join(_json_text(x, inner) for x in value)
-    return "[" + inner + body + indent + "]"
+    return brackets[0] + inner + body + indent + brackets[1]
 
 
 def _non_finite_paths(value, path: str = ""):
@@ -218,8 +212,8 @@ def _cmd_solve(args) -> dict:
 
 
 def _cmd_derive_constraints(args) -> dict:
-    inst = instance_from_json(_load_object(args.instance, "instance"))
-    return derived_constraints(inst).to_json_dict()
+    L = derived_constraints(instance_from_json(_load_object(args.instance, "instance")))
+    return {"n": L.n, "p": L.p, "L": L.matrix}  # the int64 matrix, which the writer hands to orjson whole
 
 
 def _cmd_simulate(args) -> dict:

@@ -239,6 +239,9 @@ def _run_grid(
     either is at most n, and otherwise both exceed n, which is all the closed
     form needs.  Its slots score the constrained rankings, the latent values
     in each row's ``best`` order indexed by ``at``, with no id matrix built.
+    A block where no beta selects anew and no observed top n holds a target
+    ranks every beta alike, by the bounds alone: only its first beta's rows
+    are slotted (one broadcast table) and scored, then broadcast to all.
 
     Returns ``u_opt`` (trials,), ``u_uncons`` and ``n_b_uncons`` (betas,
     trials), and ``u_cons`` and ``n_b_cons`` (betas, alphas, trials).
@@ -274,16 +277,18 @@ def _run_grid(
         lat = w[row, np.concatenate(ids, axis=1)]
         lat = np.repeat(lat[None], len(scale), axis=0)  # each slot's candidates' latent values
         scaled = w[row, ids[t]] * scale[1:, None, None]
-        for b in np.flatnonzero((scaled[:, :, 1:] == scaled[:, :, :-1]).any(axis=(1, 2))) + 1:
+        reselect = np.flatnonzero((scaled[:, :, 1:] == scaled[:, :, :-1]).any(axis=(1, 2))) + 1
+        for b in reselect:
             lat[b][:, target] = w[row, _top(w[:, groups[t]] * scale[b], c[t]) + groups[t].start]
         local = _order((lat * factor).reshape(-1, lat.shape[2]))
         lat = lat.reshape(local.shape)
         u = _utilities(lat, local[:, :n], v).reshape(len(scale), len(w))
         u_opt[part], u_uncons[:, part] = u[0], u[1:]
         n_b_uncons[:, part] = target[local[len(w) :, :n]].sum(axis=1).reshape(len(betas), len(w))
-        best, at, count = _single_column_slots(local[len(w) :], target, bounds)
-        cons = _utilities(np.take_along_axis(lat[len(w) :], best, 1), at, v)
-        cells = (len(betas), len(w), len(alphas))
+        end = 2 * len(w) if not (n_b_uncons[:, part].any() or len(reselect)) else len(local)  # betas alike: slot one
+        best, at, count = _single_column_slots(local[len(w) : end], target, bounds)
+        cons = _utilities(np.take_along_axis(lat[len(w) : end], best, 1), at, v)
+        cells = (len(best) // len(w), len(w), len(alphas))  # one beta's rows, or every beta's
         n_b_cons[:, :, part], u_cons[:, :, part] = (x.reshape(cells).transpose(0, 2, 1) for x in (count, cons))
     return u_opt, u_uncons, n_b_uncons, u_cons, n_b_cons
 

@@ -158,8 +158,9 @@ def _single_column_slots(order: np.ndarray, target, bounds: np.ndarray) -> tuple
     ``T_p - 1`` where T rises, else the ``(p - T_p)``-th best other item.  ``best`` holds each
     row's best ``min(m_t, n)`` targets, then its best n others; ``at``, int32 (rows, cols, n),
     indexes each ranked id in its row of ``best``, so ``best[row, at]`` ranks every (order, bound)
-    pair; ``count``, int32 (rows, cols), holds their target counts.  Raises
-    InfeasibleConstraintsError when n exceeds m or a bound asks for more targets than exist."""
+    pair; ``count``, int32 (rows, cols), holds their target counts.  Both are read-only; where no
+    row's observed top n holds a target, U is 0 and both broadcast one table of the bounds alone.
+    Raises InfeasibleConstraintsError when n exceeds m or a bound asks for more targets than exist."""
     target = np.asarray(target, dtype=bool)
     (rows, m), n = order.shape, bounds.shape[1]
     m_t = int(np.count_nonzero(target))
@@ -174,10 +175,11 @@ def _single_column_slots(order: np.ndarray, target, bounds: np.ndarray) -> tuple
     t_ids = flat[np.flatnonzero(is_t).reshape(rows, m_t)[:, :k]]
     o_ids = flat[np.flatnonzero(~is_t).reshape(rows, m - m_t)[:, :n]]
     U = np.cumsum(is_t.reshape(rows, m)[:, :n], axis=1, dtype=np.int32)
+    U = U[: rows if U[:, -1].any() else 1]  # with no target in any row's top n, one table: the bounds alone
     T = np.maximum(U[:, None, :], bounds.astype(np.int32))  # targets in each top j + 1
     rise = np.diff(T, axis=2, prepend=np.int32(0)) > 0
-    at = np.where(rise, T - 1, k + np.arange(n, dtype=np.int32) - T)
-    return np.concatenate([t_ids, o_ids], axis=1), at, T[..., -1]
+    at = np.broadcast_to(np.where(rise, T - 1, k + np.arange(n, dtype=np.int32) - T), (rows, len(bounds), n))
+    return np.concatenate([t_ids, o_ids], axis=1), at, np.broadcast_to(T[..., -1], (rows, len(bounds)))
 
 
 def rank_constrained_bruteforce(instance: Instance, weights, L: ConstraintMatrix) -> Ranking:
@@ -185,7 +187,7 @@ def rank_constrained_bruteforce(instance: Instance, weights, L: ConstraintMatrix
 
     Handles overlapping groups.  Guarded to m <= 10 and n <= 6; the search
     prunes any prefix that already violates a bound.  Utility ties resolve
-    to the lexicographically smallest id sequence.  Raises when no ordering
+    to the lexicographically smallest id sequence.  Raises when no ranking
     satisfies the bounds.
     """
     m, n, p = instance.m, instance.n, instance.p
@@ -233,5 +235,5 @@ def rank_constrained_bruteforce(instance: Instance, weights, L: ConstraintMatrix
 
     extend(0, 0.0)
     if best_seq is None:
-        raise InfeasibleConstraintsError("no ordering satisfies the constraint matrix")
+        raise InfeasibleConstraintsError("no ranking satisfies the constraint matrix")
     return Ranking(best_seq)

@@ -792,6 +792,14 @@ class TestExitCodes:
         assert capsys.readouterr() == ("", f"infeasible: {message}\n")
         assert not out.exists()
 
+    def test_infeasible_overlapping_groups(self, tmp_path, capsys):
+        # the brute force's line, as sweep and simulate word it: no two items hold two of each group
+        inst, out = write_json(tmp_path, "inst.json", OVERLAP_COUNTEREXAMPLE), tmp_path / "out"
+        lpath = write_json(tmp_path, "L.json", {"n": 2, "p": 2, "L": [[1, 1], [2, 2]]})
+        assert main(["solve", inst, "--constraints", lpath, "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", "infeasible: no ranking satisfies the constraint matrix\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["sweep", "simulate"])
     def test_infeasible_alpha(self, tmp_path, capsys, command):
         # floor(0.5 * 8) = 4 target items are needed but only 3 exist
@@ -1456,35 +1464,36 @@ class TestJsonText:
             assert cli._json_text(doc) == want
 
     @pytest.mark.parametrize(
-        "doc, orjson_outcome",
-        [
-            ({"L": [[2**63 - 1, -(2**63)], [2**63, 2**64 - 1]]}, "written"),
-            ({"L": [[7]]}, "written"),
-            ({"a": {"b": {"L": [[1, -2, 0], [30, 4, 5]], "n": 2}}, "c": [1]}, "written"),
-            ({"L": [[0, 2**64]]}, "refused"),
-            ({"L": [[-(2**63) - 1, 1]]}, "refused"),
-            ({"L": [[1, 2], [2**70, 3]]}, "refused"),
-            ({"L": [[True, False], [False, True]]}, "not asked"),
-            ({"L": [[1, 2.0]]}, "not asked"),
-        ],
+        "rows",
+        [[[2**63 - 1, -(2**63)], [2**62, 0]], [[7]], [[1, -2, 0], [30, 4, 5]], [[], [], []]],
+        ids=["int64-extremes", "one-cell", "two-rows", "no-columns"],
     )
-    def test_integer_matrices(self, doc, orjson_outcome):
-        """orjson writes a matrix of ints within 64 bits; one past them, or a bool or float cell, takes json."""
+    def test_integer_matrices(self, rows):
+        """An int64 ndarray, at any depth, takes one orjson call and gets the bytes json gives its rows; the rows
+        as lists take json alone, so no cell's type is scanned."""
+        matrix = np.array(rows, dtype=np.int64).reshape(len(rows), -1)
+        for nest in (lambda x: {"L": x}, lambda x: {"a": {"b": {"L": x, "n": 2}}, "c": [1]}):
+            want = json.dumps(nest(rows), indent=2, sort_keys=True, allow_nan=False)
+            for value, calls in ((matrix, 1), (rows, 0)):
+                with mock.patch.object(orjson, "dumps", wraps=orjson.dumps) as spy:
+                    assert cli._json_text(nest(value)) == want
+                assert spy.call_count == calls
+
+    def test_integers_past_64_bits_take_json(self):
+        doc = {"L": [[0, 2**64], [2**70, -(2**63) - 1]], "n": [[True, False], [1, 2.0]]}
         with mock.patch.object(orjson, "dumps", wraps=orjson.dumps) as spy:
             assert cli._json_text(doc) == json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
-        assert spy.call_count == (orjson_outcome != "not asked")
-        if spy.called:
-            (matrix,), _ = spy.call_args
-            with contextlib.nullcontext() if orjson_outcome == "written" else pytest.raises(orjson.JSONEncodeError):
-                orjson.dumps(matrix)
+        assert not spy.called
 
     def test_derived_bounds_written_by_orjson(self, tmp_path):
-        """derive-constraints writes the 1600 x 3 ``L`` of the 6400-item instance with one orjson call."""
+        """derive-constraints hands the writer the 1600 x 3 int64 ``L`` of the 6400-item instance, which takes one
+        orjson call."""
         inst, out = write_json(tmp_path, "inst.json", repair_instance()), tmp_path / "bounds.json"
         with mock.patch.object(orjson, "dumps", wraps=orjson.dumps) as spy:
             assert main(["derive-constraints", inst, "--out", str(out)]) == 0
         doc = json.loads(out.read_text(encoding="utf-8"))
-        assert [call.args[0] for call in spy.call_args_list] == [doc["L"]] and len(doc["L"]) == 1600
+        matrix = spy.call_args.args[0]
+        assert spy.call_count == 1 and matrix.dtype == np.int64 and matrix.tolist() == doc["L"] and len(doc["L"]) == 1600
         assert out.read_text(encoding="utf-8") == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
     @pytest.mark.parametrize("command", sorted(PRINTED) + ["supernumerary", "sweep"])

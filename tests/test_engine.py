@@ -15,6 +15,7 @@ and every engine must follow the one block rule of ``_draw_blocks``.
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
 import re
 from dataclasses import replace
@@ -363,6 +364,27 @@ class TestClosedFormPlacement:
         assert tuple(ids[0, 0].tolist()) == expected
         assert count.shape == (1, 1) and count[0, 0] == 7
 
+    def test_no_target_in_any_top_n_shares_one_table(self):
+        # 8 targets weigh less than any of the 12 others, so no row's top 6 holds one and the bounds alone decide
+        rng = np.random.default_rng(11)
+        labels, n = np.repeat([0, 1], [12, 8]), 6
+        w = np.where(labels == 1, rng.uniform(0.0, 0.1, (5, 20)), rng.uniform(0.2, 1.0, (5, 20)))
+        Ls = [simple_constraints(a, 1, n, 2) for a in (0.0, 0.3, 0.5, 1.0)]
+        bounds = np.array([L.matrix[:, 1] for L in Ls])
+        for reached in (False, True):
+            if reached:  # the last row's lightest target becomes its heaviest item: the rows' tables differ
+                w[-1, w[-1].argmin()] = 2.0
+            order = np.argsort(-w, axis=1, kind="stable")
+            _, at, _ = _single_column_slots(order, labels == 1, bounds)
+            assert (at.strides[0] == 0) is not reached
+            ids, count = closed_form(order, labels == 1, bounds)
+            for r, row in enumerate(w):
+                inst = Instance.from_arrays(row, labels[:, None] == np.arange(2), n, DiscountVector.constant(n))
+                for a, L in enumerate(Ls):
+                    expected = rank_constrained_greedy(inst, row, L).positions
+                    assert tuple(ids[r, a].tolist()) == expected
+                    assert count[r, a] == np.count_nonzero(labels[list(expected)] == 1)
+
     def test_raises_on_infeasible_bounds(self):
         order = np.arange(6)[None]
         target = np.array([True, True, False, False, False, False])
@@ -481,6 +503,75 @@ class TestSweepScoresFromSlots:
             with mock.patch.object(experiments, "replace", wraps=replace) as checked:
                 run_sweep(self.CONFIG, *empty, 2, SeedSpec(0))
             assert not checked.called
+
+
+@functools.cache
+def grid_loop(grid: str):
+    """``_run_grid``'s five outputs for a GRIDS entry, each from ``run_trial`` of its cell."""
+    cfg, alphas, betas, trials, seed = GRIDS[grid]
+    cells = [[[run_trial(replace(cfg, alpha=a, beta=b), i, seed) for i in range(trials)] for a in alphas] for b in betas]
+
+    def column(key):
+        return np.array([[[getattr(r, key) for r in reports] for reports in row] for row in cells])
+
+    u_opt, u_uncons, n_b_uncons = column("u_opt")[0, 0], column("u_uncons")[:, 0], column("n_b_uncons")[:, 0]
+    return u_opt, u_uncons, n_b_uncons, column("u_cons"), column("n_b_cons")
+
+
+# Strong bias: with targets shaded to at most 0.5 (and 0 at beta 0), the top 10 of 60 privileged uniform draws
+# hold every observed top n.  At betas 0.9 and 0.8 a target reaches the top n in about half the trials.
+STRONG = TrialConfig(
+    m_a=60, m_b=40, n=10, beta=0.5, alpha=0.0,
+    dist_a=Uniform(0, 1), dist_b=Uniform(0, 1), discount=DiscountVector.dcg(10),
+)
+GRIDS = {
+    "no-target-in-top-n": (STRONG, [0.0, 0.2, 0.5], [0.25, 0.5], 40, SeedSpec(37)),
+    "beta-zero-first": (STRONG, [0.0, 0.2, 0.5], [0.0, 0.25, 0.5], 40, SeedSpec(37)),
+    "beta-zero-last": (STRONG, [0.0, 0.2, 0.5], [0.25, 0.5, 0.0], 40, SeedSpec(37)),
+    "mixed-blocks": (STRONG, [0.0, 0.2, 0.5], [0.9, 0.8], 40, SeedSpec(37)),
+}
+
+
+class TestBetasRankedAlike:
+    """A block where no beta selects anew and no beta's observed top n holds a target slots and scores only its
+    first beta's rows, and every output still equals ``run_trial``'s, whatever the block size."""
+
+    def run(self, grid, block):
+        cfg, alphas, betas, trials, seed = GRIDS[grid]
+        slots, calls = experiments._single_column_slots, []
+
+        def spy(order, target, bounds):
+            best, at, count = slots(order, target, bounds)
+            calls.append((len(order), at.strides[0] == 0))
+            return best, at, count
+
+        with blocks_of(block, cfg.m_a + cfg.m_b), mock.patch.object(experiments, "_single_column_slots", spy):
+            got = experiments._run_grid(cfg, alphas, betas, trials, seed)
+        for name, x, want in zip(("u_opt", "u_uncons", "n_b_uncons", "u_cons", "n_b_cons"), got, grid_loop(grid)):
+            assert x.shape == want.shape and x.tolist() == want.tolist(), name
+        return calls
+
+    @pytest.mark.parametrize("block", [*BLOCK_ROWS, None])
+    def test_one_beta_slotted_when_no_target_reaches_the_top_n(self, block):
+        calls = self.run("no-target-in-top-n", block)
+        assert not grid_loop("no-target-in-top-n")[2].any()
+        assert sum(rows for rows, _ in calls) == 40  # one beta's rows per block
+        assert all(shared for rows, shared in calls if rows > 1)  # and one slot table per call
+
+    @pytest.mark.parametrize("block", [*BLOCK_ROWS, None])
+    @pytest.mark.parametrize("grid", ["beta-zero-first", "beta-zero-last"])
+    def test_every_beta_slotted_after_a_new_selection(self, grid, block):
+        # beta 0 ties every scaled target value, so it selects its candidates anew
+        calls = self.run(grid, block)
+        assert not grid_loop(grid)[2].any()
+        assert sum(rows for rows, _ in calls) == 3 * 40
+
+    @pytest.mark.parametrize("block", [*BLOCK_ROWS, None])
+    def test_blocks_mixing_rows_with_and_without_targets(self, block):
+        calls = self.run("mixed-blocks", block)
+        reached = grid_loop("mixed-blocks")[2].any(axis=0)  # per trial, whether some beta's top n holds a target
+        assert reached[:3].any() and not reached[:3].all()  # so the first block of 3 or more rows holds both kinds
+        assert sum(rows for rows, _ in calls) > 40
 
 
 # One of each distribution kind; the empirical sample is full of ties.

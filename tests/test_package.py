@@ -17,7 +17,7 @@ from biasrank import cli, constraints, experiments, model, solver, stats
 SUBMODULES = (model, constraints, solver, stats, experiments)
 
 # The lines of src/biasrank/*.py, as ``wc -l`` counts them.
-SRC_LINE_BUDGET = 2402
+SRC_LINE_BUDGET = 2403
 
 
 class TestPublicSurface:

@@ -4,11 +4,14 @@ Usage, from the root of a checkout::
 
     python3 tools/time_paths.py [--repeats R] [--best-of K] [--src PATH]
 
-Two cases run through ``biasrank.cli.main`` in this process:
+Three cases run through ``biasrank.cli.main`` in this process:
 
 * ``mixing_beta_sweep``: ``sweep`` at beta 0.9, m_a = m_b = 500, n = 100,
   DCG, alphas 0, 0.05, ..., 0.5, uniform utilities, 200 trials, seed 0.
   Targets reach the observed top n here, unlike at perfbench's betas.
+* ``mixing_two_beta_sweep``: the same sweep at betas 0.9 and 0.95.  Since
+  targets reach the top n, no block ranks its betas alike, so every beta's
+  constrained rankings are slotted and scored.
 * ``supernumerary``: m_a = m_b = 400, n = 40, DCG, alpha 0.15, gamma 1.5,
   ``Uniform(0, 100)`` scores, 2000 trials, seed 7.
 
@@ -42,6 +45,14 @@ CASES = {
         "sweep",
         {
             "m_a": 500, "m_b": 500, "n": 100, "alphas": [round(0.05 * i, 2) for i in range(11)], "betas": [0.9],
+            "dist_a": UNIFORM, "dist_b": UNIFORM, "discount": {"kind": "dcg"}, "trials": 200,
+        },
+        ["--seed", "0"],
+    ),
+    "mixing_two_beta_sweep": (
+        "sweep",
+        {
+            "m_a": 500, "m_b": 500, "n": 100, "alphas": [round(0.05 * i, 2) for i in range(11)], "betas": [0.9, 0.95],
             "dist_a": UNIFORM, "dist_b": UNIFORM, "discount": {"kind": "dcg"}, "trials": 200,
         },
         ["--seed", "0"],
