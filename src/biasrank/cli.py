@@ -241,6 +241,8 @@ def _cmd_sweep(args) -> str:
         TrialConfig, {**d, "alpha": alphas[0], "beta": betas[0]}, "sweep config", ("n",), ("alphas", "betas")
     )
     report = run_sweep(base, alphas, betas, trials, SeedSpec(args.seed))
+    if ignored := [key for key in ("alpha", "beta") if key in d]:
+        sys.stderr.write(f"note: sweep config ignores {' and '.join(map(repr, ignored))} beside its grid\n")
     return report.to_csv()
 
 
@@ -271,11 +273,12 @@ def _cmd_supernumerary(args) -> str:
     if not alphas:
         raise ValueError(f'{what} needs "alpha" or a nonempty "alphas" list')
     trials = _trials(args, d, 1000)
-    seed = SeedSpec(args.seed)
     configs = [
         _config_from_json(SupernumeraryConfig, {**d, "alpha": a}, what, ("m_a", "m_b"), ("alphas",)) for a in alphas
     ]
-    reports = [supernumerary_compare(c, trials, seed) for c in configs]
+    reports = [supernumerary_compare(c, trials, SeedSpec(args.seed)) for c in configs]
+    if "alpha" in d and "alphas" in d:
+        sys.stderr.write(f"note: {what} ignores 'alpha' beside its grid\n")
     return supernumerary_csv(reports)
 
 

@@ -17,10 +17,9 @@ engines (sweeps and ``simulate``, :func:`estimate_order_stats` and
 it hands ``SeedSpec`` blocks of ``max(1, BLOCK_ELEMENTS // m)`` rows of
 one (rows, m) matrix, and each trial's groups draw, from the stream
 ``SeedSpec.rng_for_trial(i)`` defines, straight into their columns of the
-trial's row.  Each engine then checks, sorts only what it needs
-(selected candidates, or each group's columns in place), scores the whole
-block at once, and reproduces the per-trial loop bit for bit, whatever the
-block size.
+trial's row.  Each engine then checks, sorts each group's columns (in
+place, for the order statistics), scores the whole block at once, and
+reproduces the per-trial loop bit for bit, whatever the block size.
 
 The seat-expansion comparison pits the prefix-bound intervention against
 reserving added seats for the target group when the target group's scores
@@ -225,13 +224,14 @@ def _run_grid(
     cell's config for each trial index, computed block by block.
 
     Only each group's best ``min(size, n)`` items can reach a ranking of n
-    positions, so each block keeps those candidates per group, group 0
-    first, by :func:`_top` on the latent values, and the shaded group's next
-    one where it has one, to see a tie at the cut; n candidates precede it,
-    so it ranks nowhere.  Scaling by beta keeps the shaded group's order, so
-    every beta reuses its candidates, keyed ``latent * beta``, unless two
-    adjacent scaled values among them tie in some row (by rounding, at the
-    cut, or at beta = 0) and it selects by ``_top`` on its scaled values.
+    positions, so each block keeps those candidates' latent values, best
+    first, group 0's first, and the shaded group's next one where it has
+    one, to see a tie at the cut; n candidates precede it, so it ranks
+    nowhere.  Values suffice, as outputs sum values or count the positional
+    target mask.  Scaling by beta keeps the shaded group's order, so every
+    beta reuses them, keyed ``latent * beta``, unless two adjacent scaled
+    values tie in some row (by rounding, at the cut, or at beta = 0): then
+    the id tie rule picks them, by ``_top`` on the scaled values.
     One stable sort of all slots' keys (latent for opt, then each beta's)
     orders each slot's candidates as the full sort orders its first n, and
     one ``_single_column_slots`` call places them on candidate-local indices:
@@ -256,9 +256,7 @@ def _run_grid(
     if bounds[:, -1].max(initial=0) > (m_b if t == 1 else m_a):
         raise InfeasibleConstraintsError("no ranking satisfies the constraint matrix")
     check_size("the trial results", trials * max(len(betas), 1) * max(len(alphas), 1))
-    groups = (slice(0, m_a), slice(m_a, m_a + m_b))
     c = [min(size, n + (s == t)) for s, size in enumerate((m_a, m_b))]
-    # Candidate-local target mask: group 0's candidates come first.
     target = np.repeat([t == 0, t == 1], c)
     # Slot 0 keys the candidates by latent value (opt), slot b by the observed one at beta b - 1.
     scale = np.array([1.0, *betas], dtype=float)
@@ -272,14 +270,13 @@ def _run_grid(
     for part, w in _draw_blocks(seed, trials, ((base.dist_a, m_a), (base.dist_b, m_b))):
         if not np.all(np.isfinite(w)):
             raise ValueError("latent utilities must be finite")
-        row = np.arange(len(w))[:, None]
-        ids = [_top(w[:, g], size) + g.start for g, size in zip(groups, c)]
-        lat = w[row, np.concatenate(ids, axis=1)]
-        lat = np.repeat(lat[None], len(scale), axis=0)  # each slot's candidates' latent values
-        scaled = w[row, ids[t]] * scale[1:, None, None]
+        cols = np.hsplit(w, [m_a])  # each group's latent values
+        tops = [np.sort(x, axis=1)[:, : -size - 1 : -1] for x, size in zip(cols, c)]  # each group's best, best first
+        lat = np.repeat(np.concatenate(tops, axis=1)[None], len(scale), axis=0)  # each slot's candidates' latent values
+        scaled = tops[t] * scale[1:, None, None]
         reselect = np.flatnonzero((scaled[:, :, 1:] == scaled[:, :, :-1]).any(axis=(1, 2))) + 1
         for b in reselect:
-            lat[b][:, target] = w[row, _top(w[:, groups[t]] * scale[b], c[t]) + groups[t].start]
+            lat[b][:, target] = np.take_along_axis(cols[t], _top(cols[t] * scale[b], c[t]), 1)
         local = _order((lat * factor).reshape(-1, lat.shape[2]))
         lat = lat.reshape(local.shape)
         u = _utilities(lat, local[:, :n], v).reshape(len(scale), len(w))
@@ -499,11 +496,12 @@ def supernumerary_compare(config: SupernumeraryConfig, trials: int, seed: SeedSp
     supernumerary_seats(n, 0, alpha)`` every scheme ranks a best-first
     prefix of each group, of n + x_max items at most: a reserved target
     deep in the observed order is still among its group's best n_f + x.
-    One sort of each group's best ``min(size, n + x_max)`` by :func:`_top`
-    and one ``_single_column_slots`` call, scored as ``_run_grid`` scores
-    it, serve the block.  Each trial is checked for too many seats, then
-    too many reserved seats, then a non-finite shifted utility in its whole
-    row; as in a per-trial loop, the first failing trial raises its error.
+    Each group's best ``min(size, n + x_max)`` scores (NaN last, as
+    ``_order`` ranks it), their shifted values and one
+    ``_single_column_slots`` call serve the block.  Each trial is checked
+    for too many seats, then too many reserved seats, then a non-finite
+    shifted utility in its whole row; as in a per-trial loop, the first
+    failing trial raises its error.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
@@ -516,14 +514,13 @@ def supernumerary_compare(config: SupernumeraryConfig, trials: int, seed: SeedSp
     x_max = supernumerary_seats(n, 0, alpha)
     c = (min(m_a, n + x_max), min(m_b, n + x_max))
     for part, observed in _draw_blocks(seed, trials, ((config.dist_a, m_a), (config.dist_b, m_b))):
-        latent = observed.copy()
+        scores = np.hstack([-np.sort(-x, axis=1)[:, :size] for x, size in zip(np.hsplit(observed, [m_a]), c)])
+        latent, lat = observed.copy(), scores.copy()  # every item's latent value, and each candidate's
         with np.errstate(over="ignore", invalid="ignore"):  # the finiteness check below reports it
             latent[:, m_a:] = apply_score_shift(observed[:, m_a:], config.gamma, config.score_offset)
-        row = np.arange(len(observed))[:, None]
-        cand = np.concatenate([_top(observed[:, :m_a], c[0]), _top(observed[:, m_a:], c[1]) + m_a], axis=1)
-        local = _order(observed[row, cand])
-        order = cand[row, local]
-        is_t = order >= m_a
+            lat[:, c[0] :] = apply_score_shift(scores[:, c[0] :], config.gamma, config.score_offset)
+        local = _order(scores)
+        is_t = local >= c[0]
         n_f = np.count_nonzero(is_t[:, :n], axis=1)
         x = supernumerary_seats(n, n_f, alpha)  # float, so a huge x is checked before any cast
         # each trial's checks in order; the first failing trial raises
@@ -545,16 +542,16 @@ def supernumerary_compare(config: SupernumeraryConfig, trials: int, seed: SeedSp
         # form's ranking under them, are prefixes of a longer one's: one call
         # at the block's most seats slots every row's cons and cons_expanded.
         best, at, _ = _single_column_slots(local, np.arange(sum(c)) >= c[0], _floor_bounds([alpha], int(n_sup.max())))
-        lat, cons = latent[row, cand[row, best]], at[:, 0]  # latent values in best order, and the slots
-        per_seat[:2, part] = _utilities(lat, cons[:, :n], v[:n]) / n, _utilities(latent, order[:, :n], v[:n]) / n
+        slotted, cons = np.take_along_axis(lat, best, 1), at[:, 0]  # latent values in best order, and the slots
+        per_seat[:2, part] = _utilities(slotted, cons[:, :n], v[:n]) / n, _utilities(lat, local[:, :n], v[:n]) / n
         seats[:2, part] = n
         seats[2:, part] = n_sup
         for length in np.unique(n_sup).tolist():
             rows = np.flatnonzero(n_sup == length)
-            o = order[rows]
+            o = local[rows]
             ids = np.stack([o[admitted[rows]].reshape(len(rows), length), o[:, :length]], axis=1)
-            per_seat[2::2, part.start + rows] = _utilities(latent[rows], ids, v[:length]).T / length
-            per_seat[3, part.start + rows] = _utilities(lat[rows], cons[rows, :length], v[:length]) / length
+            per_seat[2::2, part.start + rows] = _utilities(lat[rows], ids, v[:length]).T / length
+            per_seat[3, part.start + rows] = _utilities(slotted[rows], cons[rows, :length], v[:length]) / length
     mean_u, se = _mean_se(per_seat)
     stats = tuple(
         SupernumerarySchemeStats(name, float(s), float(u), float(e))

@@ -59,8 +59,8 @@ def _order(x: np.ndarray) -> np.ndarray:
 
 
 def _top(x: np.ndarray, c: int) -> np.ndarray:
-    """The first ``c`` columns of ``_order(x)``, by selection; ``c`` is at
-    least 1 or at least the row width.
+    """The first ``c`` columns of ``_order(x)``, by selection, for callers
+    that need ids; ``c`` is at least 1 or at least the row width.
 
     ``argpartition`` finds each row's ``c`` largest values; their ids,
     sorted ascending and then stable-sorted by value, keep the tie order of

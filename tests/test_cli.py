@@ -71,6 +71,9 @@ TRIAL_CONFIG = {
     "discount": {"kind": "dcg"},
 }
 
+# A sweep config's trial fields: TRIAL_CONFIG without the alpha and beta that a sweep's grid replaces.
+GRID_BASE = {key: value for key, value in TRIAL_CONFIG.items() if key not in ("alpha", "beta")}
+
 SUPERNUMERARY_CONFIG = {
     "n": 10,
     "m_a": 30,
@@ -488,6 +491,25 @@ class TestSweep:
         assert capsys.readouterr().err == f"error: {message}\n"
 
 
+    @pytest.mark.parametrize(
+        "single, note",
+        [
+            ({"alpha": 0.25, "beta": 0.5}, "note: sweep config ignores 'alpha' and 'beta' beside its grid\n"),
+            ({"beta": 0.9}, "note: sweep config ignores 'beta' beside its grid\n"),
+            ({}, ""),
+        ],
+        ids=["alpha-and-beta", "beta", "grid-only"],
+    )
+    def test_single_values_beside_the_grid_are_noted(self, tmp_path, capsys, single, note):
+        # one note line on stderr; the grid alone decides stdout, as golden C11's config (alpha and beta) relies on
+        grid = {**GRID_BASE, "alphas": [0.0, 0.25], "betas": [0.5, 0.25], "trials": 4}
+        assert main(["sweep", write_json(tmp_path, "grid.json", grid), "--seed", "9"]) == 0
+        want = capsys.readouterr()
+        assert want.err == ""
+        assert main(["sweep", write_json(tmp_path, "sweep.json", {**grid, **single}), "--seed", "9"]) == 0
+        assert capsys.readouterr() == (want.out, note)
+
+
 class TestOrderstats:
     def test_analytic_and_monte_carlo(self, tmp_path):
         doc = run_to_json(
@@ -529,6 +551,17 @@ class TestSupernumerary:
             assert main(["supernumerary", cfg, "--seed", "2", "--out", str(tmp_path / name)]) == 0
             csv[name] = (tmp_path / name).read_bytes()
         assert csv["dcg-listed"] == csv["dcg"] != csv["linear"]
+
+    def test_alpha_beside_alphas_is_noted(self, tmp_path, capsys):
+        # the "alphas" list is the grid; an "alpha" beside it is named on stderr and changes no output byte
+        assert main(["supernumerary", write_json(tmp_path, "grid.json", SUPERNUMERARY_CONFIG)]) == 0
+        want = capsys.readouterr()
+        assert want.err == ""
+        assert main(["supernumerary", write_json(tmp_path, "both.json", {**SUPERNUMERARY_CONFIG, "alpha": 0.3})]) == 0
+        assert capsys.readouterr() == (want.out, "note: supernumerary config ignores 'alpha' beside its grid\n")
+        single = {key: value for key, value in SUPERNUMERARY_CONFIG.items() if key != "alphas"}
+        assert main(["supernumerary", write_json(tmp_path, "alpha.json", {**single, "alpha": 0.1})]) == 0
+        assert capsys.readouterr().err == ""  # a lone "alpha" is the grid
 
     def test_custom_discount_of_the_base_capacity(self, tmp_path, capsys):
         doc = {**SUPERNUMERARY_CONFIG, "discount": {"kind": "custom", "values": [1.0] * 10}}
@@ -1178,7 +1211,7 @@ class TestSubcommandFlags:
     @pytest.mark.parametrize("command", ["simulate", "sweep", "orderstats", "supernumerary"])
     def test_randomized_commands_take_every_shared_flag(self, tmp_path, capsys, command):
         configs = {
-            "sweep": {**TRIAL_CONFIG, "alphas": [0.0], "betas": [0.5]},
+            "sweep": {**GRID_BASE, "alphas": [0.0], "betas": [0.5]},
             "simulate": TRIAL_CONFIG,
             "supernumerary": SUPERNUMERARY_CONFIG,
         }
@@ -1502,7 +1535,7 @@ class TestJsonText:
         command, and for the CSV commands whatever they print."""
         argv, want = PRINTED.get(command, ([command, "cfg", "--trials", "2", "--seed", "5"], None))
         configs = {
-            "sweep": {**TRIAL_CONFIG, "alphas": [0.0, 0.25], "betas": [0.5]},
+            "sweep": {**GRID_BASE, "alphas": [0.0, 0.25], "betas": [0.5]},
             "supernumerary": SUPERNUMERARY_CONFIG,
         }
         files = {

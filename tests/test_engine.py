@@ -101,6 +101,11 @@ def blocks_of(rows, m):
         yield
 
 
+def same_bits(got, want) -> bool:
+    """Whether two tuples of floats hold the same bits, so 0.0 and -0.0 differ."""
+    return np.array(got, dtype=float).tobytes() == np.array(want, dtype=float).tobytes()
+
+
 def assert_sweep_equals_loop(cfg, alphas, betas, trials, spec, block):
     """``run_sweep``'s means and standard errors equal those of ``run_trial``
     over each (beta, alpha) cell, bit for bit."""
@@ -114,8 +119,7 @@ def assert_sweep_equals_loop(cfg, alphas, betas, trials, spec, block):
             for field in ("cons", "uncons", "opt"):
                 values = np.array([getattr(r, f"u_{field}") for r in reports])
                 se = values.std(ddof=1) / math.sqrt(trials) if trials > 1 else 0.0
-                assert getattr(row, f"mean_{field}") == values.mean()
-                assert getattr(row, f"se_{field}") == se
+                assert same_bits((getattr(row, f"mean_{field}"), getattr(row, f"se_{field}")), (values.mean(), se))
 
 
 class TestEngineMatchesRunTrial:
@@ -169,7 +173,8 @@ class TestEngineMatchesRunTrial:
     @pytest.mark.parametrize("betas, fallbacks", [([0.25, 0.5], 0), ([0.0, 0.5], 1)])
     @pytest.mark.parametrize("block", [7, None])
     def test_one_selection_per_group_and_block(self, betas, fallbacks, block):
-        # perfbench's sweep: m=1000, m_b=250, n=100, DCG, 11 alphas, 30 trials
+        # perfbench's sweep: m=1000, m_b=250, n=100, DCG, 11 alphas, 30 trials.  Each group's candidates are
+        # its best values, one sort per block; only a beta that falls back (here beta 0) selects ids by _top.
         cfg = TrialConfig(
             m_a=750, m_b=250, n=100, beta=betas[0], alpha=0.0,
             dist_a=Uniform(0, 1), dist_b=Uniform(0, 1), discount=DiscountVector.dcg(100),
@@ -178,7 +183,7 @@ class TestEngineMatchesRunTrial:
         with blocks_of(block, 1000), mock.patch.object(experiments, "_top", wraps=experiments._top) as top:
             run_sweep(cfg, alphas, betas, 30, SeedSpec(0))
         blocks = math.ceil(30 / (block or experiments.BLOCK_ELEMENTS // 1000))
-        assert top.call_count == blocks * (2 + fallbacks)
+        assert top.call_count == blocks * fallbacks
 
     # Acceptance C5 (two trial sets) and C7 take their reports from
     # run_trials; the scalar oracle checks their configs on the first trials.
@@ -885,8 +890,8 @@ def assert_report_is_loops(report, per_seat, seats):
     for s, stats_ in enumerate(report.schemes):
         values = per_seat[s]
         se = values.std(ddof=1) / math.sqrt(trials) if trials > 1 else 0.0
-        assert (stats_.mean_utility_per_seat, stats_.se) == (values.mean(), se)
-        assert stats_.mean_seats == seats[s].mean()
+        got = (stats_.mean_utility_per_seat, stats_.se, stats_.mean_seats)
+        assert same_bits(got, (values.mean(), se, seats[s].mean()))
 
 
 @st.composite
@@ -979,6 +984,78 @@ class TestSupernumeraryEngine:
         with mock.patch.object(experiments, "_order", spy):
             supernumerary_compare(config, 100, SeedSpec(7))
         assert widths and max(widths) <= 2 * 48  # c = n + x_max = 40 + 8 per group
+
+
+# Exact ties within and across the groups, signed zeros among them.  The sweep and seat-expansion engines keep
+# each group's best values, not ids: every output sums values or counts the positional target mask, equal values
+# (0.0 and -0.0 alike) are interchangeable, and group 0's candidates come first, so a tie across the groups still
+# goes to group 0.  The negated sample draws 0.0 and -1.0 (-0.0 + 0.0 is 0.0).
+SIGNED_ZEROS = Empirical([-0.0, 0.0, 1.0])
+NEGATED = ShiftedScaled(Empirical([0.0, 1.0]), -1.0, 0.0)
+# Tied pairs, and tied beside continuous groups, so a shaded group without ties keeps its value-selected candidates.
+TIED_PAIRS = {
+    "zeros-zeros": (SIGNED_ZEROS, SIGNED_ZEROS),
+    "negated-zeros": (NEGATED, SIGNED_ZEROS),
+    "zeros-negated": (SIGNED_ZEROS, NEGATED),
+    "zeros-uniform": (SIGNED_ZEROS, Uniform(-1.0, 1.0)),
+    "uniform-zeros": (Uniform(-1.0, 1.0), SIGNED_ZEROS),
+}
+TIE_BLOCKS = [1, 3, None]
+# Draws overflow to +inf about a third of the time, and inf * 0 is NaN: a NaN score in most rows.
+NAN_SCORES = ShiftedScaled(LogNormal(709.0, 2.0), 0.0, 0.0)
+
+
+class TestValueSelectionTies:
+    """Each engine equals its per-trial oracle bit for bit on tied and signed-zero utilities."""
+
+    @pytest.mark.parametrize("block", TIE_BLOCKS)
+    @pytest.mark.parametrize("target", [0, 1])
+    @pytest.mark.parametrize("pair", sorted(TIED_PAIRS))
+    def test_sweep_and_trials(self, pair, target, block):
+        dist_a, dist_b = TIED_PAIRS[pair]
+        cfg = TrialConfig(
+            m_a=9, m_b=8, n=5, beta=1.0, alpha=0.0, dist_a=dist_a, dist_b=dist_b,
+            discount=DiscountVector.dcg(5), target_group=target,
+        )
+        spec = SeedSpec(23)
+        assert_sweep_equals_loop(cfg, [0.0, 0.4, 1.0], [1.0, 0.5, 0.0], 12, spec, block)
+        for beta in (1.0, 0.5, 0.0):
+            cell = replace(cfg, beta=beta, alpha=0.4)
+            with blocks_of(block, cfg.m_a + cfg.m_b):
+                reports = run_trials(cell, 12, spec)
+            assert repr(reports) == repr([run_trial(cell, i, spec) for i in range(12)])  # repr keeps -0.0
+
+    @pytest.mark.parametrize("block", TIE_BLOCKS)
+    @pytest.mark.parametrize("shift", [(1.0, 0.0), (1.5, 10.0)], ids=["identity", "affine"])
+    @pytest.mark.parametrize("alpha", [0.0, 0.5])
+    @pytest.mark.parametrize("pair", sorted(TIED_PAIRS))
+    def test_supernumerary(self, pair, alpha, shift, block):
+        # n + x_max = 4 + 4 at alpha 0.5 (4 at alpha 0) of each group's 12 and 10 scores: a cut in both groups
+        dist_a, dist_b = TIED_PAIRS[pair]
+        config = SupernumeraryConfig(
+            n=4, m_a=12, m_b=10, alpha=alpha, gamma=shift[0], score_offset=shift[1],
+            dist_a=dist_a, dist_b=dist_b, discount=DiscountVector.dcg(22),
+        )
+        spec = SeedSpec(29)
+        loops = per_trial_supernumerary(config, 15, spec, DiscountVector.dcg)
+        with blocks_of(block, 22):
+            assert_report_is_loops(supernumerary_compare(config, 15, spec), *loops)
+
+    @pytest.mark.parametrize("block", TIE_BLOCKS)
+    @pytest.mark.parametrize("group", ["A", "B"])
+    def test_supernumerary_nan_scores_raise_the_loops_error(self, group, block):
+        # NaN ranks last, as in the full stable sort, so each trial's seat checks see the loop's n_f
+        dist_a, dist_b = (NAN_SCORES, Uniform(0, 1)) if group == "A" else (Uniform(0, 1), NAN_SCORES)
+        config = SupernumeraryConfig(
+            n=5, m_a=10, m_b=3, alpha=0.3, gamma=1.0, dist_a=dist_a, dist_b=dist_b, discount=DiscountVector.dcg(13),
+        )
+        for seed in range(8):
+            spec = SeedSpec(seed)
+            with np.errstate(invalid="ignore", over="ignore"):  # the draws' inf * 0
+                with pytest.raises(ValueError) as want:
+                    per_trial_supernumerary(config, 5, spec, DiscountVector.dcg)
+                with blocks_of(block, 13), pytest.raises(ValueError, match=f"^{re.escape(str(want.value))}$"):
+                    supernumerary_compare(config, 5, spec)
 
 
 class TestOneBlockRule:
